@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .distributions import (DistributionModel, DistributionSpec, build,
                             deductible, exponential, fractional_moment,
-                            hyperexp2, numeric, quantile, support_interval,
-                            survival_at, uniform, upper_partial_moment,
-                            weibull, zero_inflated)
+                            hyperexp2, numeric, quantile, survival_at, uniform,
+                            upper_partial_moment, weibull, zero_inflated)
 from .equilibrium import (CharacterizationReport, EquilibriumView,
                           characterization_check, eq_density, eq_moment,
                           eq_survival, eq_survival_recursive,
@@ -38,5 +37,4 @@ from .order_mvt import (MeanLocationReport, MvtReport, OrderCheckResult,
 from .taylor import (TaylorReport, caputo_taylor_expectation,
                      fractional_moment_identity, rl_taylor_coefficient,
                      rl_taylor_expectation)
-from .actuarial import (DeductibleSpec, deductible_model, deductible_mvt,
-                        exponential_ratio_check)
+from .actuarial import deductible_mvt, exponential_ratio_check

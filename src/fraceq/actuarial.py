@@ -13,38 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import (DistributionModel, DistributionSpec, build,
-                            deductible)
+from .distributions import DistributionSpec, build, deductible
 from .errors import InvalidParameterError
 from .fracops import PowerSum, power_mean
-from .numerics import DEFAULT_CONFIG, QuadratureConfig
-from .order_mvt import (ZAlphaModel, expected_derivative_at_z,
+from .order_mvt import (_C0_TOL, ZAlphaModel, expected_derivative_at_z,
                         normalized_moment, z_alpha_model)
 
 __all__ = [
-    "DeductibleSpec",
-    "deductible_model",
     "DeductibleMvtReport",
     "deductible_mvt",
     "RatioCheckReport",
     "exponential_ratio_check",
 ]
-
-_C0_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DeductibleSpec:
-    """Severity distribution plus the deductible threshold d > 0."""
-
-    severity: DistributionSpec
-    d: float
-
-
-def deductible_model(spec: DeductibleSpec) -> DistributionModel:
-    """The claim amount variable (X - d)_+ as a catalog model."""
-    return build(deductible(spec.d, spec.severity))
-
 
 def _require_admissible(g: PowerSum, alpha: float) -> None:
     # the mean value corollary needs g ~ x^beta with beta > alpha - 1 near 0
@@ -66,14 +46,12 @@ class DeductibleMvtReport:
 
 
 def deductible_mvt(g: PowerSum, severity: DistributionSpec, r: float, s: float,
-                   alpha: float,
-                   cfg: QuadratureConfig | None = None) -> DeductibleMvtReport:
+                   alpha: float) -> DeductibleMvtReport:
     """Check E[g(X_r)] - E[g(X_s)] = [lambda_a(X_r) - lambda_a(X_s)] E[D^a g(Z_a)].
 
     The larger deductible gives pointwise smaller payments, so the Z
     construction orders the pair as (X, Y) = (X_s, X_r).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (0.0 < r < s):
         raise InvalidParameterError(f"need 0 < r < s, got r={r}, s={s}")
     _require_admissible(g, alpha)
@@ -83,14 +61,14 @@ def deductible_mvt(g: PowerSum, severity: DistributionSpec, r: float, s: float,
             f"s={s} must lie below the severity support bound {base.support_upper}")
     x_r = build(deductible(r, severity))
     x_s = build(deductible(s, severity))
-    lam_r = normalized_moment(x_r, alpha, cfg)
-    lam_s = normalized_moment(x_s, alpha, cfg)
+    lam_r = normalized_moment(x_r, alpha)
+    lam_s = normalized_moment(x_s, alpha)
     if not (lam_s < lam_r < math.inf):
         raise InvalidParameterError(
             f"need lambda_a(X_s) < lambda_a(X_r) < inf, got {lam_s:g} vs {lam_r:g}")
-    z = z_alpha_model(x_s, x_r, alpha, cfg, require_order=True)
-    lhs = power_mean(g, x_r, cfg) - power_mean(g, x_s, cfg)
-    rhs = (lam_r - lam_s) * expected_derivative_at_z(g, z, alpha, cfg)
+    z = z_alpha_model(x_s, x_r, alpha, require_order=True)
+    lhs = power_mean(g, x_r) - power_mean(g, x_s)
+    rhs = (lam_r - lam_s) * expected_derivative_at_z(g, z, alpha)
     return DeductibleMvtReport(lhs, rhs, lhs - rhs, z)
 
 
@@ -104,14 +82,12 @@ class RatioCheckReport:
 
 
 def exponential_ratio_check(lam: float, r: float, s: float, u: float, v: float,
-                            gs: list[PowerSum], alpha: float,
-                            cfg: QuadratureConfig | None = None) -> RatioCheckReport:
+                            gs: list[PowerSum], alpha: float) -> RatioCheckReport:
     """Ratios (E[g(X_r)] - E[g(X_s)]) / (E[g(X_u)] - E[g(X_v)]) for Exp(lam).
 
     Every admissible g must give the same ratio
     (e^(-lam r) - e^(-lam s)) / (e^(-lam u) - e^(-lam v)).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if lam <= 0.0:
         raise InvalidParameterError(f"rate must be > 0, got {lam}")
     if not (0.0 < r < s and 0.0 < u < v):
@@ -124,8 +100,8 @@ def exponential_ratio_check(lam: float, r: float, s: float, u: float, v: float,
     spread = 0.0
     for g in gs:
         _require_admissible(g, alpha)
-        num = power_mean(g, models[r], cfg) - power_mean(g, models[s], cfg)
-        den = power_mean(g, models[u], cfg) - power_mean(g, models[v], cfg)
+        num = power_mean(g, models[r]) - power_mean(g, models[s])
+        den = power_mean(g, models[u]) - power_mean(g, models[v])
         if den == 0.0:
             raise InvalidParameterError(
                 f"zero denominator for g = {g.describe()} with (u, v) = ({u}, {v})")

@@ -3,7 +3,7 @@
 Commands dispatch verification campaigns over distributions given as
 inline JSON (or @file), and write deterministic JSON or CSV reports.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
-3 numerical non-convergence, 4 I/O error.
+3 numerical failure (non-convergence or overflow), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .actuarial import deductible_mvt, exponential_ratio_check
 from .distributions import DistributionSpec, build, quantile
@@ -25,6 +23,7 @@ from .equilibrium import (characterization_check, eq_survival,
                           eq_survival_recursive, equilibrium_view)
 from .errors import DivergenceError, FraceqError, InvalidParameterError
 from .fracops import FracOrder, PowerSum
+from .numerics import linspace
 from .order_mvt import (alpha_survival_transform, check_survival_bounded_order,
                         default_order_grid, mvt_verify)
 from .suite import CheckOutcome, run_all
@@ -113,17 +112,26 @@ def _powersum_argument(raw: str) -> PowerSum:
 
 
 def _float_list(raw: str) -> list[float]:
+    """A nonempty comma list of finite floats; an empty list would run no check."""
     try:
-        return [float(x) for x in raw.split(",") if x.strip()]
+        values = [float(x) for x in raw.split(",") if x.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list '{raw}'") from exc
+    if not values or not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(
+            f"need a nonempty list of finite numbers, got '{raw}'")
+    return values
 
 
 def _int_list(raw: str) -> list[int]:
+    """A nonempty comma list of integers."""
     try:
-        return [int(x) for x in raw.split(",") if x.strip()]
+        values = [int(x) for x in raw.split(",") if x.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad int list '{raw}'") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"need a nonempty list of integers, got '{raw}'")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -225,8 +233,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     )
     if cfg.grid < 8:
         _build_parser().error(f"--grid must be >= 8, got {cfg.grid}")
-    if cfg.tol is not None and cfg.tol <= 0:
-        _build_parser().error(f"--tol must be > 0, got {cfg.tol}")
+    if cfg.tol is not None and not 0 < cfg.tol < math.inf:
+        _build_parser().error(f"--tol must be finite and > 0, got {cfg.tol}")
     return cfg
 
 
@@ -237,7 +245,7 @@ def _run_eqdist(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
     X = build(cfg.dist)
     tol = cfg.tol or 1e-5
     hi = _grid_upper(X)
-    ts = [float(t) for t in np.linspace(0.0, hi, cfg.grid)]
+    ts = linspace(0.0, hi, cfg.grid)
     rows, grids = [], {}
     for alpha in cfg.alphas:
         for n in cfg.ns:
@@ -446,8 +454,8 @@ def run(cfg: RunConfig) -> int:
         return EXIT_USAGE
     try:
         rows, grids = _RUNNERS[cfg.command](cfg)
-    except DivergenceError as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:  # DivergenceError, or an overflow on huge inputs
+        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except FraceqError as exc:
         print(f"error: {exc}", file=sys.stderr)

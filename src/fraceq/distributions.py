@@ -34,7 +34,6 @@ __all__ = [
     "fractional_moment",
     "upper_partial_moment",
     "survival_at",
-    "support_interval",
     "quantile",
 ]
 
@@ -377,6 +376,10 @@ def build(spec: DistributionSpec) -> DistributionModel:
             return _build_numeric(spec.params["knots"])
     except KeyError as exc:
         raise InvalidParameterError(f"{spec.kind}: missing parameter {exc}") from exc
+    except InvalidParameterError:
+        raise
+    except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
+        raise InvalidParameterError(f"{spec.kind}: bad parameter ({exc})") from exc
     raise InvalidParameterError(f"unknown distribution kind '{spec.kind}'")
 
 
@@ -388,11 +391,6 @@ def survival_at(X: DistributionModel, t: float) -> float:
     if t < 0.0:
         return 1.0
     return X.survival(t)
-
-
-def support_interval(X: DistributionModel) -> tuple[float, float]:
-    """Smallest interval containing 0 and the support of X."""
-    return (0.0, X.support_upper)
 
 
 def _partial_by_quadrature(X: DistributionModel, t: float, s: float,
@@ -447,10 +445,8 @@ def upper_partial_moment(X: DistributionModel, t: float, s: float,
     return _partial_by_quadrature(X, t, s, cfg)
 
 
-def fractional_moment(X: DistributionModel, s: float,
-                      cfg: QuadratureConfig | None = None) -> float:
+def fractional_moment(X: DistributionModel, s: float) -> float:
     """E[X^s].  E[X^0] is 1 exactly (0^0 = 1 convention)."""
-    cfg = cfg or DEFAULT_CONFIG
     if s == 0.0:
         return 1.0
     if s <= -1.0:
@@ -459,7 +455,7 @@ def fractional_moment(X: DistributionModel, s: float,
         raise DivergenceError(f"E[X^{s:g}] diverges: {X.label} has an atom at 0")
     if X.closed_form_moment is not None:
         return X.closed_form_moment(s)
-    return _partial_by_quadrature(X, 0.0, s, cfg)
+    return _partial_by_quadrature(X, 0.0, s, DEFAULT_CONFIG)
 
 
 def quantile(X: DistributionModel, q: float) -> float:

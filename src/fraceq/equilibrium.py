@@ -14,14 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .distributions import (DistributionModel, fractional_moment, quantile,
                             survival_at, upper_partial_moment)
 from .errors import (DivergenceError, InvalidParameterError,
                      MissingDensityError)
 from .fracops import FracOrder
-from .numerics import (DEFAULT_CONFIG, QuadratureConfig, beta, gamma,
+from .numerics import (QuadratureConfig, beta, gamma, geomspace,
                        integrate_singular_power)
 
 __all__ = [
@@ -56,17 +54,15 @@ class EquilibriumView:
                 f"E[X^{self.order.total:g}] must be finite and positive, got {self.norm}")
 
 
-def equilibrium_view(X: DistributionModel, alpha: float, n: int,
-                     cfg: QuadratureConfig | None = None) -> EquilibriumView:
+def equilibrium_view(X: DistributionModel, alpha: float, n: int) -> EquilibriumView:
     order = FracOrder(alpha, n)
-    norm = fractional_moment(X, order.total, cfg)
+    norm = fractional_moment(X, order.total)
     return EquilibriumView(X, order, norm)
 
 
-def eq_survival(view: EquilibriumView, t: float,
-                cfg: QuadratureConfig | None = None) -> float:
+def eq_survival(view: EquilibriumView, t: float) -> float:
     """P(X_alpha^(n) > t) = E[(X-t)_+^(n alpha)] / E[X^(n alpha)]."""
-    return upper_partial_moment(view.base, t, view.order.total, cfg) / view.norm
+    return upper_partial_moment(view.base, t, view.order.total) / view.norm
 
 
 def eq_density(view: EquilibriumView, t: float,
@@ -82,14 +78,12 @@ def eq_density_fn(view: EquilibriumView,
     return lambda t: eq_density(view, t, cfg)
 
 
-def eq_survival_recursive(X: DistributionModel, order: FracOrder, t: float,
-                          cfg: QuadratureConfig | None = None) -> float:
+def eq_survival_recursive(X: DistributionModel, order: FracOrder, t: float) -> float:
     """Literal recursion: n nested Weyl integrals of the base survival.
 
     Exists solely as an independent oracle for eq_survival; depth is
     capped at n = 3 to bound the cost of nested quadrature.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if order.n < 1:
         raise InvalidParameterError("recursive equilibrium needs n >= 1")
     if order.n > _MAX_RECURSION_ORDER:
@@ -104,11 +98,11 @@ def eq_survival_recursive(X: DistributionModel, order: FracOrder, t: float,
             return lambda u: survival_at(X, u)
         prev = level(k - 1)
         coef = (gamma(k * alpha + 1.0) / gamma((k - 1) * alpha + 1.0)
-                * fractional_moment(X, (k - 1) * alpha, cfg)
-                / fractional_moment(X, k * alpha, cfg))
+                * fractional_moment(X, (k - 1) * alpha)
+                / fractional_moment(X, k * alpha))
 
         def surv(u: float) -> float:
-            res = integrate_singular_power(prev, u, alpha, cfg, upper=b)
+            res = integrate_singular_power(prev, u, alpha, upper=b)
             return coef * res.require(f"I_-^{alpha:g} at level {k}") / g_alpha
 
         return surv
@@ -124,13 +118,12 @@ def eq_moment(view: EquilibriumView, r: float) -> float:
     return na * beta(na, r + 1.0) * fractional_moment(view.base, na + r) / view.norm
 
 
-def first_order_cdf_interpretation(X: DistributionModel, alpha: float, t: float,
-                                   cfg: QuadratureConfig | None = None) -> float:
+def first_order_cdf_interpretation(X: DistributionModel, alpha: float,
+                                   t: float) -> float:
     """P(X_alpha^(1) <= t) as the weighted integral of P(y < X <= y + t).
 
     Oracle for 1 - eq_survival at n = 1.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if alpha <= 0.0:
         raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
     if t < 0.0:
@@ -138,9 +131,9 @@ def first_order_cdf_interpretation(X: DistributionModel, alpha: float, t: float,
     if t == 0.0:
         return 0.0
     res = integrate_singular_power(
-        lambda y: survival_at(X, y) - survival_at(X, y + t), 0.0, alpha, cfg,
+        lambda y: survival_at(X, y) - survival_at(X, y + t), 0.0, alpha,
         upper=X.support_upper)
-    norm = fractional_moment(X, alpha, cfg)
+    norm = fractional_moment(X, alpha)
     return alpha * res.require("interval-probability integral") / norm
 
 
@@ -157,29 +150,27 @@ class CharacterizationReport:
 
 def characterization_check(X: DistributionModel, alphas: Sequence[float],
                            ns: Sequence[int], grid: Sequence[float] | None = None,
-                           tol: float = 1e-6,
-                           cfg: QuadratureConfig | None = None) -> CharacterizationReport:
+                           tol: float = 1e-6) -> CharacterizationReport:
     """Scan |f_n^alpha(t) - f(t)| over an (alpha, n, t) product grid.
 
     The fixed-point property holds for exponential X and fails for
     everything else; the scan reports the worst deviation and never
     claims a converse proof beyond the family tested.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if X.density_ac is None:
         raise MissingDensityError(f"{X.label} has no absolutely continuous density")
     if grid is None:
         hi = quantile(X, 0.99)
-        grid = np.geomspace(hi * 1e-3, hi, 20)
+        grid = geomspace(hi * 1e-3, hi, 20)
     worst = 0.0
     witness = (float(alphas[0]), int(ns[0]), float(grid[0]))
     deviations: dict = {}
     for alpha in alphas:
         for n in ns:
-            view = equilibrium_view(X, alpha, n, cfg)
+            view = equilibrium_view(X, alpha, n)
             dev = 0.0
             for t in grid:
-                gap = abs(eq_density(view, float(t), cfg) - X.density_ac(float(t)))
+                gap = abs(eq_density(view, float(t)) - X.density_ac(float(t)))
                 if gap > dev:
                     dev = gap
                 if gap > worst:

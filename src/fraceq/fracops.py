@@ -63,11 +63,6 @@ class FracOrder:
         """n * alpha."""
         return self.n * self.alpha
 
-    @property
-    def next_total(self) -> float:
-        """(n + 1) * alpha."""
-        return (self.n + 1) * self.alpha
-
 
 @dataclass(frozen=True)
 class PowerSum:
@@ -227,37 +222,33 @@ def power_caputo_derivative(g: PowerSum, i: int, alpha: float) -> PowerSum:
 # ---------------------------------------------------------------------------
 # Weyl integral of survival functions
 
-def weyl_integral_result(X: DistributionModel, order: float, t: float,
-                         cfg: QuadratureConfig | None = None) -> IntegralResult:
+def weyl_integral_result(X: DistributionModel, order: float,
+                         t: float) -> IntegralResult:
     """Quadrature form of I_-^order Fbar(t), with truncation metadata."""
-    cfg = cfg or DEFAULT_CONFIG
     if order <= 0.0:
         raise InvalidParameterError(f"Weyl integral order must be > 0, got {order}")
     if t < 0.0:
         raise InvalidParameterError(f"Weyl integral requires t >= 0, got {t}")
-    res = integrate_singular_power(X.survival, t, order, cfg, upper=X.support_upper)
+    res = integrate_singular_power(X.survival, t, order, upper=X.support_upper)
     g = gamma(order)
     return IntegralResult(res.value / g, res.error_estimate / g, res.converged,
                           res.truncation_point)
 
 
-def weyl_integral(X: DistributionModel, order: float, t: float,
-                  cfg: QuadratureConfig | None = None) -> float:
+def weyl_integral(X: DistributionModel, order: float, t: float) -> float:
     """I_-^order Fbar(t) = (1/Gamma(order)) int_t^inf (x-t)^(order-1) Fbar(x) dx."""
-    return weyl_integral_result(X, order, t, cfg).require(
+    return weyl_integral_result(X, order, t).require(
         f"Weyl integral of order {order:g} for {X.label}")
 
 
-def weyl_integral_via_moments(X: DistributionModel, order: float, t: float,
-                              cfg: QuadratureConfig | None = None) -> float:
+def weyl_integral_via_moments(X: DistributionModel, order: float, t: float) -> float:
     """Same transform through E[(X-t)_+^order] / Gamma(order + 1)."""
     if order <= 0.0:
         raise InvalidParameterError(f"Weyl integral order must be > 0, got {order}")
-    return upper_partial_moment(X, t, order, cfg) / gamma(order + 1.0)
+    return upper_partial_moment(X, t, order) / gamma(order + 1.0)
 
 
-def weyl_of_function(h: Callable[[float], float], order: float, t: float,
-                     cfg: QuadratureConfig | None = None, *,
+def weyl_of_function(h: Callable[[float], float], order: float, t: float, *,
                      upper: float | None = None) -> float:
     """I_-^order h(t) for an arbitrary integrable callable.
 
@@ -265,10 +256,9 @@ def weyl_of_function(h: Callable[[float], float], order: float, t: float,
     go through weyl_integral instead.  ``upper`` declares where h
     vanishes for good.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if order <= 0.0:
         raise InvalidParameterError(f"Weyl integral order must be > 0, got {order}")
-    res = integrate_singular_power(h, t, order, cfg, upper=upper)
+    res = integrate_singular_power(h, t, order, upper=upper)
     return res.require(f"nested Weyl integral of order {order:g}") / gamma(order)
 
 
@@ -313,20 +303,18 @@ def rl_integral(g: Callable[[float], float], order: float, x: float,
     return (left_res.value + right_res.value) / gamma(order)
 
 
-def rl_derivative_numeric(g: Callable[[float], float], alpha: float, x: float,
-                          cfg: QuadratureConfig | None = None) -> float:
+def rl_derivative_numeric(g: Callable[[float], float], alpha: float, x: float) -> float:
     """D^alpha g(x) = d/dx I^(1-alpha) g(x) by central finite difference.
 
     Accuracy is O(step^2) plus quadrature noise; theorem verification
     should use the exact PowerSum path instead.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (0.0 < alpha < 1.0):
         raise InvalidParameterError(f"numeric RL derivative needs alpha in (0,1), got {alpha}")
     step = 1e-5 * max(1.0, abs(x))
     if x < 10.0 * step:
         raise InvalidParameterError(f"x={x:g} too close to 0 for step {step:g}")
-    tight = cfg.scaled(1e-2)
+    tight = DEFAULT_CONFIG.scaled(1e-2)
     hi = rl_integral(g, 1.0 - alpha, x + step, tight)
     lo = rl_integral(g, 1.0 - alpha, x - step, tight)
     return (hi - lo) / (2.0 * step)
@@ -335,10 +323,9 @@ def rl_derivative_numeric(g: Callable[[float], float], alpha: float, x: float,
 # ---------------------------------------------------------------------------
 # expectations of power sums
 
-def power_mean(g: PowerSum, X: DistributionModel,
-               cfg: QuadratureConfig | None = None) -> float:
+def power_mean(g: PowerSum, X: DistributionModel) -> float:
     """E[g(X)] term by term through fractional moments."""
-    return math.fsum(coef * fractional_moment(X, exp, cfg)
+    return math.fsum(coef * fractional_moment(X, exp)
                      for coef, exp in g.terms)
 
 

@@ -25,6 +25,8 @@ __all__ = [
     "integrate_semi_infinite",
     "integrate_singular_power",
     "weighted_increment_integral",
+    "linspace",
+    "geomspace",
 ]
 
 
@@ -103,6 +105,37 @@ def beta(a: float, b: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise InvalidParameterError(f"beta requires positive arguments, got ({a}, {b})")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+# ---------------------------------------------------------------------------
+# grids
+
+def linspace(a: float, b: float, num: int) -> list[float]:
+    """num evenly spaced points from a to b inclusive.
+
+    Same arithmetic as numpy.linspace: point i is i * step + a and the
+    last point is b exactly, so grids (and reports) match it bit for bit.
+    """
+    if num < 2:
+        raise InvalidParameterError(f"linspace needs num >= 2, got {num}")
+    step = (b - a) / (num - 1)
+    out = [i * step + a for i in range(num)]
+    out[-1] = float(b)
+    return out
+
+
+def geomspace(a: float, b: float, num: int) -> list[float]:
+    """num log-spaced points from a to b inclusive; a and b must be > 0.
+
+    numpy.geomspace's recipe: 10 ** x over a linspace of log10, with both
+    endpoints pinned to a and b.
+    """
+    if a <= 0.0 or b <= 0.0:
+        raise InvalidParameterError(f"geomspace needs positive endpoints, got ({a}, {b})")
+    out = [10.0 ** x for x in linspace(math.log10(a), math.log10(b), num)]
+    out[0] = float(a)
+    out[-1] = float(b)
+    return out
 
 
 # ---------------------------------------------------------------------------

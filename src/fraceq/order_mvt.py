@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .distributions import (DistributionModel, fractional_moment, quantile,
                             upper_partial_moment)
 from .equilibrium import eq_density, equilibrium_view
@@ -21,8 +19,8 @@ from .errors import (DivergenceError, InvalidParameterError,
                      OrderViolationError)
 from .fracops import (PowerSum, power_expectation, power_mean,
                       power_rl_derivative)
-from .numerics import (DEFAULT_CONFIG, QuadratureConfig, beta, gamma,
-                       integrate_interval, weighted_increment_integral)
+from .numerics import (beta, gamma, geomspace, integrate_interval,
+                       weighted_increment_integral)
 
 __all__ = [
     "OrderCheckResult",
@@ -48,18 +46,16 @@ _ORDER_SLACK = 1e-10
 _C0_TOL = 1e-12
 
 
-def alpha_survival_transform(X: DistributionModel, alpha: float, t: float,
-                             cfg: QuadratureConfig | None = None) -> float:
+def alpha_survival_transform(X: DistributionModel, alpha: float, t: float) -> float:
     """E[(X - t)_+^(alpha - 1)] / Gamma(alpha) for t below the support top, else 0."""
     if alpha <= 0.0:
         raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
     if t >= X.support_upper:
         return 0.0
-    return upper_partial_moment(X, t, alpha - 1.0, cfg) / gamma(alpha)
+    return upper_partial_moment(X, t, alpha - 1.0) / gamma(alpha)
 
 
-def alpha_cdf_transform(X: DistributionModel, alpha: float, t: float,
-                        cfg: QuadratureConfig | None = None) -> float:
+def alpha_cdf_transform(X: DistributionModel, alpha: float, t: float) -> float:
     """E[(t - X)_+^(alpha - 1)] / Gamma(alpha) for t > 0, else 0.
 
     The lower companion of alpha_survival_transform: the alpha-bounded
@@ -68,7 +64,6 @@ def alpha_cdf_transform(X: DistributionModel, alpha: float, t: float,
     the survival side.  Atoms are handled exactly through the layer-cake
     identity (mass at t itself contributes nothing).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if alpha <= 0.0:
         raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
     if t <= 0.0:
@@ -85,12 +80,12 @@ def alpha_cdf_transform(X: DistributionModel, alpha: float, t: float,
             v = u ** inv_s
             return 1.0 - X.survival(t - v)
 
-        res = integrate_interval(head, 0.0, t ** s, cfg)
+        res = integrate_interval(head, 0.0, t ** s)
         return res.require(f"E[(t-X)_+^{s:g}]") / gamma(alpha)
     # s in (-1, 0): peel off the tail of the layer-cake integral, leaving
     # -s int_0^t v^(s-1) [P(X < t) - P(X <= t-v)] dv + P(X < t) t^s
     head = weighted_increment_integral(
-        lambda v: cdf_left - (1.0 - X.survival(t - v)), s + 1.0, t, cfg)
+        lambda v: cdf_left - (1.0 - X.survival(t - v)), s + 1.0, t)
     return (-s * head + cdf_left * t ** s) / gamma(alpha)
 
 
@@ -111,14 +106,12 @@ def default_order_grid(X: DistributionModel, Y: DistributionModel,
     upper = max(X.support_upper, Y.support_upper)
     if not math.isfinite(upper):
         upper = 2.0 * max(quantile(X, 0.999), quantile(Y, 0.999))
-    pts = np.geomspace(upper * 1e-7, upper, size - 1)
-    return [0.0] + [float(t) for t in pts]
+    return [0.0] + geomspace(upper * 1e-7, upper, size - 1)
 
 
 def check_survival_bounded_order(X: DistributionModel, Y: DistributionModel,
                                  alpha: float,
-                                 grid: Sequence[float] | None = None,
-                                 cfg: QuadratureConfig | None = None) -> OrderCheckResult:
+                                 grid: Sequence[float] | None = None) -> OrderCheckResult:
     """Does X dominate Y in the survival bounded order of level alpha?
 
     Holds iff the alpha-transform of X stays below that of Y on the grid,
@@ -129,8 +122,8 @@ def check_survival_bounded_order(X: DistributionModel, Y: DistributionModel,
     worst_t = float(grid[0])
     worst_gap = -math.inf
     for t in grid:
-        gap = (alpha_survival_transform(X, alpha, float(t), cfg)
-               - alpha_survival_transform(Y, alpha, float(t), cfg))
+        gap = (alpha_survival_transform(X, alpha, float(t))
+               - alpha_survival_transform(Y, alpha, float(t)))
         if gap > worst_gap:
             worst_gap = gap
             worst_t = float(t)
@@ -150,7 +143,6 @@ class ZAlphaModel:
 
 
 def z_alpha_model(X: DistributionModel, Y: DistributionModel, alpha: float,
-                  cfg: QuadratureConfig | None = None,
                   require_order: bool = True,
                   grid: Sequence[float] | None = None) -> ZAlphaModel:
     """Build Z_alpha; with require_order the survival bounded order is checked.
@@ -160,15 +152,15 @@ def z_alpha_model(X: DistributionModel, Y: DistributionModel, alpha: float,
     """
     if alpha <= 0.0:
         raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
-    ex = fractional_moment(X, alpha, cfg)
-    ey = fractional_moment(Y, alpha, cfg)
+    ex = fractional_moment(X, alpha)
+    ey = fractional_moment(Y, alpha)
     denom = ey - ex
     if denom <= 0.0:
         raise InvalidParameterError(
             f"E[Y^a] - E[X^a] must be positive, got {denom:.6g}")
     verified = False
     if require_order:
-        check = check_survival_bounded_order(X, Y, alpha, grid, cfg)
+        check = check_survival_bounded_order(X, Y, alpha, grid)
         if not check.holds:
             raise OrderViolationError(
                 f"survival bounded order fails at t={check.worst_t:.6g} "
@@ -177,52 +169,47 @@ def z_alpha_model(X: DistributionModel, Y: DistributionModel, alpha: float,
     return ZAlphaModel(X, Y, alpha, denom, ey / denom, verified)
 
 
-def z_density(z: ZAlphaModel, t: float,
-              cfg: QuadratureConfig | None = None) -> float:
+def z_density(z: ZAlphaModel, t: float) -> float:
     """alpha (E[(Y-t)_+^(a-1)] - E[(X-t)_+^(a-1)]) / (E[Y^a] - E[X^a])."""
     if t < 0.0:
         return 0.0
     a = z.alpha
-    py = upper_partial_moment(z.y, t, a - 1.0, cfg) if t < z.y.support_upper else 0.0
-    px = upper_partial_moment(z.x, t, a - 1.0, cfg) if t < z.x.support_upper else 0.0
+    py = upper_partial_moment(z.y, t, a - 1.0) if t < z.y.support_upper else 0.0
+    px = upper_partial_moment(z.x, t, a - 1.0) if t < z.x.support_upper else 0.0
     return a * (py - px) / z.denom
 
 
-def z_mixture_identity(z: ZAlphaModel, t: float,
-                       cfg: QuadratureConfig | None = None) -> tuple[float, float]:
+def z_mixture_identity(z: ZAlphaModel, t: float) -> tuple[float, float]:
     """(direct density, generalized mixture c f_Y1 + (1-c) f_X1) at t."""
-    lhs = z_density(z, t, cfg)
-    fy = eq_density(equilibrium_view(z.y, z.alpha, 1, cfg), t, cfg)
-    fx = eq_density(equilibrium_view(z.x, z.alpha, 1, cfg), t, cfg)
+    lhs = z_density(z, t)
+    fy = eq_density(equilibrium_view(z.y, z.alpha, 1), t)
+    fx = eq_density(equilibrium_view(z.x, z.alpha, 1), t)
     rhs = z.mix_c * fy + (1.0 - z.mix_c) * fx
     return lhs, rhs
 
 
-def z_moment(z: ZAlphaModel, r: float,
-             cfg: QuadratureConfig | None = None) -> float:
+def z_moment(z: ZAlphaModel, r: float) -> float:
     """E[Z_a^r] = a B(a, r+1) (E[Y^(a+r)] - E[X^(a+r)]) / (E[Y^a] - E[X^a])."""
     if r <= 0.0:
         raise InvalidParameterError(f"moment order must be > 0, got {r}")
     a = z.alpha
-    diff = fractional_moment(z.y, a + r, cfg) - fractional_moment(z.x, a + r, cfg)
+    diff = fractional_moment(z.y, a + r) - fractional_moment(z.x, a + r)
     return a * beta(a, r + 1.0) * diff / z.denom
 
 
-def normalized_moment(X: DistributionModel, alpha: float,
-                      cfg: QuadratureConfig | None = None) -> float:
+def normalized_moment(X: DistributionModel, alpha: float) -> float:
     """E[X^alpha] / Gamma(alpha + 1)."""
     if alpha <= 0.0:
         raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
-    return fractional_moment(X, alpha, cfg) / gamma(alpha + 1.0)
+    return fractional_moment(X, alpha) / gamma(alpha + 1.0)
 
 
-def fractional_variance(X: DistributionModel, alpha: float,
-                        cfg: QuadratureConfig | None = None) -> float:
+def fractional_variance(X: DistributionModel, alpha: float) -> float:
     """E[X^(alpha+1)] - alpha * E[X^alpha]^2; the variance at alpha = 1."""
     if alpha <= 0.0:
         raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
-    m1 = fractional_moment(X, alpha, cfg)
-    m2 = fractional_moment(X, alpha + 1.0, cfg)
+    m1 = fractional_moment(X, alpha)
+    m2 = fractional_moment(X, alpha + 1.0)
     return m2 - alpha * m1 * m1
 
 
@@ -242,8 +229,7 @@ class MeanLocationReport:
     balanced_variance_residual: float  # |V_a(Y) - V_a(X)|
 
 
-def classify_mean_location(z: ZAlphaModel,
-                           cfg: QuadratureConfig | None = None) -> MeanLocationReport:
+def classify_mean_location(z: ZAlphaModel) -> MeanLocationReport:
     """Classify E[Z_alpha] through the fractional-variance inequalities.
 
     Also evaluates the identity behind the classification,
@@ -253,11 +239,11 @@ def classify_mean_location(z: ZAlphaModel,
     the fractional variances agree.
     """
     a = z.alpha
-    ex = fractional_moment(z.x, a, cfg)
-    ey = fractional_moment(z.y, a, cfg)
-    ez = z_moment(z, 1.0, cfg)
+    ex = fractional_moment(z.x, a)
+    ey = fractional_moment(z.y, a)
+    ez = z_moment(z, 1.0)
     delta = ey - ex
-    v_gap = fractional_variance(z.y, a, cfg) - fractional_variance(z.x, a, cfg)
+    v_gap = fractional_variance(z.y, a) - fractional_variance(z.x, a)
     lhs = (ez - ex) / delta
     rhs = ((a * ey - ex) / delta + v_gap / (delta * delta)) / (a + 1.0)
     thr_low = -delta * (a * ey - ex)
@@ -291,13 +277,12 @@ def extract_c0(g: PowerSum, alpha: float) -> float:
     return gamma(alpha) * g.coefficient_at(target, _C0_TOL)
 
 
-def expected_derivative_at_z(g: PowerSum, z: ZAlphaModel, alpha: float,
-                             cfg: QuadratureConfig | None = None) -> float:
+def expected_derivative_at_z(g: PowerSum, z: ZAlphaModel, alpha: float) -> float:
     """E[D^alpha g(Z_alpha)] by quadrature of the exact derivative."""
     dg = power_rl_derivative(g, 1, alpha)
     if dg.is_zero:
         return 0.0
-    value, _ = power_expectation(dg, lambda t: z_density(z, t, cfg), cfg,
+    value, _ = power_expectation(dg, lambda t: z_density(z, t),
                                  upper=max(z.x.support_upper, z.y.support_upper))
     return value
 
@@ -319,8 +304,7 @@ class MvtReport:
 
 
 def mvt_verify(g: PowerSum, X: DistributionModel, Y: DistributionModel,
-               alpha: float, cfg: QuadratureConfig | None = None,
-               require_order: bool = True,
+               alpha: float, require_order: bool = True,
                grid: Sequence[float] | None = None) -> MvtReport:
     """Check E[g(Y)] - E[g(X)] against the fractional mean value identity.
 
@@ -328,18 +312,17 @@ def mvt_verify(g: PowerSum, X: DistributionModel, Y: DistributionModel,
     {lambda_a(Y) - lambda_a(X)} E[D^a g(Z_a)], the derivative expectation
     integrated against the Z density by quadrature.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if g.terms and g.min_exponent() <= -1.0:
         raise DivergenceError(f"g has an exponent <= -1: {g.describe()}")
     c0 = extract_c0(g, alpha)
-    z = z_alpha_model(X, Y, alpha, cfg, require_order=require_order, grid=grid)
-    lhs = power_mean(g, Y, cfg) - power_mean(g, X, cfg)
+    z = z_alpha_model(X, Y, alpha, require_order=require_order, grid=grid)
+    lhs = power_mean(g, Y) - power_mean(g, X)
     if c0 != 0.0:
         term_c0 = (c0 / gamma(alpha)
-                   * (fractional_moment(Y, alpha - 1.0, cfg)
-                      - fractional_moment(X, alpha - 1.0, cfg)))
+                   * (fractional_moment(Y, alpha - 1.0)
+                      - fractional_moment(X, alpha - 1.0)))
     else:
         term_c0 = 0.0
-    lam_gap = normalized_moment(Y, alpha, cfg) - normalized_moment(X, alpha, cfg)
-    term_main = lam_gap * expected_derivative_at_z(g, z, alpha, cfg)
+    lam_gap = normalized_moment(Y, alpha) - normalized_moment(X, alpha)
+    term_main = lam_gap * expected_derivative_at_z(g, z, alpha)
     return MvtReport(lhs, term_c0, term_main, lhs - term_c0 - term_main, c0, z)

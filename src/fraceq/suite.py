@@ -10,13 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import actuarial, distributions, equilibrium, fracops, order_mvt, taylor
 from .distributions import build, exponential, hyperexp2, uniform, weibull, zero_inflated
 from .errors import DivergenceError
 from .fracops import PowerSum
-from .numerics import DEFAULT_CONFIG, gamma, integrate_semi_infinite
+from .numerics import DEFAULT_CONFIG, gamma, integrate_semi_infinite, linspace
 
 __all__ = ["CheckOutcome", "run_all", "CRITERIA"]
 
@@ -94,7 +92,7 @@ def criterion_1_exponential_fixed_point() -> list[CheckOutcome]:
         for alpha in (0.3, 0.5, 0.9, 1.0):
             for n in (1, 2, 3):
                 view = equilibrium.equilibrium_view(X, alpha, n)
-                for t in np.linspace(0.0, 8.0 / lam, 30):
+                for t in linspace(0.0, 8.0 / lam, 30):
                     gap = abs(equilibrium.eq_density(view, float(t))
                               - lam * math.exp(-lam * float(t)))
                     worst = max(worst, gap)
@@ -123,8 +121,8 @@ def criterion_3_semigroup() -> list[CheckOutcome]:
     """Nested Weyl integrals agree with the single integral of summed order."""
     rows = []
     tol = 1e-5
-    cases = {"Exp(1)": (build(exponential(1.0)), np.linspace(0.0, 3.0, 10)),
-             "Uniform(0,1)": (build(uniform(0.0, 1.0)), np.linspace(0.0, 0.9, 10))}
+    cases = {"Exp(1)": (build(exponential(1.0)), linspace(0.0, 3.0, 10)),
+             "Uniform(0,1)": (build(uniform(0.0, 1.0)), linspace(0.0, 0.9, 10))}
     for label, (X, grid) in cases.items():
         for a, b in ((0.5, 0.5), (0.3, 0.7), (1.0, 1.0)):
             inner = lambda x, _b=b: fracops.weyl_integral(X, _b, x)
@@ -289,7 +287,7 @@ def criterion_8_mixture() -> list[CheckOutcome]:
     for label, X, Y, alpha, hi in cases:
         z = order_mvt.z_alpha_model(X, Y, alpha)
         worst = 0.0
-        for t in np.linspace(0.0, hi, 30):
+        for t in linspace(0.0, hi, 30):
             lhs, rhs = order_mvt.z_mixture_identity(z, float(t))
             worst = max(worst, abs(lhs - rhs))
         rows.append(_outcome("z_mixture_identity", {"pair": label, "alpha": alpha},
@@ -381,7 +379,7 @@ def criterion_11_actuarial() -> list[CheckOutcome]:
         report = actuarial.deductible_mvt(PowerSum.power(1.0), exponential(lam),
                                           r, s, alpha)
         worst = 0.0
-        for t in np.linspace(0.0, 6.0, 20):
+        for t in linspace(0.0, 6.0, 20):
             worst = max(worst, abs(order_mvt.z_density(report.z, float(t))
                                    - lam * math.exp(-lam * float(t))))
         rows.append(_outcome("deductible_z_is_exponential",

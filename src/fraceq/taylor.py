@@ -17,7 +17,7 @@ from .equilibrium import eq_density_fn, eq_moment, equilibrium_view
 from .errors import DivergenceError, InvalidParameterError
 from .fracops import (PowerSum, power_caputo_derivative, power_expectation,
                       power_mean, power_rl_derivative)
-from .numerics import DEFAULT_CONFIG, QuadratureConfig, gamma
+from .numerics import gamma
 from .order_mvt import extract_c0
 
 __all__ = [
@@ -68,8 +68,7 @@ def _validate_input(g: PowerSum, alpha: float, n: int) -> None:
         raise DivergenceError(f"g has an exponent <= -1: {g.describe()}")
 
 
-def _remainder(h: PowerSum, X: DistributionModel, alpha: float, n: int,
-               cfg: QuadratureConfig | None) -> float:
+def _remainder(h: PowerSum, X: DistributionModel, alpha: float, n: int) -> float:
     """E[X^((n+1)a)] / Gamma((n+1)a + 1) * E[h(X_a^(n+1))] by quadrature.
 
     The integrals also certify E[|h(X_a^(n+1))|] < inf (term-by-term
@@ -83,24 +82,22 @@ def _remainder(h: PowerSum, X: DistributionModel, alpha: float, n: int,
         raise DivergenceError(
             f"remainder hypothesis fails: D^({n + 1}a) g has exponent "
             f"{h.min_exponent():g} <= -1")
-    view = equilibrium_view(X, alpha, n + 1, cfg)
-    value, bound = power_expectation(h, eq_density_fn(view, cfg), cfg,
-                                     upper=X.support_upper)
+    view = equilibrium_view(X, alpha, n + 1)
+    value, bound = power_expectation(h, eq_density_fn(view), upper=X.support_upper)
     if not math.isfinite(bound):
         raise DivergenceError("remainder hypothesis fails: E|h| is not finite")
-    return fractional_moment(X, top, cfg) / gamma(top + 1.0) * value
+    return fractional_moment(X, top) / gamma(top + 1.0) * value
 
 
 def rl_taylor_expectation(g: PowerSum, X: DistributionModel, alpha: float,
-                          n: int, cfg: QuadratureConfig | None = None) -> TaylorReport:
+                          n: int) -> TaylorReport:
     """Expand E[g(X)] to order n with Riemann-Liouville coefficients.
 
     Terms are c_j / Gamma((j+1)a) * E[X^((j+1)a - 1)] for j = 0..n; the
     remainder expectation runs over the order-(n+1) equilibrium variable.
     """
-    cfg = cfg or DEFAULT_CONFIG
     _validate_input(g, alpha, n)
-    lhs = power_mean(g, X, cfg)
+    lhs = power_mean(g, X)
     terms = []
     for j in range(n + 1):
         cj = rl_taylor_coefficient(g, j, alpha)
@@ -108,8 +105,8 @@ def rl_taylor_expectation(g: PowerSum, X: DistributionModel, alpha: float,
             terms.append(0.0)
             continue
         terms.append(cj / gamma((j + 1) * alpha)
-                     * fractional_moment(X, (j + 1) * alpha - 1.0, cfg))
-    remainder = _remainder(power_rl_derivative(g, n + 1, alpha), X, alpha, n, cfg)
+                     * fractional_moment(X, (j + 1) * alpha - 1.0))
+    remainder = _remainder(power_rl_derivative(g, n + 1, alpha), X, alpha, n)
     total = math.fsum(terms) + remainder
     return TaylorReport(lhs, tuple(terms), remainder, lhs - total,
                         {"flavor": "riemann-liouville", "alpha": alpha, "n": n,
@@ -117,14 +114,12 @@ def rl_taylor_expectation(g: PowerSum, X: DistributionModel, alpha: float,
 
 
 def fractional_moment_identity(beta_exp: float, X: DistributionModel,
-                               alpha: float, n: int,
-                               cfg: QuadratureConfig | None = None) -> tuple[float, float]:
+                               alpha: float, n: int) -> tuple[float, float]:
     """(E[X^beta], its series-free expansion through the equilibrium moment).
 
     Valid for beta >= alpha and n <= (beta - alpha)/alpha, where every
     series coefficient vanishes and only the remainder survives.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (0.0 < alpha <= 1.0):
         raise InvalidParameterError(f"alpha must lie in (0, 1], got {alpha}")
     if beta_exp < alpha:
@@ -133,8 +128,8 @@ def fractional_moment_identity(beta_exp: float, X: DistributionModel,
         raise InvalidParameterError(
             f"need n <= (beta - alpha)/alpha = {(beta_exp - alpha) / alpha:g}, got {n}")
     top = (n + 1) * alpha
-    lhs = fractional_moment(X, beta_exp, cfg)
-    view = equilibrium_view(X, alpha, n + 1, cfg)
+    lhs = fractional_moment(X, beta_exp)
+    view = equilibrium_view(X, alpha, n + 1)
     residual_exp = beta_exp - top
     if residual_exp > 1e-12:
         eq_part = eq_moment(view, residual_exp)
@@ -142,29 +137,27 @@ def fractional_moment_identity(beta_exp: float, X: DistributionModel,
         eq_part = 1.0
     else:
         value, _ = power_expectation(PowerSum.power(residual_exp),
-                                     eq_density_fn(view, cfg), cfg,
-                                     upper=X.support_upper)
+                                     eq_density_fn(view), upper=X.support_upper)
         eq_part = value
-    rhs = (fractional_moment(X, top, cfg) / gamma(top + 1.0)
+    rhs = (fractional_moment(X, top) / gamma(top + 1.0)
            * gamma(1.0 + beta_exp) / gamma(1.0 - top + beta_exp)
            * eq_part)
     return lhs, rhs
 
 
 def caputo_taylor_expectation(g: PowerSum, X: DistributionModel, alpha: float,
-                              n: int, cfg: QuadratureConfig | None = None) -> TaylorReport:
+                              n: int) -> TaylorReport:
     """Expand E[g(X)] with sequential Caputo derivatives.
 
     Series term i is the value at 0 of the i-fold derivative (the
     constant coefficient of its power sum) times E[X^(i a)] / Gamma(i a + 1);
     constants are annihilated, so polynomials terminate exactly.
     """
-    cfg = cfg or DEFAULT_CONFIG
     _validate_input(g, alpha, n)
     if g.terms and g.min_exponent() < -1e-12:
         raise InvalidParameterError(
             f"Caputo expansion needs nonnegative exponents, got {g.describe()}")
-    lhs = power_mean(g, X, cfg)
+    lhs = power_mean(g, X)
     terms = []
     for i in range(n + 1):
         di = power_caputo_derivative(g, i, alpha)
@@ -176,8 +169,8 @@ def caputo_taylor_expectation(g: PowerSum, X: DistributionModel, alpha: float,
             terms.append(0.0)
             continue
         terms.append(at_zero / gamma(i * alpha + 1.0)
-                     * fractional_moment(X, i * alpha, cfg))
-    remainder = _remainder(power_caputo_derivative(g, n + 1, alpha), X, alpha, n, cfg)
+                     * fractional_moment(X, i * alpha))
+    remainder = _remainder(power_caputo_derivative(g, n + 1, alpha), X, alpha, n)
     total = math.fsum(terms) + remainder
     return TaylorReport(lhs, tuple(terms), remainder, lhs - total,
                         {"flavor": "caputo", "alpha": alpha, "n": n,

@@ -1,32 +1,31 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from conftest import rel_diff
-from fraceq.actuarial import (DeductibleSpec, deductible_model, deductible_mvt,
-                              exponential_ratio_check)
-from fraceq.distributions import exponential, hyperexp2, uniform
+from fraceq.actuarial import deductible_mvt, exponential_ratio_check
+from fraceq.distributions import build, deductible, exponential, hyperexp2, uniform
 from fraceq.errors import InvalidParameterError
 from fraceq.fracops import PowerSum
+from fraceq.numerics import linspace
 from fraceq.order_mvt import normalized_moment, z_density
 
 
 class TestDeductibleModel:
     def test_exponential(self):
-        X = deductible_model(DeductibleSpec(exponential(1.0), 1.0))
+        X = build(deductible(1.0, exponential(1.0)))
         assert abs(X.atoms[0][1] - (1.0 - math.exp(-1.0))) < 1e-12
         assert abs(X.survival(0.5) - math.exp(-1.5)) < 1e-15
 
     def test_uniform(self):
-        X = deductible_model(DeductibleSpec(uniform(0.0, 1.0), 0.5))
+        X = build(deductible(0.5, uniform(0.0, 1.0)))
         assert abs(X.atoms[0][1] - 0.5) < 1e-12
         assert X.support_upper == 0.5
 
     def test_zero_deductible_rejected(self):
         with pytest.raises(InvalidParameterError):
-            deductible_model(DeductibleSpec(exponential(1.0), 0.0))
+            build(deductible(0.0, exponential(1.0)))
 
 
 class TestDeductibleMvt:
@@ -64,14 +63,14 @@ def test_deductible_z_is_exponential(r, s, alpha):
     # (r, s, alpha) are
     lam = 1.0
     report = deductible_mvt(PowerSum.power(1.0), exponential(lam), r, s, alpha)
-    for t in np.linspace(0.0, 6.0, 20):
+    for t in linspace(0.0, 6.0, 20):
         assert abs(z_density(report.z, float(t))
                    - lam * math.exp(-lam * float(t))) < 1e-8
 
 
 def test_normalized_moment_closed_vs_quadrature():
     lam, d = 1.0, 0.7
-    X = deductible_model(DeductibleSpec(exponential(lam), d))
+    X = build(deductible(d, exponential(lam)))
     bare = replace(X, closed_form_moment=None, closed_form_partial=None)
     for alpha in (0.5, 1.0, 1.5):
         expected = math.exp(-lam * d) * lam ** -alpha
@@ -125,5 +124,5 @@ def test_hyperexponential_z_density_display():
             * (math.exp(-l2 * r) - math.exp(-l2 * s))
         return (n1 + n2) / (w1 + w2)
 
-    for t in np.linspace(0.0, 4.0, 15):
+    for t in linspace(0.0, 4.0, 15):
         assert abs(z_density(report.z, float(t)) - display(float(t))) < 1e-7

@@ -49,6 +49,17 @@ class TestParse:
     def test_suite_config(self):
         assert parse_args(["suite"]).command == "suite"
 
+    @pytest.mark.parametrize("flag,value", [("--alpha", ""), ("--alpha", ","),
+                                            ("--alpha", "nan"), ("--alpha", "0.5,inf"),
+                                            ("--n", ""), ("--tol", "nan"),
+                                            ("--tol", "inf")])
+    def test_empty_or_nonfinite_numbers_exit_2(self, flag, value):
+        # an empty list runs no check and --tol inf passes every check, so
+        # both would exit 0; a NaN fails every check and would exit 1
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["eqdist", "--dist", EXP1, flag, value])
+        assert exc.value.code == EXIT_USAGE
+
 
 class TestRun:
     def test_eqdist_report(self, tmp_path):
@@ -118,6 +129,19 @@ class TestRun:
         g = '[{"coef":1,"exp":-0.5}]'
         code = main(["mvt", "--dist-x", zi, "--dist-y", EXP1, "--g", g,
                      "--alpha", "0.5", "--allow-unordered",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("dist", [
+        '{"kind":"exponential","params":{"lambda":"x"}}',
+        '{"kind":"numeric","params":{"knots":[["a",1],[1,0.5]]}}'])
+    def test_malformed_parameter_exits_2(self, tmp_path, dist):
+        code = main(["eqdist", "--dist", dist, "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+
+    def test_overflow_exits_3(self, tmp_path):
+        huge = '{"kind":"uniform","params":{"a":0,"b":1e300}}'
+        code = main(["eqdist", "--dist", huge, "--grid", "8",
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_NUMERICAL
 

@@ -6,8 +6,7 @@ import pytest
 from conftest import CATALOG_SPECS, rel_diff
 from fraceq import distributions as dist
 from fraceq.distributions import (DistributionModel, DistributionSpec, build,
-                                  fractional_moment, quantile,
-                                  support_interval, survival_at,
+                                  fractional_moment, quantile, survival_at,
                                   upper_partial_moment)
 from fraceq.errors import DivergenceError, InvalidParameterError
 
@@ -213,14 +212,6 @@ class TestSurvival:
                 assert 0.0 <= value <= 1.0, model.label
                 assert value <= prev + 1e-12, model.label
                 prev = value
-
-
-def test_support_interval(catalog):
-    assert support_interval(catalog["uniform01"]) == (0.0, 1.0)
-    assert support_interval(catalog["exp1"]) == (0.0, math.inf)
-    assert support_interval(catalog["deductible"]) == (0.0, math.inf)
-    assert support_interval(build(dist.deductible(0.5, dist.uniform(0.0, 1.0)))) \
-        == (0.0, 0.5)
 
 
 def test_zero_inflated_partial_identity(catalog):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from conftest import rel_diff
@@ -11,7 +10,7 @@ from fraceq.equilibrium import (characterization_check, eq_density,
                                 first_order_cdf_interpretation)
 from fraceq.errors import (InvalidParameterError, MissingDensityError)
 from fraceq.fracops import FracOrder, PowerSum, power_expectation
-from fraceq.numerics import beta, integrate_semi_infinite
+from fraceq.numerics import beta, integrate_semi_infinite, linspace
 
 
 class TestEqSurvival:
@@ -62,7 +61,7 @@ class TestEqDensity:
         for alpha in (0.3, 0.9):
             for n in (1, 3):
                 view = equilibrium_view(X, alpha, n)
-                for t in np.linspace(0.0, 5.0 / lam, 12):
+                for t in linspace(0.0, 5.0 / lam, 12):
                     assert abs(eq_density(view, float(t))
                                - lam * math.exp(-lam * float(t))) < 1e-9
 

@@ -20,7 +20,6 @@ class TestFracOrder:
     def test_accessors(self):
         order = FracOrder(0.5, 3)
         assert order.total == 1.5
-        assert order.next_total == 2.0
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

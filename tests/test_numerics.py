@@ -1,11 +1,17 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import fraceq
 from fraceq.errors import InvalidParameterError, PoleError
-from fraceq.numerics import (QuadratureConfig, beta, gamma, integrate_interval,
-                             integrate_semi_infinite, integrate_singular_power,
+from fraceq.numerics import (QuadratureConfig, beta, gamma, geomspace,
+                             integrate_interval, integrate_semi_infinite,
+                             integrate_singular_power, linspace,
                              reciprocal_gamma)
 
 SQRT_PI = math.sqrt(math.pi)
@@ -191,3 +197,45 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
     with pytest.raises(InvalidParameterError):
         QuadratureConfig(max_depth=0)
+
+
+class TestGrids:
+    @pytest.mark.parametrize("a,b,num", [(0.0, 1.0, 2), (0.0, 8.0 / 3.0, 30),
+                                         (-1.5, 7.1, 17), (0.3, 0.3, 5)])
+    def test_linspace_endpoints_length_order(self, a, b, num):
+        pts = linspace(a, b, num)
+        assert len(pts) == num
+        assert pts[0] == a and pts[-1] == b
+        assert all(x <= y for x, y in zip(pts, pts[1:]))
+
+    @pytest.mark.parametrize("a,b,num", [(1e-7, 1.0, 63), (2.0e-3, 2.0, 20),
+                                         (0.1, 1e4, 9)])
+    def test_geomspace_endpoints_length_order(self, a, b, num):
+        pts = geomspace(a, b, num)
+        assert len(pts) == num
+        assert pts[0] == a and pts[-1] == b
+        assert all(x < y for x, y in zip(pts, pts[1:]))
+        ratios = [y / x for x, y in zip(pts, pts[1:])]
+        assert max(ratios) - min(ratios) <= 1e-12 * max(ratios)
+
+    def test_validation(self):
+        with pytest.raises(InvalidParameterError):
+            linspace(0.0, 1.0, 1)
+        with pytest.raises(InvalidParameterError):
+            geomspace(0.0, 1.0, 5)
+
+    def test_linspace_matches_numpy_bit_for_bit(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(1611)
+        for _ in range(2000):
+            a, b = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
+            num = rng.randint(2, 70)
+            assert linspace(a, b, num) == np.linspace(a, b, num).tolist()
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraceq.__file__)))
+    probe = "import sys, fraceq.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

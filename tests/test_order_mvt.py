@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from conftest import rel_diff
@@ -12,7 +11,7 @@ from fraceq.errors import (DivergenceError, InvalidParameterError,
 from fraceq.fracops import PowerSum, power_expectation
 from fraceq.numerics import integrate_semi_infinite
 from fraceq.fracops import rl_integral
-from fraceq.numerics import gamma
+from fraceq.numerics import gamma, linspace
 from fraceq.order_mvt import (alpha_cdf_transform, alpha_survival_transform,
                               check_survival_bounded_order,
                               classify_mean_location, fractional_variance,
@@ -165,7 +164,7 @@ class TestMixture:
                   build(exponential(1.0)), 0.5)]
         for X, Y, alpha in cases:
             z = z_alpha_model(X, Y, alpha)
-            for t in np.linspace(0.0, 5.0, 30):
+            for t in linspace(0.0, 5.0, 30):
                 lhs, rhs = z_mixture_identity(z, float(t))
                 assert abs(lhs - rhs) < 1e-10
 
