@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 from . import __version__
 from .actuarial import deductible_mvt, exponential_ratio_check
 from .distributions import DistributionSpec, build, quantile
-from .equilibrium import (characterization_check, eq_survival,
-                          eq_survival_recursive, equilibrium_view)
+from .equilibrium import characterization_check
 from .errors import DivergenceError, FraceqError, InvalidParameterError
-from .fracops import FracOrder, PowerSum
+from .fracops import PowerSum
 from .numerics import linspace
 from .order_mvt import (alpha_survival_transform, check_survival_bounded_order,
                         default_order_grid, mvt_verify)
-from .suite import CheckOutcome, run_all
+from .suite import (CheckOutcome, direct_vs_recursive, identity_row, info_row,
+                    outcome, run_all)
 from .taylor import caputo_taylor_expectation, rl_taylor_expectation
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
@@ -36,9 +36,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-_COMMANDS = ("eqdist", "characterize", "taylor", "mvt", "order", "actuarial", "suite")
-
 
 @dataclass
 class RunConfig:
@@ -151,21 +148,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eqdist", help="equilibrium survival vs recursive oracle")
     p.add_argument("--dist", type=_dist_argument, required=True)
-    p.add_argument("--alpha", type=_float_list, default=[0.5])
-    p.add_argument("--n", type=_int_list, default=[1])
+    p.add_argument("--alpha", dest="alphas", type=_float_list, default=[0.5])
+    p.add_argument("--n", dest="ns", type=_int_list, default=[1])
     common(p)
 
     p = sub.add_parser("characterize", help="exponential fixed-point scan")
     p.add_argument("--dist", type=_dist_argument, required=True)
-    p.add_argument("--alpha", type=_float_list, default=[0.3, 0.7, 1.0])
-    p.add_argument("--n", type=_int_list, default=[1, 2])
+    p.add_argument("--alpha", dest="alphas", type=_float_list, default=[0.3, 0.7, 1.0])
+    p.add_argument("--n", dest="ns", type=_int_list, default=[1, 2])
     common(p)
 
     p = sub.add_parser("taylor", help="probabilistic Taylor residuals")
     p.add_argument("--dist", type=_dist_argument, required=True)
-    p.add_argument("--g", type=_powersum_argument, required=True)
-    p.add_argument("--alpha", type=_float_list, default=[0.5, 1.0])
-    p.add_argument("--n", type=_int_list, default=[0, 1])
+    p.add_argument("--g", dest="gs", type=_powersum_argument, action="append",
+                   required=True, help="test function; repeat for several")
+    p.add_argument("--alpha", dest="alphas", type=_float_list, default=[0.5, 1.0])
+    p.add_argument("--n", dest="ns", type=_int_list, default=[0, 1])
     p.add_argument("--caputo", action="store_true",
                    help="use the Caputo expansion instead of Riemann-Liouville")
     common(p)
@@ -173,8 +171,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mvt", help="fractional mean value identity")
     p.add_argument("--dist-x", type=_dist_argument, required=True)
     p.add_argument("--dist-y", type=_dist_argument, required=True)
-    p.add_argument("--g", type=_powersum_argument, required=True)
-    p.add_argument("--alpha", type=_float_list, default=[1.0])
+    p.add_argument("--g", dest="gs", type=_powersum_argument, action="append",
+                   required=True, help="test function; repeat for several")
+    p.add_argument("--alpha", dest="alphas", type=_float_list, default=[1.0])
     p.add_argument("--allow-unordered", action="store_true",
                    help="evaluate the identity even if the order check fails")
     common(p)
@@ -182,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="survival bounded order check")
     p.add_argument("--dist-x", type=_dist_argument, required=True)
     p.add_argument("--dist-y", type=_dist_argument, required=True)
-    p.add_argument("--alpha", type=_float_list, default=[1.0])
+    p.add_argument("--alpha", dest="alphas", type=_float_list, default=[1.0])
     common(p)
 
     p = sub.add_parser("actuarial", help="deductible mean value identities")
@@ -191,9 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--u", type=float)
     p.add_argument("--v", type=float)
-    p.add_argument("--g", type=_powersum_argument, action="append",
-                   help="transform(s); default x and x^2")
-    p.add_argument("--alpha", type=_float_list, default=[1.0])
+    p.add_argument("--g", dest="gs", type=_powersum_argument, action="append",
+                   default=[], help="transform; repeat for several (default x and x^2)")
+    p.add_argument("--alpha", dest="alphas", type=_float_list, default=[1.0])
     common(p)
 
     p = sub.add_parser("suite", help="full acceptance battery")
@@ -203,38 +202,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: list[str]) -> RunConfig:
     """Parse argv into a validated RunConfig (SystemExit(2) on usage errors)."""
-    ns = _build_parser().parse_args(argv)
-    g_arg = getattr(ns, "g", None)
-    if g_arg is None:
-        gs = []
-    elif isinstance(g_arg, PowerSum):
-        gs = [g_arg]
-    else:
-        gs = list(g_arg)
-    cfg = RunConfig(
-        command=ns.command,
-        dist=getattr(ns, "dist", None),
-        dist_x=getattr(ns, "dist_x", None),
-        dist_y=getattr(ns, "dist_y", None),
-        severity=getattr(ns, "severity", None),
-        gs=gs,
-        alphas=list(getattr(ns, "alpha", None) or []),
-        ns=list(getattr(ns, "n", None) or []),
-        grid=getattr(ns, "grid", 16),
-        tol=getattr(ns, "tol", None),
-        r=getattr(ns, "r", None),
-        s=getattr(ns, "s", None),
-        u=getattr(ns, "u", None),
-        v=getattr(ns, "v", None),
-        caputo=bool(getattr(ns, "caputo", False)),
-        allow_unordered=bool(getattr(ns, "allow_unordered", False)),
-        out=getattr(ns, "out", None),
-        fmt=getattr(ns, "fmt", "json"),
-    )
+    parser = _build_parser()
+    # every argument's dest is a RunConfig field
+    cfg = RunConfig(**vars(parser.parse_args(argv)))
     if cfg.grid < 8:
-        _build_parser().error(f"--grid must be >= 8, got {cfg.grid}")
+        parser.error(f"--grid must be >= 8, got {cfg.grid}")
     if cfg.tol is not None and not 0 < cfg.tol < math.inf:
-        _build_parser().error(f"--tol must be finite and > 0, got {cfg.tol}")
+        parser.error(f"--tol must be finite and > 0, got {cfg.tol}")
     return cfg
 
 
@@ -244,52 +218,29 @@ def parse_args(argv: list[str]) -> RunConfig:
 def _run_eqdist(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
     X = build(cfg.dist)
     tol = cfg.tol or 1e-5
-    hi = _grid_upper(X)
+    hi = X.support_upper if math.isfinite(X.support_upper) else quantile(X, 0.99)
     ts = linspace(0.0, hi, cfg.grid)
     rows, grids = [], {}
     for alpha in cfg.alphas:
         for n in cfg.ns:
-            view = equilibrium_view(X, alpha, n)
-            order = FracOrder(alpha, n)
-            points = []
-            worst = 0.0
-            for t in ts:
-                direct = eq_survival(view, t)
-                oracle = eq_survival_recursive(X, order, t)
-                diff = abs(direct - oracle)
-                worst = max(worst, diff / max(abs(oracle), 1e-12))
-                points.append((t, direct, oracle, diff))
-            rows.append(CheckOutcome(
-                "eqdist_direct_vs_recursive",
-                {"distribution": X.label, "alpha": alpha, "n": n},
-                lhs=worst, rhs=0.0, residual=worst, tolerance=tol,
-                passed=worst <= tol))
-            grids[(alpha, n)] = points
+            row, grids[(alpha, n)] = direct_vs_recursive(
+                X, alpha, n, ts, tol, {"distribution": X.label, "alpha": alpha, "n": n})
+            rows.append(row)
     return rows, grids
-
-
-def _grid_upper(X) -> float:
-    if math.isfinite(X.support_upper):
-        return X.support_upper
-    return quantile(X, 0.99)
 
 
 def _run_characterize(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
     X = build(cfg.dist)
     tol = cfg.tol or 1e-6
     report = characterization_check(X, cfg.alphas, cfg.ns, tol=tol)
-    rows = [CheckOutcome(
-        "characterization",
-        {"distribution": X.label, "alpha": alpha, "n": n,
-         "is_fixed_point": report.is_fixed_point},
-        lhs=dev, rhs=0.0, residual=dev, tolerance=tol, passed=True)
-        for (alpha, n), dev in sorted(report.deviations.items())]
-    rows.append(CheckOutcome(
-        "characterization_summary",
-        {"distribution": X.label, "is_fixed_point": report.is_fixed_point,
-         "witness": list(report.witness)},
-        lhs=report.max_deviation, rhs=0.0, residual=report.max_deviation,
-        tolerance=tol, passed=True))
+    fixed = report.is_fixed_point
+    rows = [info_row("characterization", {"distribution": X.label, "alpha": alpha,
+                                          "n": n, "is_fixed_point": fixed}, dev, tol)
+            for (alpha, n), dev in sorted(report.deviations.items())]
+    rows.append(info_row("characterization_summary",
+                         {"distribution": X.label, "is_fixed_point": fixed,
+                          "witness": report.witness},
+                         report.max_deviation, tol))
     return rows, {}
 
 
@@ -307,14 +258,10 @@ def _run_taylor(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
                 try:
                     report = expand(g, X, alpha, n)
                 except DivergenceError as exc:
-                    rows.append(CheckOutcome(
-                        "taylor_inadmissible", {**params, "reason": str(exc)},
-                        lhs=0.0, rhs=0.0, residual=0.0, tolerance=tol, passed=True))
+                    rows.append(info_row("taylor_inadmissible",
+                                         {**params, "reason": str(exc)}, 0.0, tol))
                     continue
-                rows.append(CheckOutcome(
-                    "taylor_residual", params, lhs=report.lhs, rhs=report.rhs,
-                    residual=report.residual, tolerance=tol,
-                    passed=abs(report.residual) <= tol))
+                rows.append(identity_row("taylor_residual", params, report, tol))
     return rows, {}
 
 
@@ -326,12 +273,11 @@ def _run_mvt(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
         for alpha in cfg.alphas:
             report = mvt_verify(g, X, Y, alpha,
                                 require_order=not cfg.allow_unordered)
-            rows.append(CheckOutcome(
+            rows.append(identity_row(
                 "mvt_residual",
                 {"x": X.label, "y": Y.label, "g": g.describe(), "alpha": alpha,
                  "order_verified": report.z.verified},
-                lhs=report.lhs, rhs=report.rhs, residual=report.residual,
-                tolerance=tol, passed=abs(report.residual) <= tol))
+                report, tol))
     return rows, {}
 
 
@@ -341,12 +287,11 @@ def _run_order(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
     for alpha in cfg.alphas:
         grid = default_order_grid(X, Y, max(cfg.grid, 8))
         res = check_survival_bounded_order(X, Y, alpha, grid)
-        rows.append(CheckOutcome(
+        rows.append(info_row(  # informational command
             "order_check",
             {"x": X.label, "y": Y.label, "alpha": alpha, "holds": res.holds,
              "worst_t": res.worst_t},
-            lhs=res.worst_gap, rhs=0.0, residual=res.worst_gap,
-            tolerance=1e-10, passed=True))  # informational command
+            res.worst_gap, 1e-10))
         points = []
         for t in grid:
             fx = alpha_survival_transform(X, alpha, t)
@@ -363,12 +308,11 @@ def _run_actuarial(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
     for g in gs:
         for alpha in cfg.alphas:
             report = deductible_mvt(g, cfg.severity, cfg.r, cfg.s, alpha)
-            rows.append(CheckOutcome(
+            rows.append(identity_row(
                 "deductible_mvt",
                 {"severity": cfg.severity.kind, "g": g.describe(),
                  "r": cfg.r, "s": cfg.s, "alpha": alpha},
-                lhs=report.lhs, rhs=report.rhs, residual=report.residual,
-                tolerance=tol, passed=abs(report.residual) <= tol))
+                report, tol))
     if cfg.u is not None and cfg.v is not None:
         if cfg.severity.kind != "exponential":
             raise InvalidParameterError(
@@ -376,13 +320,12 @@ def _run_actuarial(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
         lam = cfg.severity.params["lambda"]
         for alpha in cfg.alphas:
             check = exponential_ratio_check(lam, cfg.r, cfg.s, cfg.u, cfg.v, gs, alpha)
-            rows.append(CheckOutcome(
+            rows.append(outcome(
                 "exponential_ratio_check",
                 {"lambda": lam, "r": cfg.r, "s": cfg.s, "u": cfg.u, "v": cfg.v,
                  "alpha": alpha, "reference_ratio": check.reference_ratio,
                  "ratios": list(check.ratios)},
-                lhs=check.max_spread, rhs=0.0, residual=check.max_spread,
-                tolerance=tol, passed=check.max_spread <= tol))
+                check.max_spread, tol, lhs=check.max_spread))
     return rows, {}
 
 
@@ -407,7 +350,7 @@ _RUNNERS = {
 def _json_report(cfg: RunConfig, rows: list[CheckOutcome]) -> str:
     report = {"header": {"version": __version__, "config": cfg.to_json()},
               "results": [r.to_json() for r in rows]}
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _flat_csv(rows: list[CheckOutcome]) -> str:
@@ -454,7 +397,8 @@ def run(cfg: RunConfig) -> int:
         return EXIT_USAGE
     try:
         rows, grids = _RUNNERS[cfg.command](cfg)
-    except ArithmeticError as exc:  # DivergenceError, or an overflow on huge inputs
+    # DivergenceError, an overflow on huge inputs, or a row with a nonfinite value
+    except ArithmeticError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except FraceqError as exc:

@@ -143,7 +143,8 @@ class CharacterizationReport:
 
     is_fixed_point: bool
     max_deviation: float
-    witness: tuple[float, int, float]  # (alpha, n, t) of the worst deviation
+    # (alpha, n, t) of the worst deviation; None for a fixed point (noise only)
+    witness: tuple[float, int, float] | None
     tolerance: float
     deviations: dict  # (alpha, n) -> max deviation over the grid
 
@@ -177,4 +178,6 @@ def characterization_check(X: DistributionModel, alphas: Sequence[float],
                     worst = gap
                     witness = (float(alpha), int(n), float(t))
             deviations[(float(alpha), int(n))] = dev
-    return CharacterizationReport(worst <= tol, worst, witness, tol, deviations)
+    fixed = worst <= tol
+    return CharacterizationReport(fixed, worst, None if fixed else witness, tol,
+                                  deviations)

@@ -32,23 +32,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits shared by every quadrature call."""
+    """Tolerances shared by every quadrature call."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_depth: int = 60
-    tail_epsilon: float = 1e-14
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.tail_epsilon <= 0:
+        if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise InvalidParameterError("tolerances must be strictly positive")
-        if self.max_depth < 1:
-            raise InvalidParameterError("max_depth must be >= 1")
 
     def scaled(self, factor: float) -> "QuadratureConfig":
-        """Config with tolerances tightened by ``factor`` (same limits)."""
-        return QuadratureConfig(self.abs_tol * factor, self.rel_tol * factor,
-                                self.max_depth, self.tail_epsilon)
+        """Config with tolerances tightened by ``factor``."""
+        return QuadratureConfig(self.abs_tol * factor, self.rel_tol * factor)
 
 
 @dataclass(frozen=True)
@@ -76,6 +71,8 @@ class IntegralResult:
 DEFAULT_CONFIG = QuadratureConfig()
 
 _EPS = 2.220446049250313e-16
+_MAX_DEPTH = 60  # bisections of one panel before integrate_interval gives up
+_TAIL_EPSILON = 1e-14  # relative size of the doubling increment that ends a tail
 
 # ---------------------------------------------------------------------------
 # special functions
@@ -199,7 +196,7 @@ def integrate_interval(f: Callable[[float], float], a: float, b: float,
 
     Bisects the panel with the largest error estimate until the summed
     estimate meets max(abs_tol, rel_tol * |value|) or a panel would exceed
-    max_depth bisections.
+    _MAX_DEPTH bisections.
     """
     cfg = cfg or DEFAULT_CONFIG
     if a == b:
@@ -225,7 +222,7 @@ def integrate_interval(f: Callable[[float], float], a: float, b: float,
             break
         worst = max(range(len(panels)), key=lambda i: panels[i][0])
         _, lo, hi, depth, _ = panels[worst]
-        if depth >= cfg.max_depth:
+        if depth >= _MAX_DEPTH:
             converged = False
             break
         mid = 0.5 * (lo + hi)
@@ -247,7 +244,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
     """Integral of f over [a, +inf).
 
     Truncates at T found by geometric doubling from T0 = a + 1: doubling
-    stops once the last increment falls below tail_epsilon * (1 + |value|).
+    stops once the last increment falls below _TAIL_EPSILON * (1 + |value|).
     The final T is reported as ``truncation_point``.
 
     ``upper`` declares that f vanishes identically beyond that point
@@ -262,8 +259,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
         res = integrate_interval(f, a, upper, cfg)
         return IntegralResult(res.value, res.error_estimate, res.converged,
                               truncation_point=upper)
-    seg_cfg = QuadratureConfig(cfg.abs_tol / 32.0, cfg.rel_tol / 8.0,
-                               cfg.max_depth, cfg.tail_epsilon)
+    seg_cfg = QuadratureConfig(cfg.abs_tol / 32.0, cfg.rel_tol / 8.0)
     width = 1.0
     first = integrate_interval(f, a, a + width, seg_cfg)
     value = first.value
@@ -278,7 +274,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
         err += seg.error_estimate
         converged = converged and seg.converged
         t_hi = t_next
-        if abs(seg.value) <= cfg.tail_epsilon * (1.0 + abs(value)):
+        if abs(seg.value) <= _TAIL_EPSILON * (1.0 + abs(value)):
             stabilized = True
             break
     if not stabilized:

@@ -1,14 +1,17 @@
 """Verification campaigns: every identity checked two independent ways.
 
 Each criterion function returns CheckOutcome rows; ``run_all`` drives the
-whole battery.  The CLI 'suite' command and the acceptance test module
-both consume these, so the gate is defined exactly once.
+whole battery.  The criteria and every CLI command build their rows with
+the same builders, so each gate is defined exactly once: ``outcome`` (the
+``|residual| <= tol`` rule), ``identity_row`` (a report's lhs, rhs and
+residual), ``info_row`` (an always-passing value) and
+``direct_vs_recursive`` (equilibrium survival against its recursion).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import actuarial, distributions, equilibrium, fracops, order_mvt, taylor
 from .distributions import build, exponential, hyperexp2, uniform, weibull, zero_inflated
@@ -16,11 +19,14 @@ from .errors import DivergenceError
 from .fracops import PowerSum
 from .numerics import DEFAULT_CONFIG, gamma, integrate_semi_infinite, linspace
 
-__all__ = ["CheckOutcome", "run_all", "CRITERIA"]
+__all__ = ["CheckOutcome", "run_all", "CRITERIA", "outcome", "identity_row",
+           "info_row", "direct_vs_recursive"]
 
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """One report row; a nonfinite lhs, rhs or residual is a numerical failure."""
+
     check: str
     params: dict
     lhs: float
@@ -28,6 +34,12 @@ class CheckOutcome:
     residual: float
     tolerance: float
     passed: bool
+
+    def __post_init__(self) -> None:
+        values = (self.lhs, self.rhs, self.residual)
+        if not all(math.isfinite(v) for v in values):
+            raise FloatingPointError(f"check {self.check} {_jsonable(self.params)} "
+                                     f"has a nonfinite lhs/rhs/residual {values}")
 
     def to_json(self) -> dict:
         return {"check": self.check, "params": _jsonable(self.params),
@@ -45,15 +57,41 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _outcome(check: str, params: dict, residual: float, tol: float,
-             lhs: float = 0.0, rhs: float = 0.0) -> CheckOutcome:
-    return CheckOutcome(check, params, lhs, rhs, residual, tol,
-                        abs(residual) <= tol)
+def outcome(check: str, params: dict, residual: float, tol: float,
+            lhs: float = 0.0, rhs: float = 0.0) -> CheckOutcome:
+    """A row that passes when |residual| <= tol."""
+    return CheckOutcome(check, params, lhs, rhs, residual, tol, abs(residual) <= tol)
+
+
+def identity_row(check: str, params: dict, report, tol: float) -> CheckOutcome:
+    """A row for any report with ``lhs``, ``rhs`` and ``residual``."""
+    return outcome(check, params, report.residual, tol, lhs=report.lhs, rhs=report.rhs)
+
+
+def info_row(check: str, params: dict, value: float, tol: float) -> CheckOutcome:
+    """An informational row: it reports ``value`` and always passes."""
+    return CheckOutcome(check, params, value, 0.0, value, tol, True)
 
 
 def _rel(a: float, b: float) -> float:
     scale = max(abs(a), abs(b), 1e-30)
     return abs(a - b) / scale
+
+
+def direct_vs_recursive(X: distributions.DistributionModel, alpha: float, n: int,
+                        ts, tol: float, params: dict) -> tuple[CheckOutcome, list]:
+    """Worst relative gap of eq_survival to its literal recursion over ts, and
+    the grid points (t, direct, oracle, |direct - oracle|)."""
+    view = equilibrium.equilibrium_view(X, alpha, n)
+    order = fracops.FracOrder(alpha, n)
+    worst = 0.0
+    points = []
+    for t in ts:
+        direct = equilibrium.eq_survival(view, t)
+        oracle = equilibrium.eq_survival_recursive(X, order, t)
+        worst = max(worst, _rel(direct, oracle))
+        points.append((t, direct, oracle, abs(direct - oracle)))
+    return outcome("equilibrium_direct_vs_recursive", params, worst, tol), points
 
 
 def _exp_mean(mu: float):
@@ -96,8 +134,8 @@ def criterion_1_exponential_fixed_point() -> list[CheckOutcome]:
                     gap = abs(equilibrium.eq_density(view, float(t))
                               - lam * math.exp(-lam * float(t)))
                     worst = max(worst, gap)
-        rows.append(_outcome("exponential_fixed_point", {"lambda": lam},
-                             worst, tol))
+        rows.append(outcome("exponential_fixed_point", {"lambda": lam},
+                            worst, tol))
     return rows
 
 
@@ -132,8 +170,8 @@ def criterion_3_semigroup() -> list[CheckOutcome]:
                                                    upper=X.support_upper)
                 direct = fracops.weyl_integral(X, a + b, float(t))
                 worst = max(worst, _rel(nested, direct))
-            rows.append(_outcome("weyl_semigroup", {"distribution": label,
-                                                    "orders": [a, b]}, worst, tol))
+            rows.append(outcome("weyl_semigroup", {"distribution": label,
+                                                   "orders": [a, b]}, worst, tol))
     return rows
 
 
@@ -146,16 +184,10 @@ def criterion_4_recursive_equilibrium() -> list[CheckOutcome]:
     for label, (X, grid) in cases.items():
         for n in (1, 2):
             for alpha in (0.5, 1.0):
-                view = equilibrium.equilibrium_view(X, alpha, n)
-                order = fracops.FracOrder(alpha, n)
-                worst = 0.0
-                for t in grid:
-                    direct = equilibrium.eq_survival(view, t)
-                    oracle = equilibrium.eq_survival_recursive(X, order, t)
-                    worst = max(worst, _rel(direct, oracle))
-                rows.append(_outcome("equilibrium_direct_vs_recursive",
-                                     {"distribution": label, "alpha": alpha, "n": n},
-                                     worst, tol))
+                row, _ = direct_vs_recursive(
+                    X, alpha, n, grid, tol,
+                    {"distribution": label, "alpha": alpha, "n": n})
+                rows.append(row)
     return rows
 
 
@@ -175,17 +207,17 @@ def criterion_5_equilibrium_moments() -> list[CheckOutcome]:
                                                      oracle_cfg,
                                                      upper=X.support_upper)
                 worst = max(worst, _rel(closed, brute))
-            rows.append(_outcome("equilibrium_moment_vs_quadrature",
-                                 {"distribution": X.label, "alpha": alpha, "n": n},
-                                 worst, 1e-5))
+            rows.append(outcome("equilibrium_moment_vs_quadrature",
+                                {"distribution": X.label, "alpha": alpha, "n": n},
+                                worst, 1e-5))
     X = build(exponential(1.0))
     for r in (0.5, 1.0, 2.0):
         worst = 0.0
         for alpha, n in ((0.5, 1), (0.5, 3), (1.0, 2)):
             view = equilibrium.equilibrium_view(X, alpha, n)
             worst = max(worst, abs(equilibrium.eq_moment(view, r) - gamma(r + 1.0)))
-        rows.append(_outcome("equilibrium_moment_exponential_gamma",
-                             {"r": r}, worst, 1e-6))
+        rows.append(outcome("equilibrium_moment_exponential_gamma",
+                            {"r": r}, worst, 1e-6))
     return rows
 
 
@@ -213,10 +245,10 @@ def criterion_6_taylor() -> list[CheckOutcome]:
                     except DivergenceError:
                         continue  # inadmissible combination
                     ran += 1
-                    rows.append(_outcome(
+                    rows.append(identity_row(
                         "taylor_residual",
                         {"distribution": label, "g": g_label, "alpha": alpha, "n": n},
-                        report.residual, tol))
+                        report, tol))
     rows.append(CheckOutcome("taylor_grid_coverage", {"combinations": ran},
                              lhs=ran, rhs=40.0, residual=float(ran), tolerance=0.0,
                              passed=ran >= 40))
@@ -226,16 +258,14 @@ def criterion_6_taylor() -> list[CheckOutcome]:
                  (1.5, build(uniform(0.0, 1.0)), 0.5, 2, "Uniform(0,1)")]
     for beta_exp, X, alpha, n, label in corollary:
         lhs, rhs = taylor.fractional_moment_identity(beta_exp, X, alpha, n)
-        rows.append(CheckOutcome("fractional_moment_identity",
-                                 {"beta": beta_exp, "alpha": alpha, "n": n,
-                                  "distribution": label},
-                                 lhs=lhs, rhs=rhs, residual=_rel(lhs, rhs),
-                                 tolerance=1e-5, passed=_rel(lhs, rhs) <= 1e-5))
+        rows.append(outcome("fractional_moment_identity",
+                            {"beta": beta_exp, "alpha": alpha, "n": n,
+                             "distribution": label},
+                            _rel(lhs, rhs), 1e-5, lhs=lhs, rhs=rhs))
     lhs, rhs = taylor.fractional_moment_identity(1.0, build(exponential(1.0)), 0.5, 0)
-    rows.append(CheckOutcome("gamma_cancellation_exact_one",
-                             {"beta": 1.0, "alpha": 0.5, "n": 0},
-                             lhs=lhs, rhs=rhs, residual=abs(rhs - 1.0),
-                             tolerance=1e-8, passed=abs(rhs - 1.0) <= 1e-8))
+    rows.append(outcome("gamma_cancellation_exact_one",
+                        {"beta": 1.0, "alpha": 0.5, "n": 0},
+                        abs(rhs - 1.0), 1e-8, lhs=lhs, rhs=rhs))
     return rows
 
 
@@ -260,18 +290,17 @@ def criterion_7_mvt() -> list[CheckOutcome]:
                     report = order_mvt.mvt_verify(g, X, Y, alpha)
                 except DivergenceError:
                     continue  # g inadmissible for this pair (negative moment at an atom)
-                rows.append(_outcome("mvt_residual",
-                                     {"pair": label, "alpha": alpha, "g": g_label},
-                                     report.residual, tol,
-                                     lhs=report.lhs, rhs=report.rhs))
+                rows.append(identity_row("mvt_residual",
+                                         {"pair": label, "alpha": alpha, "g": g_label},
+                                         report, tol))
     z = order_mvt.z_alpha_model(_exp_mean(1.0), _exp_mean(2.0), 1.0)
     closed = order_mvt.z_moment(z, 1.0)
-    rows.append(_outcome("z_mean_closed_form", {"pair": "Exp(1)/Exp(2)", "alpha": 1.0},
-                         closed - 3.0, 1e-8, lhs=closed, rhs=3.0))
+    rows.append(outcome("z_mean_closed_form", {"pair": "Exp(1)/Exp(2)", "alpha": 1.0},
+                        closed - 3.0, 1e-8, lhs=closed, rhs=3.0))
     brute, _ = fracops.power_expectation(PowerSum.power(1.0),
                                          lambda t: order_mvt.z_density(z, t))
-    rows.append(_outcome("z_mean_quadrature", {"pair": "Exp(1)/Exp(2)", "alpha": 1.0},
-                         brute - 3.0, 1e-5, lhs=brute, rhs=3.0))
+    rows.append(outcome("z_mean_quadrature", {"pair": "Exp(1)/Exp(2)", "alpha": 1.0},
+                        brute - 3.0, 1e-5, lhs=brute, rhs=3.0))
     return rows
 
 
@@ -290,13 +319,11 @@ def criterion_8_mixture() -> list[CheckOutcome]:
         for t in linspace(0.0, hi, 30):
             lhs, rhs = order_mvt.z_mixture_identity(z, float(t))
             worst = max(worst, abs(lhs - rhs))
-        rows.append(_outcome("z_mixture_identity", {"pair": label, "alpha": alpha},
-                             worst, 1e-10))
+        rows.append(outcome("z_mixture_identity", {"pair": label, "alpha": alpha},
+                            worst, 1e-10))
     z = order_mvt.z_alpha_model(_exp_mean(1.0), _exp_mean(2.0), 1.0)
-    rows.append(CheckOutcome("z_mixture_coefficient",
-                             {"pair": "Exp(1)/Exp(2)", "alpha": 1.0},
-                             lhs=z.mix_c, rhs=2.0, residual=z.mix_c - 2.0,
-                             tolerance=0.0, passed=z.mix_c == 2.0))
+    rows.append(outcome("z_mixture_coefficient", {"pair": "Exp(1)/Exp(2)", "alpha": 1.0},
+                        z.mix_c - 2.0, 0.0, lhs=z.mix_c, rhs=2.0))
     return rows
 
 
@@ -314,9 +341,9 @@ def criterion_9_mean_location() -> list[CheckOutcome]:
     for label, X, Y, alpha, ordered in pairs:
         z = order_mvt.z_alpha_model(X, Y, alpha, require_order=ordered)
         report = order_mvt.classify_mean_location(z)
-        rows.append(_outcome("mean_location_identity",
-                             {"pair": label, "alpha": alpha, "case": report.case},
-                             report.identity_residual, 1e-9))
+        rows.append(outcome("mean_location_identity",
+                            {"pair": label, "alpha": alpha, "case": report.case},
+                            report.identity_residual, 1e-9))
     z = order_mvt.z_alpha_model(_exp_mean(1.0), _exp_mean(2.0), 1.0)
     report = order_mvt.classify_mean_location(z)
     rows.append(CheckOutcome("mean_location_case_iii",
@@ -354,10 +381,10 @@ def criterion_11_actuarial() -> list[CheckOutcome]:
              ("x^2", PowerSum.power(2.0), hyperexp2(0.4, 1.0, 3.0), 0.2, 0.8, 1.0)]
     for g_label, g, sev, r, s, alpha in cases:
         report = actuarial.deductible_mvt(g, sev, r, s, alpha)
-        rows.append(_outcome("deductible_mvt",
-                             {"severity": sev.kind, "g": g_label, "r": r, "s": s,
-                              "alpha": alpha},
-                             report.residual, 1e-5, lhs=report.lhs, rhs=report.rhs))
+        rows.append(identity_row("deductible_mvt",
+                                 {"severity": sev.kind, "g": g_label, "r": r, "s": s,
+                                  "alpha": alpha},
+                                 report, 1e-5))
 
     lam = 1.0
     check = actuarial.exponential_ratio_check(
@@ -365,15 +392,15 @@ def criterion_11_actuarial() -> list[CheckOutcome]:
         [PowerSum.power(1.0), PowerSum.power(2.0)], 1.0)
     reference = ((math.exp(-lam * 0.5) - math.exp(-lam * 1.0))
                  / (math.exp(-lam * 1.0) - math.exp(-lam * 2.0)))
-    rows.append(_outcome("ratio_independence_spread", {"lambda": lam},
-                         check.max_spread, 1e-5))
-    rows.append(_outcome("ratio_reference_value", {"lambda": lam},
-                         check.reference_ratio - reference, 1e-10,
-                         lhs=check.reference_ratio, rhs=reference))
+    rows.append(outcome("ratio_independence_spread", {"lambda": lam},
+                        check.max_spread, 1e-5))
+    rows.append(outcome("ratio_reference_value", {"lambda": lam},
+                        check.reference_ratio - reference, 1e-10,
+                        lhs=check.reference_ratio, rhs=reference))
     half = actuarial.exponential_ratio_check(lam, 0.5, 1.0, 1.0, 2.0,
                                              [PowerSum.power(0.5)], 0.5)
-    rows.append(_outcome("ratio_independence_fractional", {"lambda": lam, "alpha": 0.5},
-                         half.max_spread, 1e-5))
+    rows.append(outcome("ratio_independence_fractional", {"lambda": lam, "alpha": 0.5},
+                        half.max_spread, 1e-5))
 
     for r, s, alpha in ((0.5, 1.0, 1.0), (0.3, 0.9, 0.5), (0.25, 2.0, 0.8)):
         report = actuarial.deductible_mvt(PowerSum.power(1.0), exponential(lam),
@@ -382,8 +409,8 @@ def criterion_11_actuarial() -> list[CheckOutcome]:
         for t in linspace(0.0, 6.0, 20):
             worst = max(worst, abs(order_mvt.z_density(report.z, float(t))
                                    - lam * math.exp(-lam * float(t))))
-        rows.append(_outcome("deductible_z_is_exponential",
-                             {"r": r, "s": s, "alpha": alpha}, worst, 1e-8))
+        rows.append(outcome("deductible_z_is_exponential",
+                            {"r": r, "s": s, "alpha": alpha}, worst, 1e-8))
     return rows
 
 
@@ -427,9 +454,7 @@ def criterion_12_caputo() -> list[CheckOutcome]:
               ("x^2+x, a=0.5, n=2", PowerSum.from_terms([(1.0, 2.0), (1.0, 1.0)]), 0.5, 2)]
     for label, g, alpha, n in family:
         report = taylor.caputo_taylor_expectation(g, X, alpha, n)
-        rows.append(_outcome("caputo_residual", {"case": label},
-                             report.residual, 1e-5,
-                             lhs=report.lhs, rhs=report.rhs))
+        rows.append(identity_row("caputo_residual", {"case": label}, report, 1e-5))
 
     poly = PowerSum.from_terms([(1.0, 2.0), (1.0, 1.0)])
     coeffs = {2: 1.0, 1: 1.0}
@@ -440,8 +465,8 @@ def criterion_12_caputo() -> list[CheckOutcome]:
             classical = _classical_taylor_rhs(coeffs, model, n)
             worst = max(abs(rl.rhs - cap.rhs), abs(rl.rhs - classical),
                         abs(cap.rhs - classical))
-            rows.append(_outcome("alpha_one_agreement",
-                                 {"distribution": label, "n": n}, worst, 1e-7))
+            rows.append(outcome("alpha_one_agreement",
+                                {"distribution": label, "n": n}, worst, 1e-7))
     return rows
 
 
@@ -499,11 +524,5 @@ CRITERIA = {
 
 def run_all() -> list[CheckOutcome]:
     """Run the full battery; rows carry their criterion number in params."""
-    rows: list[CheckOutcome] = []
-    for number, fn in CRITERIA.items():
-        for row in fn():
-            params = dict(row.params)
-            params["criterion"] = number
-            rows.append(CheckOutcome(row.check, params, row.lhs, row.rhs,
-                                     row.residual, row.tolerance, row.passed))
-    return rows
+    return [replace(row, params={**row.params, "criterion": number})
+            for number, fn in CRITERIA.items() for row in fn()]

@@ -3,6 +3,10 @@ import math
 import pytest
 
 from fraceq import distributions as dist
+from fraceq import suite
+
+# captured at import, before any test can monkeypatch suite.CRITERIA
+_CRITERIA = dict(suite.CRITERIA)
 
 
 def exp_knots():
@@ -25,6 +29,22 @@ CATALOG_SPECS = {
 @pytest.fixture(scope="session")
 def catalog():
     return {name: dist.build(spec) for name, spec in CATALOG_SPECS.items()}
+
+
+@pytest.fixture(scope="session")
+def criterion_rows():
+    """rows(number): one suite criterion's rows, computed once per session.
+
+    The battery dominates the run time and both the acceptance tests and
+    the CLI suite test need it, so each criterion runs only once.
+    """
+    cache = {}
+
+    def rows(number):
+        if number not in cache:
+            cache[number] = _CRITERIA[number]()
+        return list(cache[number])
+    return rows
 
 
 def rel_diff(a, b):

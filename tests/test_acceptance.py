@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, one printed line per criterion.
 
 Each criterion delegates to the suite module (the same code behind the
-CLI 'suite' command) and asserts every row at its stated tolerance.
+CLI 'suite' command) and asserts every row at its stated tolerance.  The
+rows come from the session-wide ``criterion_rows`` fixture, which runs
+each criterion once and shares it with the CLI suite test.
 """
 
 import pytest
@@ -26,8 +28,8 @@ CRITERION_TITLES = {
 
 
 @pytest.mark.parametrize("number", sorted(suite.CRITERIA))
-def test_criterion(number):
-    rows = suite.CRITERIA[number]()
+def test_criterion(number, criterion_rows):
+    rows = criterion_rows(number)
     failed = [r for r in rows if not r.passed]
     status = "PASS" if not failed else "FAIL"
     print(f"{status} criterion {number:2d}: {CRITERION_TITLES[number]} "

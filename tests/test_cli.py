@@ -2,14 +2,19 @@ import json
 
 import pytest
 
+from fraceq import suite
 from fraceq.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                         EXIT_USAGE, main, parse_args)
+from fraceq.distributions import DistributionSpec, build, quantile
+from fraceq.numerics import linspace
 
 EXP1 = '{"kind":"exponential","params":{"lambda":1}}'
 EXP_MEAN2 = '{"kind":"exponential","params":{"lambda":0.5}}'
 WEIBULL = '{"kind":"weibull","params":{"k":2,"lambda":1}}'
 G_LINEAR = '[{"coef":1,"exp":1}]'
 G_SQUARE = '[{"coef":1,"exp":2}]'
+# overflows E[g(X)], so the identity's sides are infinite
+G_HUGE = '[{"coef":1e308,"exp":2}]'
 
 
 def report_of(path):
@@ -49,6 +54,13 @@ class TestParse:
     def test_suite_config(self):
         assert parse_args(["suite"]).command == "suite"
 
+    def test_repeated_g(self):
+        cfg = parse_args(["mvt", "--dist-x", EXP1, "--dist-y", EXP_MEAN2,
+                          "--g", G_LINEAR, "--g", G_SQUARE])
+        assert [g.describe() for g in cfg.gs] == ["1*x^1", "1*x^2"]
+        assert parse_args(["actuarial", "--severity", EXP1, "--r", "0.5",
+                           "--s", "1"]).gs == []
+
     @pytest.mark.parametrize("flag,value", [("--alpha", ""), ("--alpha", ","),
                                             ("--alpha", "nan"), ("--alpha", "0.5,inf"),
                                             ("--n", ""), ("--tol", "nan"),
@@ -72,6 +84,28 @@ class TestRun:
         assert {"check", "lhs", "rhs", "residual", "tolerance", "pass",
                 "params"} <= set(doc["results"][0])
         assert all(row["pass"] for row in doc["results"])
+
+    def test_eqdist_row_is_the_suite_check(self, tmp_path):
+        out = tmp_path / "eq.json"
+        code = main(["eqdist", "--dist", WEIBULL, "--alpha", "0.5", "--n", "1",
+                     "--grid", "8", "--out", str(out)])
+        assert code == EXIT_OK
+        X = build(DistributionSpec.from_json(json.loads(WEIBULL)))
+        row, points = suite.direct_vs_recursive(
+            X, 0.5, 1, linspace(0.0, quantile(X, 0.99), 8), 1e-5,
+            {"distribution": X.label, "alpha": 0.5, "n": 1})
+        assert report_of(out)["results"] == [row.to_json()]
+        assert row.check == "equilibrium_direct_vs_recursive"
+        assert len(points) == 8
+
+    def test_characterize_exponential_has_no_witness(self, tmp_path):
+        out = tmp_path / "char.json"
+        code = main(["characterize", "--dist", EXP1, "--out", str(out)])
+        assert code == EXIT_OK
+        summary = report_of(out)["results"][-1]
+        assert summary["check"] == "characterization_summary"
+        assert summary["params"]["is_fixed_point"] is True
+        assert summary["params"]["witness"] is None
 
     def test_characterize_weibull_negative_is_pass(self, tmp_path):
         out = tmp_path / "char.json"
@@ -97,6 +131,32 @@ class TestRun:
         code = main(["taylor", "--dist", EXP1, "--g", G_SQUARE,
                      "--alpha", "0.5,1", "--n", "0,1", "--out", str(out)])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ["taylor", "--dist", EXP1, "--n", "1"],
+        ["mvt", "--dist-x", EXP1, "--dist-y", EXP_MEAN2]], ids=["taylor", "mvt"])
+    def test_one_row_per_g(self, tmp_path, argv):
+        out = tmp_path / "rows.json"
+        code = main(argv + ["--g", G_LINEAR, "--g", G_SQUARE, "--alpha", "1",
+                            "--out", str(out)])
+        assert code == EXIT_OK
+        rows = report_of(out)["results"]
+        assert [row["params"]["g"] for row in rows] == ["1*x^1", "1*x^2"]
+        assert {row["check"] for row in rows} == {f"{argv[0]}_residual"}
+
+    @pytest.mark.parametrize("argv,check", [
+        (["mvt", "--dist-x", '{"kind":"exponential","params":{"lambda":2}}',
+          "--dist-y", EXP1, "--g", G_HUGE], "mvt_residual"),
+        (["actuarial", "--severity", EXP1, "--r", "0.5", "--s", "1",
+          "--g", G_HUGE], "deductible_mvt")], ids=["mvt", "actuarial"])
+    def test_nonfinite_row_exits_3_without_report(self, tmp_path, capsys,
+                                                  argv, check):
+        # a NaN or infinite residual is a numerical failure, not a report
+        # holding tokens that are not JSON
+        out = tmp_path / "x.json"
+        assert main(argv + ["--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        assert check in capsys.readouterr().err
 
     def test_mvt_command(self, tmp_path):
         out = tmp_path / "mvt.json"
@@ -176,7 +236,11 @@ class TestRun:
         doc = json.loads(capsys.readouterr().out)
         assert doc["header"]["version"]
 
-    def test_suite_exits_zero(self, tmp_path):
+    def test_suite_exits_zero(self, tmp_path, monkeypatch, criterion_rows):
+        # the battery's rows are shared with the acceptance tests
+        monkeypatch.setattr(suite, "CRITERIA", {
+            number: (lambda number=number: criterion_rows(number))
+            for number in suite.CRITERIA})
         out = tmp_path / "suite.json"
         code = main(["suite", "--out", str(out)])
         assert code == EXIT_OK

@@ -3,14 +3,14 @@ import math
 import pytest
 
 from conftest import rel_diff
-from fraceq.distributions import build, exponential, uniform, weibull
+from fraceq.distributions import build, exponential, quantile, uniform, weibull
 from fraceq.equilibrium import (characterization_check, eq_density,
                                 eq_density_fn, eq_moment, eq_survival,
                                 eq_survival_recursive, equilibrium_view,
                                 first_order_cdf_interpretation)
 from fraceq.errors import (InvalidParameterError, MissingDensityError)
 from fraceq.fracops import FracOrder, PowerSum, power_expectation
-from fraceq.numerics import beta, integrate_semi_infinite, linspace
+from fraceq.numerics import beta, geomspace, integrate_semi_infinite, linspace
 
 
 class TestEqSurvival:
@@ -172,6 +172,21 @@ class TestCharacterization:
         assert not report.is_fixed_point
         assert report.max_deviation > 0.05
         assert all(dev > 0.05 for dev in report.deviations.values())
+
+    def test_witness_none_for_fixed_point(self):
+        # every deviation of an exponential is rounding noise, so no point
+        # of the grid is a meaningful witness
+        report = characterization_check(build(exponential(1.0)), [0.5, 1.0], [1, 2])
+        assert report.is_fixed_point
+        assert report.witness is None
+
+    def test_witness_on_grid_for_non_fixed_point(self):
+        X = build(weibull(2.0, 1.0))
+        report = characterization_check(X, [0.5, 1.0], [1, 2])
+        alpha, n, t = report.witness
+        hi = quantile(X, 0.99)
+        assert t in geomspace(hi * 1e-3, hi, 20)
+        assert report.deviations[(alpha, n)] == report.max_deviation
 
     def test_uniform_detected(self):
         report = characterization_check(build(uniform(0.0, 1.0)), [1.0], [1],

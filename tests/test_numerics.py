@@ -195,8 +195,6 @@ def test_converged_respects_tolerances():
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(InvalidParameterError):
-        QuadratureConfig(max_depth=0)
 
 
 class TestGrids:
