@@ -10,6 +10,7 @@ exponential characterization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -74,8 +75,13 @@ def eq_density(view: EquilibriumView, t: float,
 
 def eq_density_fn(view: EquilibriumView,
                   cfg: QuadratureConfig | None = None) -> Callable[[float], float]:
-    """The density as a plain callable, for use as an integrand."""
-    return lambda t: eq_density(view, t, cfg)
+    """The density as a plain callable, for use as an integrand.
+
+    Memoized: the density is a pure function of t, and integrals of it
+    against several weights revisit the same nodes (adaptive panels are
+    dyadic, so the seed panels of every doubling segment coincide).
+    """
+    return functools.cache(lambda t: eq_density(view, t, cfg))
 
 
 def eq_survival_recursive(X: DistributionModel, order: FracOrder, t: float) -> float:

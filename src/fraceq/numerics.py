@@ -8,6 +8,7 @@ removes power-law endpoint singularities.  All operations are pure.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -164,21 +165,48 @@ _WG_CENTER = 0.417959183673469
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One 15-point Kronrod panel on [a, b]: (integral, error estimate)."""
+    """One 15-point Kronrod panel on [a, b]: (integral, error estimate).
+
+    Unrolled over the 7 node pairs; f is called and the sums accumulate
+    in node order, outermost pair first.
+    """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    x1, x2, x3, x4, x5, x6, x7 = _XGK
+    w1, w2, w3, w4, w5, w6, w7 = _WGK
+    g2, g4, g6 = _WG
     fc = f(center)
-    kron = _WGK_CENTER * fc
-    gauss = _WG_CENTER * fc
-    resabs = _WGK_CENTER * abs(fc)
-    for i in range(7):
-        dx = half * _XGK[i]
-        f1 = f(center - dx)
-        f2 = f(center + dx)
-        kron += _WGK[i] * (f1 + f2)
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * (f1 + f2)
+    dx = half * x1
+    f1 = f(center - dx)
+    f2 = f(center + dx)
+    dx = half * x2
+    f3 = f(center - dx)
+    f4 = f(center + dx)
+    dx = half * x3
+    f5 = f(center - dx)
+    f6 = f(center + dx)
+    dx = half * x4
+    f7 = f(center - dx)
+    f8 = f(center + dx)
+    dx = half * x5
+    f9 = f(center - dx)
+    f10 = f(center + dx)
+    dx = half * x6
+    f11 = f(center - dx)
+    f12 = f(center + dx)
+    dx = half * x7
+    f13 = f(center - dx)
+    f14 = f(center + dx)
+    s2 = f3 + f4
+    s4 = f7 + f8
+    s6 = f11 + f12
+    kron = (_WGK_CENTER * fc + w1 * (f1 + f2) + w2 * s2 + w3 * (f5 + f6)
+            + w4 * s4 + w5 * (f9 + f10) + w6 * s6 + w7 * (f13 + f14))
+    gauss = _WG_CENTER * fc + g2 * s2 + g4 * s4 + g6 * s6
+    resabs = (_WGK_CENTER * abs(fc) + w1 * (abs(f1) + abs(f2))
+              + w2 * (abs(f3) + abs(f4)) + w3 * (abs(f5) + abs(f6))
+              + w4 * (abs(f7) + abs(f8)) + w5 * (abs(f9) + abs(f10))
+              + w6 * (abs(f11) + abs(f12)) + w7 * (abs(f13) + abs(f14)))
     value = kron * half
     scale = resabs * abs(half)
     delta = abs(kron - gauss) * abs(half)
@@ -196,7 +224,10 @@ def integrate_interval(f: Callable[[float], float], a: float, b: float,
 
     Bisects the panel with the largest error estimate until the summed
     estimate meets max(abs_tol, rel_tol * |value|) or a panel would exceed
-    _MAX_DEPTH bisections.
+    _MAX_DEPTH bisections.  Ties in the error estimate go to the panel
+    with the lowest index, where a bisected panel's left half keeps its
+    index and its right half takes the next free one; the bisection
+    order, hence the result, is therefore fixed bit for bit.
     """
     cfg = cfg or DEFAULT_CONFIG
     if a == b:
@@ -207,34 +238,39 @@ def integrate_interval(f: Callable[[float], float], a: float, b: float,
 
     # seed with two panels so the refinement loop has an error signal even
     # when a feature hides between the nodes of a single panel
-    mid0 = 0.5 * (a + b)
-    lv0, le0 = _gk15(f, a, mid0)
-    rv0, re0 = _gk15(f, mid0, b)
-    # (error, left, right, depth, value); refined greedily, worst first
-    panels: list[tuple[float, float, float, int, float]] = [
-        (le0, a, mid0, 1, lv0), (re0, mid0, b, 1, rv0)]
+    mid = 0.5 * (a + b)
+    lv, le = _gk15(f, a, mid)
+    rv, re = _gk15(f, mid, b)
+    values = [lv, rv]
+    errs = [le, re]
+    total_value = math.fsum(values)
+    total_err = math.fsum(errs)
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    if total_err <= max(abs_tol, rel_tol * abs(total_value)):
+        return IntegralResult(total_value, total_err, True)
+    # (-error, index, left, right, depth): the heap top is the worst panel
+    heap = [(-le, 0, a, mid, 1), (-re, 1, mid, b, 1)]
+    heapq.heapify(heap)
     converged = True
     while True:
-        total_value = math.fsum(p[4] for p in panels)
-        total_err = math.fsum(p[0] for p in panels)
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_value))
-        if total_err <= tol:
-            break
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, lo, hi, depth, _ = panels[worst]
+        _, i, lo, hi, depth = heap[0]
         if depth >= _MAX_DEPTH:
             converged = False
             break
         mid = 0.5 * (lo + hi)
         lv, le = _gk15(f, lo, mid)
         rv, re = _gk15(f, mid, hi)
-        panels[worst] = (le, lo, mid, depth + 1, lv)
-        panels.append((re, mid, hi, depth + 1, rv))
-
-    total_value = math.fsum(p[4] for p in panels)
-    total_err = math.fsum(p[0] for p in panels)
-    if total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_value)):
-        converged = False
+        j = len(values)
+        values[i] = lv
+        errs[i] = le
+        values.append(rv)
+        errs.append(re)
+        heapq.heapreplace(heap, (-le, i, lo, mid, depth + 1))
+        heapq.heappush(heap, (-re, j, mid, hi, depth + 1))
+        total_value = math.fsum(values)
+        total_err = math.fsum(errs)
+        if total_err <= max(abs_tol, rel_tol * abs(total_value)):
+            break
     return IntegralResult(total_value, total_err, converged)
 
 

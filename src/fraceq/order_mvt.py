@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .distributions import (DistributionModel, fractional_moment, quantile,
-                            upper_partial_moment)
+                            survival_at, upper_partial_moment)
 from .equilibrium import eq_density, equilibrium_view
 from .errors import (DivergenceError, InvalidParameterError,
                      OrderViolationError)
@@ -106,6 +106,11 @@ def default_order_grid(X: DistributionModel, Y: DistributionModel,
     upper = max(X.support_upper, Y.support_upper)
     if not math.isfinite(upper):
         upper = 2.0 * max(quantile(X, 0.999), quantile(Y, 0.999))
+    if upper == 0.0:
+        # both laws keep over 99.9% of their mass at 0 (a deep deductible):
+        # take the quantiles of the mass above 0 instead
+        level = 1.0 - 1e-3 * max(survival_at(X, 0.0), survival_at(Y, 0.0))
+        upper = 2.0 * max(quantile(X, level), quantile(Y, level))
     return [0.0] + geomspace(upper * 1e-7, upper, size - 1)
 
 

@@ -175,6 +175,15 @@ class TestRun:
         checks = {r["check"] for r in report_of(out)["results"]}
         assert checks == {"deductible_mvt", "exponential_ratio_check"}
 
+    def test_actuarial_deep_deductible(self, tmp_path):
+        # both deductibles keep over 99.9% of the mass at 0
+        out = tmp_path / "deep.json"
+        code = main(["actuarial", "--severity", EXP1, "--r", "8", "--s", "9",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        rows = report_of(out)["results"]
+        assert len(rows) == 2 and all(r["pass"] for r in rows)
+
     def test_check_failure_exits_1(self, tmp_path):
         # an impossible tolerance turns a healthy residual into a failure
         out = tmp_path / "fail.json"

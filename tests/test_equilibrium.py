@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import rel_diff
+from fraceq import equilibrium
 from fraceq.distributions import build, exponential, quantile, uniform, weibull
 from fraceq.equilibrium import (characterization_check, eq_density,
                                 eq_density_fn, eq_moment, eq_survival,
@@ -10,7 +11,8 @@ from fraceq.equilibrium import (characterization_check, eq_density,
                                 first_order_cdf_interpretation)
 from fraceq.errors import (InvalidParameterError, MissingDensityError)
 from fraceq.fracops import FracOrder, PowerSum, power_expectation
-from fraceq.numerics import beta, geomspace, integrate_semi_infinite, linspace
+from fraceq.numerics import (DEFAULT_CONFIG, beta, geomspace,
+                             integrate_semi_infinite, linspace)
 
 
 class TestEqSurvival:
@@ -75,6 +77,29 @@ class TestEqDensity:
                 assert res.converged
                 assert abs(res.value - eq_survival(view, t)) < 1e-7, (name, t)
 
+
+    def test_density_fn_evaluates_each_node_once(self, catalog, monkeypatch):
+        # criterion 5's oracle for the knot table at alpha=1, n=1: three
+        # powers integrated against one density revisit the same nodes
+        # (1,200 evaluations of 660 distinct nodes without the memo)
+        model = catalog["numeric"]
+        view = equilibrium_view(model, 1.0, 1)
+        cfg = DEFAULT_CONFIG.scaled(10.0)
+        nodes = []
+
+        def counted(v, t, c=None):
+            nodes.append(t)
+            return eq_density(v, t, c)
+
+        monkeypatch.setattr(equilibrium, "eq_density", counted)
+        density = eq_density_fn(view, cfg)
+        for r in (0.5, 1.0, 2.0):
+            power_expectation(PowerSum.power(r), density, cfg,
+                              upper=model.support_upper)
+        assert len(nodes) == len(set(nodes)) == 660
+        monkeypatch.undo()
+        for t in nodes[::37]:
+            assert density(t) == eq_density(view, t, cfg)
 
 class TestRecursiveOracle:
     def test_single_level_is_plain_equilibrium(self):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import fraceq
+from fraceq import numerics
 from fraceq.errors import InvalidParameterError, PoleError
 from fraceq.numerics import (QuadratureConfig, beta, gamma, geomspace,
                              integrate_interval, integrate_semi_infinite,
@@ -190,6 +191,120 @@ def test_converged_respects_tolerances():
     res = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, cfg)
     assert res.converged
     assert res.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+
+
+# Reference kernel: a rolled 15-point panel and a refinement loop that
+# finds the worst panel by linear scan and re-sums after every bisection.
+# integrate_interval must reproduce it bit for bit.
+def _reference_gk15(f, a, b):
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = f(center)
+    kron = numerics._WGK_CENTER * fc
+    gauss = numerics._WG_CENTER * fc
+    resabs = numerics._WGK_CENTER * abs(fc)
+    for i in range(7):
+        dx = half * numerics._XGK[i]
+        f1 = f(center - dx)
+        f2 = f(center + dx)
+        kron += numerics._WGK[i] * (f1 + f2)
+        resabs += numerics._WGK[i] * (abs(f1) + abs(f2))
+        if i % 2 == 1:
+            gauss += numerics._WG[i // 2] * (f1 + f2)
+    value = kron * half
+    scale = resabs * abs(half)
+    delta = abs(kron - gauss) * abs(half)
+    if scale > 0.0 and delta > 0.0:
+        err = scale * min(1.0, (200.0 * delta / scale) ** 1.5)
+    else:
+        err = delta
+    err = max(err, 50.0 * numerics._EPS * scale)
+    return value, err
+
+
+def _reference_integrate_interval(f, a, b, cfg):
+    if a == b:
+        return 0.0, 0.0, True
+    if b < a:
+        value, err, converged = _reference_integrate_interval(f, b, a, cfg)
+        return -value, err, converged
+    mid0 = 0.5 * (a + b)
+    lv0, le0 = _reference_gk15(f, a, mid0)
+    rv0, re0 = _reference_gk15(f, mid0, b)
+    panels = [(le0, a, mid0, 1, lv0), (re0, mid0, b, 1, rv0)]
+    converged = True
+    while True:
+        total_value = math.fsum(p[4] for p in panels)
+        total_err = math.fsum(p[0] for p in panels)
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_value))
+        if total_err <= tol:
+            break
+        worst = max(range(len(panels)), key=lambda i: panels[i][0])
+        _, lo, hi, depth, _ = panels[worst]
+        if depth >= numerics._MAX_DEPTH:
+            converged = False
+            break
+        mid = 0.5 * (lo + hi)
+        lv, le = _reference_gk15(f, lo, mid)
+        rv, re = _reference_gk15(f, mid, hi)
+        panels[worst] = (le, lo, mid, depth + 1, lv)
+        panels.append((re, mid, hi, depth + 1, rv))
+    total_value = math.fsum(p[4] for p in panels)
+    total_err = math.fsum(p[0] for p in panels)
+    if total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_value)):
+        converged = False
+    return total_value, total_err, converged
+
+
+def _kernel_battery(count):
+    """(label, f, a, b, cfg) cases: ties, steps, singularities, depth limit."""
+    rng = random.Random(20161018)
+
+    def cfg():
+        return QuadratureConfig(10.0 ** rng.uniform(-14.0, -6.0),
+                                10.0 ** rng.uniform(-12.0, -4.0))
+
+    def family(k):
+        h = rng.uniform(0.1, 3.0)
+        c = rng.uniform(-1.0, 1.0)
+        q = rng.uniform(0.5, 5.0)
+        if k == 0:  # symmetric: equal errors on mirrored panels
+            return "|x|", (lambda x: abs(x)), -h, h
+        if k == 1:
+            return "x^2", (lambda x: x * x), -h, h
+        if k == 2:
+            return "cos", (lambda x: math.cos(q * x)), -h, h
+        if k == 3:
+            return "step", (lambda x: 1.0 if x >= c else -0.5), -2.0, 2.0
+        if k == 4:
+            return "|x|^-0.3", (lambda x: abs(x) ** -0.3), -h, 2.0 * h
+        if k == 5:  # not integrable: refinement stops at _MAX_DEPTH
+            return "1/|x|", (lambda x: 1.0 / abs(x)), -h, 2.0 * h
+        if k == 6:
+            return "exp", (lambda x: math.exp(q * x)), c - h, c + h
+        if k == 7:
+            return "sin", (lambda x: math.sin(q * q * x)), c, c - h  # reversed
+        return "zero", (lambda x: 0.0), c, c + h
+
+    for _ in range(count):
+        label, f, a, b = family(rng.randrange(9))
+        yield label, f, a, b, cfg()
+    yield "empty", math.exp, 0.5, 0.5, cfg()
+
+
+def test_integrate_interval_matches_reference_loop():
+    nonconverged = 0
+    labels = set()
+    for label, f, a, b, cfg in _kernel_battery(300):
+        calls, ref_calls = [], []
+        res = integrate_interval(lambda x: calls.append(x) or f(x), a, b, cfg)
+        ref = _reference_integrate_interval(
+            lambda x: ref_calls.append(x) or f(x), a, b, cfg)
+        assert (res.value, res.error_estimate, res.converged) == ref, (label, a, b)
+        assert calls == ref_calls, (label, a, b)
+        nonconverged += not res.converged
+        labels.add(label)
+    assert nonconverged > 0 and len(labels) == 10
 
 
 def test_config_validation():

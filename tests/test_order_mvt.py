@@ -14,7 +14,8 @@ from fraceq.fracops import rl_integral
 from fraceq.numerics import gamma, linspace
 from fraceq.order_mvt import (alpha_cdf_transform, alpha_survival_transform,
                               check_survival_bounded_order,
-                              classify_mean_location, fractional_variance,
+                              classify_mean_location, default_order_grid,
+                              fractional_variance,
                               mvt_verify, normalized_moment, z_alpha_model,
                               z_density, z_mixture_identity, z_moment)
 
@@ -102,6 +103,16 @@ class TestOrderCheck:
         # stop-loss transforms order by the mean
         assert check_survival_bounded_order(exp_mean(1.0), exp_mean(2.0), 2.0).holds
         assert not check_survival_bounded_order(exp_mean(2.0), exp_mean(1.0), 2.0).holds
+
+    def test_default_grid_for_deep_deductibles(self):
+        # X_8 and X_9 of Exp(1) keep all but e^-8 of their mass at 0, so both
+        # 0.999-quantiles are 0; the grid then spans the mass above 0, whose
+        # 1 - 1e-3 e^-8 quantile is ln(1000) for X_8
+        X = build(deductible(8.0, exponential(1.0)))
+        Y = build(deductible(9.0, exponential(1.0)))
+        grid = default_order_grid(X, Y)
+        assert len(grid) == 64 and grid[0] == 0.0 and grid[1] > 0.0
+        assert rel_diff(grid[-1], 2.0 * math.log(1000.0)) < 1e-9
 
     def test_zero_inflated_dominates_inner_for_all_alpha(self):
         X = build(zero_inflated(0.3, exponential(1.0)))
