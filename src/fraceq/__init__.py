@@ -2,10 +2,11 @@
 
 Numerical companions to the fractional probabilistic Taylor and mean
 value identities: a distribution catalog with fractional and upper
-partial moments, Weyl/Riemann-Liouville/Caputo operators on a power-sum
-test family, the n-th order fractional equilibrium transform, survival
-bounded stochastic orders, and actuarial deductible checks, with
-every identity verifiable against an independent quadrature oracle.
+partial moments, the Weyl integral of survival functions, exact
+Riemann-Liouville/Caputo derivatives on a power-sum test family, the
+n-th order fractional equilibrium transform, survival bounded
+stochastic orders, and actuarial deductible checks, with every identity
+verifiable against an independent quadrature oracle.
 """
 
 __version__ = "0.1.0"
@@ -19,18 +20,14 @@ from .equilibrium import (CharacterizationReport, EquilibriumView,
                           eq_survival, eq_survival_recursive,
                           equilibrium_view, first_order_cdf_interpretation)
 from .errors import (DivergenceError, FraceqError, InvalidParameterError,
-                     MissingDensityError, OrderViolationError, PoleError,
-                     SingularEvaluationError)
-from .fracops import (FracOrder, PowerSum, evaluate, power_caputo_derivative,
-                      power_rl_derivative, power_rl_integral,
-                      rl_derivative_numeric, rl_integral, weyl_integral,
-                      weyl_integral_via_moments)
+                     MissingDensityError, OrderViolationError, PoleError)
+from .fracops import (FracOrder, PowerSum, power_caputo_derivative,
+                      power_rl_derivative, weyl_integral)
 from .numerics import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, beta,
                        gamma, integrate_interval, integrate_semi_infinite,
                        integrate_singular_power, reciprocal_gamma)
 from .order_mvt import (MeanLocationReport, MvtReport, OrderCheckResult,
-                        ZAlphaModel, alpha_cdf_transform,
-                        alpha_survival_transform,
+                        ZAlphaModel, alpha_survival_transform,
                         check_survival_bounded_order, classify_mean_location,
                         fractional_variance, mvt_verify, normalized_moment,
                         z_alpha_model, z_density, z_mixture_identity, z_moment)

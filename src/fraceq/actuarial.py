@@ -2,10 +2,11 @@
 
 A policy with deductible d pays (X - d)_+, a mixed distribution with an
 atom at zero.  For two deductibles r < s the payments are ordered in the
-survival bounded sense and the mean value identity links the difference
-of expected transformed payments to a single Z variable; for exponential
-severities that Z is again exponential, which makes ratios of payment
-differences independent of the transform g.
+survival bounded sense, so ``deductible_mvt`` is ``mvt_verify`` on the
+pair (X, Y) = (X_s, X_r): the difference of expected transformed
+payments goes through a single Z variable.  For exponential severities
+that Z is again exponential, which makes ratios of payment differences
+independent of the transform g.
 """
 
 from __future__ import annotations
@@ -16,60 +17,35 @@ from dataclasses import dataclass
 from .distributions import DistributionSpec, build, deductible
 from .errors import InvalidParameterError
 from .fracops import PowerSum, power_mean
-from .order_mvt import (_C0_TOL, ZAlphaModel, expected_derivative_at_z,
-                        normalized_moment, z_alpha_model)
+from .order_mvt import _C0_TOL, MvtReport, mvt_verify
 
 __all__ = [
-    "DeductibleMvtReport",
     "deductible_mvt",
     "RatioCheckReport",
     "exponential_ratio_check",
 ]
 
+
 def _require_admissible(g: PowerSum, alpha: float) -> None:
-    # the mean value corollary needs g ~ x^beta with beta > alpha - 1 near 0
-    for _, exp in g.terms:
-        if exp <= alpha - 1.0 + _C0_TOL:
-            raise InvalidParameterError(
-                f"g must have exponents > alpha - 1 = {alpha - 1.0:g}; "
-                f"got {g.describe()}")
-
-
-@dataclass(frozen=True)
-class DeductibleMvtReport:
-    """Both sides of the deductible mean value identity."""
-
-    lhs: float  # E[g(X_r)] - E[g(X_s)]
-    rhs: float
-    residual: float
-    z: ZAlphaModel  # built from (X_s, X_r): larger deductible is dominated
+    # the corollary has no c0 term: g ~ x^beta with beta > alpha - 1 near 0
+    if g.min_exponent() <= alpha - 1.0 + _C0_TOL:
+        raise InvalidParameterError(
+            f"g must have exponents > alpha - 1 = {alpha - 1.0:g}; "
+            f"got {g.describe()}")
 
 
 def deductible_mvt(g: PowerSum, severity: DistributionSpec, r: float, s: float,
-                   alpha: float) -> DeductibleMvtReport:
+                   alpha: float) -> MvtReport:
     """Check E[g(X_r)] - E[g(X_s)] = [lambda_a(X_r) - lambda_a(X_s)] E[D^a g(Z_a)].
 
-    The larger deductible gives pointwise smaller payments, so the Z
-    construction orders the pair as (X, Y) = (X_s, X_r).
+    The larger deductible gives pointwise smaller payments, so this is
+    ``mvt_verify`` with (X, Y) = (X_s, X_r) and the order required.
     """
     if not (0.0 < r < s):
         raise InvalidParameterError(f"need 0 < r < s, got r={r}, s={s}")
     _require_admissible(g, alpha)
-    base = build(severity)
-    if s >= base.support_upper:
-        raise InvalidParameterError(
-            f"s={s} must lie below the severity support bound {base.support_upper}")
-    x_r = build(deductible(r, severity))
-    x_s = build(deductible(s, severity))
-    lam_r = normalized_moment(x_r, alpha)
-    lam_s = normalized_moment(x_s, alpha)
-    if not (lam_s < lam_r < math.inf):
-        raise InvalidParameterError(
-            f"need lambda_a(X_s) < lambda_a(X_r) < inf, got {lam_s:g} vs {lam_r:g}")
-    z = z_alpha_model(x_s, x_r, alpha, require_order=True)
-    lhs = power_mean(g, x_r) - power_mean(g, x_s)
-    rhs = (lam_r - lam_s) * expected_derivative_at_z(g, z, alpha)
-    return DeductibleMvtReport(lhs, rhs, lhs - rhs, z)
+    return mvt_verify(g, build(deductible(s, severity)),
+                      build(deductible(r, severity)), alpha)
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,8 @@ def parse_args(argv: list[str]) -> RunConfig:
         parser.error(f"--grid must be >= 8, got {cfg.grid}")
     if cfg.tol is not None and not 0 < cfg.tol < math.inf:
         parser.error(f"--tol must be finite and > 0, got {cfg.tol}")
+    if (cfg.u is None) != (cfg.v is None):
+        parser.error("--u and --v go together: the ratio check needs both")
     return cfg
 
 

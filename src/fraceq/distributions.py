@@ -361,8 +361,17 @@ _BUILDERS = {
 }
 
 
+def _has_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def build(spec: DistributionSpec) -> DistributionModel:
     """Instantiate the model described by ``spec``."""
+    # bool is an int subclass, so JSON true would otherwise run as 1
+    _require(not _has_bool(list(spec.params.values())),
+             f"{spec.kind}: parameters must be numbers, not booleans")
     try:
         if spec.kind in _BUILDERS:
             return _BUILDERS[spec.kind](spec)

@@ -17,10 +17,6 @@ class DivergenceError(FraceqError, ArithmeticError):
     """An integral or moment diverges, or its quadrature failed to converge."""
 
 
-class SingularEvaluationError(FraceqError, ValueError):
-    """A power sum with negative exponents was evaluated at zero."""
-
-
 class OrderViolationError(FraceqError, RuntimeError):
     """The survival bounded order required by an operation does not hold."""
 

@@ -1,10 +1,10 @@
 """Fractional integral and derivative operators.
 
-Survival functions go through the Weyl integral; test functions live in
-the PowerSum family, where sequential Riemann-Liouville and Caputo
-derivatives are closed-form (one Gamma-ratio per term).  Derivatives of
-arbitrary callables are finite-difference only and flagged as
-low-accuracy; they exist to cross-check the exact PowerSum path.
+Survival functions (and nested transforms of them) go through the Weyl
+integral, computed by quadrature; test functions live in the PowerSum
+family, where sequential Riemann-Liouville and Caputo derivatives are
+closed-form (one Gamma-ratio per term).  Expectations of power sums run
+term by term, through fractional moments or against a density.
 """
 
 from __future__ import annotations
@@ -13,27 +13,19 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .distributions import (DistributionModel, fractional_moment,
-                            upper_partial_moment)
-from .errors import (DivergenceError, InvalidParameterError,
-                     SingularEvaluationError)
+from .distributions import DistributionModel, fractional_moment
+from .errors import DivergenceError, InvalidParameterError
 from .numerics import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig,
-                       gamma, integrate_interval, integrate_singular_power,
-                       reciprocal_gamma)
+                       gamma, integrate_singular_power, reciprocal_gamma)
 
 __all__ = [
     "FracOrder",
     "PowerSum",
     "weyl_integral",
     "weyl_integral_result",
-    "weyl_integral_via_moments",
     "weyl_of_function",
-    "rl_integral",
-    "rl_derivative_numeric",
     "power_rl_derivative",
-    "power_rl_integral",
     "power_caputo_derivative",
-    "evaluate",
     "power_mean",
     "power_expectation",
 ]
@@ -96,12 +88,6 @@ class PowerSum:
     def constant(value: float) -> "PowerSum":
         return PowerSum.from_terms([(value, 0.0)])
 
-    def __add__(self, other: "PowerSum") -> "PowerSum":
-        return PowerSum.from_terms(list(self.terms) + list(other.terms))
-
-    def __call__(self, x: float) -> float:
-        return evaluate(self, x)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -132,18 +118,6 @@ class PowerSum:
         if not self.terms:
             return "0"
         return " + ".join(f"{c:g}*x^{e:g}" for c, e in self.terms)
-
-
-def evaluate(g: PowerSum, x: float) -> float:
-    """Evaluate a power sum; x = 0 needs all exponents >= 0."""
-    if x < 0.0:
-        raise InvalidParameterError(f"power sums are defined on x >= 0, got {x}")
-    if x == 0.0:
-        if g.terms and g.min_exponent() < -_EXP_TOL:
-            raise SingularEvaluationError(
-                f"{g.describe()} is singular at x = 0")
-        return g.coefficient_at(0.0)
-    return math.fsum(c * x ** e for c, e in g.terms)
 
 
 def _rgamma_snapped(v: float) -> float:
@@ -178,27 +152,12 @@ def power_rl_derivative(g: PowerSum, j: int, alpha: float) -> PowerSum:
     return out
 
 
-def power_rl_integral(g: PowerSum, order: float) -> PowerSum:
-    """Riemann-Liouville integral I^order on a power sum (exponents > -1)."""
-    if order < 0.0:
-        raise InvalidParameterError(f"integral order must be >= 0, got {order}")
-    if order == 0.0:
-        return g
-    new_terms = []
-    for coef, exp in g.terms:
-        if exp <= -1.0:
-            raise DivergenceError(f"I^{order:g} of x^{exp:g} diverges at 0")
-        new_terms.append((coef * gamma(exp + 1.0) * reciprocal_gamma(exp + 1.0 + order),
-                          exp + order))
-    return PowerSum.from_terms(new_terms)
-
-
 def power_caputo_derivative(g: PowerSum, i: int, alpha: float) -> PowerSum:
     """Sequential Caputo derivative applied i times.
 
-    Constants are annihilated; positive exponents follow the same
-    Gamma-ratio rule as the RL derivative.  The input (and every
-    intermediate result) must have nonnegative exponents.
+    Each step is D_C^alpha g = D_RL^alpha (g - g(0)): the constant term
+    dies and the rest follows the RL Gamma-ratio rule.  The input (and
+    every intermediate result) must have nonnegative exponents.
     """
     if i < 0:
         raise InvalidParameterError(f"derivative count must be >= 0, got {i}")
@@ -207,15 +166,9 @@ def power_caputo_derivative(g: PowerSum, i: int, alpha: float) -> PowerSum:
         if out.terms and out.min_exponent() < -_EXP_TOL:
             raise InvalidParameterError(
                 f"Caputo derivative needs nonnegative exponents, got {out.describe()}")
-        new_terms = []
-        for coef, exp in out.terms:
-            if abs(exp) <= _EXP_TOL:
-                continue  # constants die
-            rg = _rgamma_snapped(exp + 1.0 - alpha)
-            if rg == 0.0:
-                continue
-            new_terms.append((coef * gamma(exp + 1.0) * rg, exp - alpha))
-        out = PowerSum.from_terms(new_terms)
+        out = power_rl_derivative(
+            PowerSum(tuple((c, e) for c, e in out.terms if abs(e) > _EXP_TOL)),
+            1, alpha)
     return out
 
 
@@ -241,13 +194,6 @@ def weyl_integral(X: DistributionModel, order: float, t: float) -> float:
         f"Weyl integral of order {order:g} for {X.label}")
 
 
-def weyl_integral_via_moments(X: DistributionModel, order: float, t: float) -> float:
-    """Same transform through E[(X-t)_+^order] / Gamma(order + 1)."""
-    if order <= 0.0:
-        raise InvalidParameterError(f"Weyl integral order must be > 0, got {order}")
-    return upper_partial_moment(X, t, order) / gamma(order + 1.0)
-
-
 def weyl_of_function(h: Callable[[float], float], order: float, t: float, *,
                      upper: float | None = None) -> float:
     """I_-^order h(t) for an arbitrary integrable callable.
@@ -260,64 +206,6 @@ def weyl_of_function(h: Callable[[float], float], order: float, t: float, *,
         raise InvalidParameterError(f"Weyl integral order must be > 0, got {order}")
     res = integrate_singular_power(h, t, order, upper=upper)
     return res.require(f"nested Weyl integral of order {order:g}") / gamma(order)
-
-
-# ---------------------------------------------------------------------------
-# RL integral / derivative of arbitrary callables
-
-def rl_integral(g: Callable[[float], float], order: float, x: float,
-                cfg: QuadratureConfig | None = None) -> float:
-    """I^order g(x) = (1/Gamma(order)) int_0^x (x-t)^(order-1) g(t) dt.
-
-    The interval is split at x/2: the right half removes the weight
-    singularity with u = (x-t)^order, the left half substitutes t = v^4
-    so that integrable singularities of g at 0 are tamed without knowing
-    their exponent.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    if order <= 0.0:
-        raise InvalidParameterError(f"RL integral order must be > 0, got {order}")
-    if x <= 0.0:
-        raise InvalidParameterError(f"RL integral requires x > 0, got {x}")
-    half = 0.5 * x
-    q = order - 1.0
-
-    def left(v: float) -> float:
-        t = v ** 4
-        return (x - t) ** q * g(t) * 4.0 * v ** 3
-
-    left_res = integrate_interval(left, 0.0, half ** 0.25, cfg)
-
-    if order >= 1.0:
-        right_res = integrate_interval(lambda t: (x - t) ** q * g(t), half, x, cfg)
-    else:
-        inv = 1.0 / order
-
-        def right(u: float) -> float:
-            return g(x - u ** inv) / order
-
-        right_res = integrate_interval(right, 0.0, half ** order, cfg)
-
-    if not (left_res.converged and right_res.converged):
-        raise DivergenceError(f"RL integral of order {order:g} failed at x={x:g}")
-    return (left_res.value + right_res.value) / gamma(order)
-
-
-def rl_derivative_numeric(g: Callable[[float], float], alpha: float, x: float) -> float:
-    """D^alpha g(x) = d/dx I^(1-alpha) g(x) by central finite difference.
-
-    Accuracy is O(step^2) plus quadrature noise; theorem verification
-    should use the exact PowerSum path instead.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidParameterError(f"numeric RL derivative needs alpha in (0,1), got {alpha}")
-    step = 1e-5 * max(1.0, abs(x))
-    if x < 10.0 * step:
-        raise InvalidParameterError(f"x={x:g} too close to 0 for step {step:g}")
-    tight = DEFAULT_CONFIG.scaled(1e-2)
-    hi = rl_integral(g, 1.0 - alpha, x + step, tight)
-    lo = rl_integral(g, 1.0 - alpha, x - step, tight)
-    return (hi - lo) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------

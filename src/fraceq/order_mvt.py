@@ -19,14 +19,12 @@ from .errors import (DivergenceError, InvalidParameterError,
                      OrderViolationError)
 from .fracops import (PowerSum, power_expectation, power_mean,
                       power_rl_derivative)
-from .numerics import (beta, gamma, geomspace, integrate_interval,
-                       weighted_increment_integral)
+from .numerics import beta, gamma, geomspace
 
 __all__ = [
     "OrderCheckResult",
     "ZAlphaModel",
     "alpha_survival_transform",
-    "alpha_cdf_transform",
     "default_order_grid",
     "check_survival_bounded_order",
     "z_alpha_model",
@@ -53,40 +51,6 @@ def alpha_survival_transform(X: DistributionModel, alpha: float, t: float) -> fl
     if t >= X.support_upper:
         return 0.0
     return upper_partial_moment(X, t, alpha - 1.0) / gamma(alpha)
-
-
-def alpha_cdf_transform(X: DistributionModel, alpha: float, t: float) -> float:
-    """E[(t - X)_+^(alpha - 1)] / Gamma(alpha) for t > 0, else 0.
-
-    The lower companion of alpha_survival_transform: the alpha-bounded
-    dominance order ranks by pointwise comparison of these transforms.
-    Only the transform is provided here; the ordering machinery runs on
-    the survival side.  Atoms are handled exactly through the layer-cake
-    identity (mass at t itself contributes nothing).
-    """
-    if alpha <= 0.0:
-        raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
-    if t <= 0.0:
-        return 0.0
-    s = alpha - 1.0
-    cdf_left = 1.0 - X.survival(t) - X.atom_mass_at(t)  # P(X < t)
-    if s == 0.0:
-        return cdf_left
-    if s > 0.0:
-        # E[(t-X)_+^s] = s int_0^t v^(s-1) P(X < t-v) dv, u = v^s
-        inv_s = 1.0 / s
-
-        def head(u: float) -> float:
-            v = u ** inv_s
-            return 1.0 - X.survival(t - v)
-
-        res = integrate_interval(head, 0.0, t ** s)
-        return res.require(f"E[(t-X)_+^{s:g}]") / gamma(alpha)
-    # s in (-1, 0): peel off the tail of the layer-cake integral, leaving
-    # -s int_0^t v^(s-1) [P(X < t) - P(X <= t-v)] dv + P(X < t) t^s
-    head = weighted_increment_integral(
-        lambda v: cdf_left - (1.0 - X.survival(t - v)), s + 1.0, t)
-    return (-s * head + cdf_left * t ** s) / gamma(alpha)
 
 
 @dataclass(frozen=True)

@@ -37,16 +37,10 @@ class TaylorReport:
     terms: tuple[float, ...]
     remainder: float
     residual: float
-    meta: dict
 
     @property
     def rhs(self) -> float:
         return math.fsum(self.terms) + self.remainder
-
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "terms": list(self.terms),
-                "remainder": self.remainder, "residual": self.residual,
-                "meta": dict(self.meta)}
 
 
 def rl_taylor_coefficient(g: PowerSum, j: int, alpha: float) -> float:
@@ -108,9 +102,7 @@ def rl_taylor_expectation(g: PowerSum, X: DistributionModel, alpha: float,
                      * fractional_moment(X, (j + 1) * alpha - 1.0))
     remainder = _remainder(power_rl_derivative(g, n + 1, alpha), X, alpha, n)
     total = math.fsum(terms) + remainder
-    return TaylorReport(lhs, tuple(terms), remainder, lhs - total,
-                        {"flavor": "riemann-liouville", "alpha": alpha, "n": n,
-                         "g": g.describe(), "distribution": X.label})
+    return TaylorReport(lhs, tuple(terms), remainder, lhs - total)
 
 
 def fractional_moment_identity(beta_exp: float, X: DistributionModel,
@@ -172,6 +164,4 @@ def caputo_taylor_expectation(g: PowerSum, X: DistributionModel, alpha: float,
                      * fractional_moment(X, i * alpha))
     remainder = _remainder(power_caputo_derivative(g, n + 1, alpha), X, alpha, n)
     total = math.fsum(terms) + remainder
-    return TaylorReport(lhs, tuple(terms), remainder, lhs - total,
-                        {"flavor": "caputo", "alpha": alpha, "n": n,
-                         "g": g.describe(), "distribution": X.label})
+    return TaylorReport(lhs, tuple(terms), remainder, lhs - total)

@@ -72,6 +72,14 @@ class TestParse:
             parse_args(["eqdist", "--dist", EXP1, flag, value])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--u", "--v"])
+    def test_one_sided_ratio_pair_exits_2(self, flag):
+        # with only one of the pair the ratio check cannot run
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["actuarial", "--severity", EXP1, "--r", "0.5", "--s", "0.8",
+                        flag, "0.1"])
+        assert exc.value.code == EXIT_USAGE
+
 
 class TestRun:
     def test_eqdist_report(self, tmp_path):
@@ -203,7 +211,12 @@ class TestRun:
 
     @pytest.mark.parametrize("dist", [
         '{"kind":"exponential","params":{"lambda":"x"}}',
-        '{"kind":"numeric","params":{"knots":[["a",1],[1,0.5]]}}'])
+        '{"kind":"numeric","params":{"knots":[["a",1],[1,0.5]]}}',
+        # JSON true is a Python int and would otherwise run as 1
+        '{"kind":"exponential","params":{"lambda":true}}',
+        '{"kind":"numeric","params":{"knots":[[0,1],[1,false]]}}',
+        '{"kind":"deductible","params":{"d":0.5},"inner":'
+        '{"kind":"exponential","params":{"lambda":true}}}'])
     def test_malformed_parameter_exits_2(self, tmp_path, dist):
         code = main(["eqdist", "--dist", dist, "--out", str(tmp_path / "x.json")])
         assert code == EXIT_USAGE

@@ -3,14 +3,11 @@ import math
 import pytest
 
 from conftest import rel_diff
-from fraceq.distributions import build, exponential, uniform
-from fraceq.errors import (DivergenceError, InvalidParameterError,
-                           SingularEvaluationError)
-from fraceq.fracops import (FracOrder, PowerSum, evaluate,
-                            power_caputo_derivative, power_expectation,
-                            power_rl_derivative, power_rl_integral,
-                            rl_derivative_numeric, rl_integral, weyl_integral,
-                            weyl_integral_result, weyl_integral_via_moments,
+from fraceq.distributions import build, exponential, uniform, upper_partial_moment
+from fraceq.errors import DivergenceError, InvalidParameterError
+from fraceq.fracops import (FracOrder, PowerSum, power_caputo_derivative,
+                            power_expectation, power_rl_derivative,
+                            weyl_integral, weyl_integral_result,
                             weyl_of_function)
 
 SQRT_PI = math.sqrt(math.pi)
@@ -32,17 +29,6 @@ class TestPowerSum:
     def test_normalization(self):
         g = PowerSum.from_terms([(1.0, 2.0), (3.0, 0.0), (2.0, 2.0), (0.0, 5.0)])
         assert g.terms == ((3.0, 0.0), (3.0, 2.0))
-
-    def test_evaluate(self):
-        g = PowerSum.from_terms([(1.0, 2.0), (3.0, 0.0)])
-        assert evaluate(g, 2.0) == 7.0
-        assert evaluate(PowerSum.power(0.5, coef=2.0), 4.0) == 4.0
-
-    def test_evaluate_at_zero(self):
-        assert evaluate(PowerSum.from_terms([(5.0, 0.0), (1.0, 2.0)]), 0.0) == 5.0
-        assert evaluate(PowerSum.power(1.5), 0.0) == 0.0
-        with pytest.raises(SingularEvaluationError):
-            evaluate(PowerSum.power(-0.5), 0.0)
 
     def test_json_roundtrip(self):
         g = PowerSum.from_terms([(2.0, -0.5), (1.0, 1.2)])
@@ -87,16 +73,16 @@ class TestPowerRlDerivative:
 class TestFundamentalIdentity:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
     def test_derivative_undoes_integral(self, alpha):
+        # I^a x^b = Gamma(b+1)/Gamma(b+1+a) x^(b+a), so D^a I^a g = g
         g = PowerSum.from_terms([(2.0, -0.5), (1.0, 0.0), (3.0, 1.7)])
-        back = power_rl_derivative(power_rl_integral(g, alpha), 1, alpha)
+        integral = PowerSum.from_terms(
+            [(c * math.gamma(e + 1.0) / math.gamma(e + 1.0 + alpha), e + alpha)
+             for c, e in g.terms])
+        back = power_rl_derivative(integral, 1, alpha)
         assert len(back.terms) == len(g.terms)
         for (ca, ea), (cb, eb) in zip(back.terms, g.terms):
             assert abs(ca - cb) < 1e-12 * max(1.0, abs(cb))
             assert abs(ea - eb) < 1e-12
-
-    def test_integral_rejects_nonintegrable(self):
-        with pytest.raises(DivergenceError):
-            power_rl_integral(PowerSum.power(-1.5), 0.5)
 
 
 class TestPowerCaputo:
@@ -109,6 +95,15 @@ class TestPowerCaputo:
 
     def test_kills_constants(self):
         assert power_caputo_derivative(PowerSum.constant(7.0), 1, 0.5).is_zero
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_rl_rule_on_nonconstant_terms(self, i):
+        # D_C^a g = D_RL^a (g - g(0)); the RL rule alone keeps the constant
+        alpha = 0.4
+        g = PowerSum.from_terms([(5.0, 0.0), (2.0, 0.8), (3.0, 1.5)])
+        rest = PowerSum.from_terms([(2.0, 0.8), (3.0, 1.5)])
+        assert power_caputo_derivative(g, i, alpha) == power_rl_derivative(rest, i, alpha)
+        assert not power_rl_derivative(PowerSum.constant(5.0), 1, alpha).is_zero
 
     def test_identity_at_zero(self):
         g = PowerSum.power(2.0)
@@ -139,7 +134,9 @@ class TestWeylIntegral:
             for order in (0.5, 1.0, 1.5):
                 for t in (0.0, 0.5):
                     quad = weyl_integral(model, order, t)
-                    ident = weyl_integral_via_moments(model, order, t)
+                    # E[(X-t)_+^order] / Gamma(order + 1)
+                    ident = (upper_partial_moment(model, t, order)
+                             / math.gamma(order + 1.0))
                     assert rel_diff(quad, ident) < 1e-8, (model.label, order, t)
 
     def test_tail_lemma_at_truncation(self, catalog):
@@ -172,61 +169,6 @@ class TestWeylIntegral:
             weyl_integral(heavy, 0.5, 0.0)
         with pytest.raises(DivergenceError):
             fractional_moment(heavy, 1.0)
-
-
-class TestRlIntegral:
-    def test_identity_weight(self):
-        assert abs(rl_integral(lambda t: 1.0, 1.0, 2.0) - 2.0) < 1e-9
-
-    def test_half_order_of_constant(self):
-        # I^(1/2) 1 = x^(1/2) / Gamma(3/2) = 2/sqrt(pi) at x = 1
-        got = rl_integral(lambda t: 1.0, 0.5, 1.0)
-        assert abs(got - 2.0 / SQRT_PI) < 1e-8
-
-    def test_linear_integrand(self):
-        assert abs(rl_integral(lambda t: t, 1.0, 1.0) - 0.5) < 1e-9
-
-    def test_doubly_singular(self):
-        # int_0^x (x-t)^(-1/2) t^(-1/2) dt = B(1/2, 1/2) = pi
-        got = rl_integral(lambda t: t ** -0.5, 0.5, 1.0)
-        assert abs(got * math.gamma(0.5) - math.pi) < 1e-6
-
-    def test_nonintegrable_origin_raises(self):
-        with pytest.raises(DivergenceError):
-            rl_integral(lambda t: 1.0 / t, 0.5, 1.0)
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            rl_integral(lambda t: 1.0, 0.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            rl_integral(lambda t: 1.0, 1.0, 0.0)
-
-
-class TestRlDerivativeNumeric:
-    def test_against_reference_values(self):
-        # D^(1/2) x^(1/2) = Gamma(3/2), D^(1/2) 1 = x^(-1/2)/Gamma(1/2)
-        assert abs(rl_derivative_numeric(lambda t: t ** 0.5, 0.5, 1.0)
-                   - math.gamma(1.5)) < 1e-6
-        assert abs(rl_derivative_numeric(lambda t: 1.0, 0.5, 1.0)
-                   - 1.0 / SQRT_PI) < 1e-6
-
-    def test_annihilation(self):
-        got = rl_derivative_numeric(lambda t: t ** -0.5, 0.5, 1.0)
-        assert abs(got) < 1e-6
-
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
-    def test_agrees_with_power_rule(self, x):
-        for g, alpha in [(PowerSum.power(0.5), 0.5),
-                         (PowerSum.from_terms([(1.0, 1.0), (2.0, 0.3)]), 0.7)]:
-            sym = evaluate(power_rl_derivative(g, 1, alpha), x)
-            num = rl_derivative_numeric(lambda t: evaluate(g, t), alpha, x)
-            assert abs(sym - num) < 1e-4, (g.describe(), alpha, x)
-
-    def test_rejects_near_origin_and_bad_alpha(self):
-        with pytest.raises(InvalidParameterError):
-            rl_derivative_numeric(lambda t: t, 0.5, 1e-7)
-        with pytest.raises(InvalidParameterError):
-            rl_derivative_numeric(lambda t: t, 1.0, 1.0)
 
 
 def test_power_expectation_against_exponential_moments():

@@ -9,10 +9,8 @@ from fraceq.equilibrium import eq_density, equilibrium_view
 from fraceq.errors import (DivergenceError, InvalidParameterError,
                            OrderViolationError)
 from fraceq.fracops import PowerSum, power_expectation
-from fraceq.numerics import integrate_semi_infinite
-from fraceq.fracops import rl_integral
-from fraceq.numerics import gamma, linspace
-from fraceq.order_mvt import (alpha_cdf_transform, alpha_survival_transform,
+from fraceq.numerics import integrate_semi_infinite, linspace
+from fraceq.order_mvt import (alpha_survival_transform,
                               check_survival_bounded_order,
                               classify_mean_location, default_order_grid,
                               fractional_variance,
@@ -45,45 +43,6 @@ class TestAlphaSurvivalTransform:
         U = build(uniform(0.0, 1.0))
         assert alpha_survival_transform(U, 2.0, 1.0) == 0.0
         assert alpha_survival_transform(U, 0.5, 1.3) == 0.0
-
-
-class TestAlphaCdfTransform:
-    def test_uniform_closed_form(self):
-        U = build(uniform(0.0, 1.0))
-        for alpha, t in ((0.5, 0.6), (1.5, 0.6), (2.0, 0.6), (1.5, 2.0)):
-            s = alpha - 1.0
-            top = min(t, 1.0)
-            exact = (t ** (s + 1.0) - (t - top) ** (s + 1.0)) / (s + 1.0)
-            assert abs(alpha_cdf_transform(U, alpha, t)
-                       - exact / gamma(alpha)) < 1e-8, (alpha, t)
-
-    def test_equals_rl_integral_of_density(self):
-        # E[(t-X)_+^(a-1)] / Gamma(a) is I^a f(t) for absolutely continuous X
-        X = build(exponential(1.0))
-        for alpha, t in ((0.1, 1.0), (0.5, 1.0), (1.0, 0.7), (1.5, 2.0)):
-            got = alpha_cdf_transform(X, alpha, t)
-            oracle = rl_integral(X.density_ac, alpha, t)
-            assert abs(got - oracle) < 1e-9, (alpha, t)
-
-    def test_atom_contribution_is_additive(self):
-        X = build(exponential(1.0))
-        Z = build(zero_inflated(0.3, exponential(1.0)))
-        for alpha, t in ((0.5, 0.8), (1.0, 1.2), (1.7, 0.5)):
-            expected = (0.3 * t ** (alpha - 1.0) / gamma(alpha)
-                        + 0.7 * alpha_cdf_transform(X, alpha, t))
-            assert abs(alpha_cdf_transform(Z, alpha, t) - expected) < 1e-10
-
-    def test_complements_survival_transform_at_alpha_one(self):
-        X = build(exponential(1.0))
-        for t in (0.3, 1.5):
-            total = (alpha_cdf_transform(X, 1.0, t)
-                     + alpha_survival_transform(X, 1.0, t))
-            assert abs(total - 1.0) < 1e-14
-
-    def test_zero_at_and_below_origin(self, catalog):
-        for model in catalog.values():
-            assert alpha_cdf_transform(model, 0.7, 0.0) == 0.0
-            assert alpha_cdf_transform(model, 0.7, -1.0) == 0.0
 
 
 class TestOrderCheck:

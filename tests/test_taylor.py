@@ -90,13 +90,6 @@ class TestRlExpectation:
             rl_taylor_expectation(PowerSum.power(1.0),
                                   build(exponential(1.0)), 1.5, 0)
 
-    def test_report_serializes(self):
-        report = rl_taylor_expectation(PowerSum.power(1.0),
-                                       build(exponential(1.0)), 0.5, 0)
-        doc = report.to_json()
-        assert set(doc) == {"lhs", "terms", "remainder", "residual", "meta"}
-        assert doc["meta"]["alpha"] == 0.5
-
 
 GRID_DISTS = [("Exp(1)", exponential(1.0)), ("Uniform(0,1)", uniform(0.0, 1.0))]
 
