@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .distributions import (DistributionModel, DistributionSpec, build,
                             deductible, exponential, fractional_moment,
-                            hyperexp2, numeric, quantile, survival_at, uniform,
+                            hyperexp2, numeric, quantile, uniform,
                             upper_partial_moment, weibull, zero_inflated)
 from .equilibrium import (CharacterizationReport, EquilibriumView,
                           characterization_check, eq_density, eq_moment,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -23,8 +24,7 @@ from .equilibrium import characterization_check
 from .errors import DivergenceError, FraceqError, InvalidParameterError
 from .fracops import PowerSum
 from .numerics import linspace
-from .order_mvt import (alpha_survival_transform, check_survival_bounded_order,
-                        default_order_grid, mvt_verify)
+from .order_mvt import check_survival_bounded_order, default_order_grid, mvt_verify
 from .suite import (CheckOutcome, direct_vs_recursive, identity_row, info_row,
                     outcome, run_all)
 from .taylor import caputo_taylor_expectation, rl_taylor_expectation
@@ -131,6 +131,7 @@ def _int_list(raw: str) -> list[int]:
     return values
 
 
+@functools.cache  # one parser per process; parse_args only reads it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fraceq",
@@ -203,8 +204,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_args(argv: list[str]) -> RunConfig:
     """Parse argv into a validated RunConfig (SystemExit(2) on usage errors)."""
     parser = _build_parser()
-    # every argument's dest is a RunConfig field
-    cfg = RunConfig(**vars(parser.parse_args(argv)))
+    # every argument's dest is a RunConfig field; list defaults belong to
+    # the shared parser, so each config gets its own copy
+    cfg = RunConfig(**{k: list(v) if isinstance(v, list) else v
+                       for k, v in vars(parser.parse_args(argv)).items()})
     if cfg.grid < 8:
         parser.error(f"--grid must be >= 8, got {cfg.grid}")
     if cfg.tol is not None and not 0 < cfg.tol < math.inf:
@@ -294,12 +297,7 @@ def _run_order(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
             {"x": X.label, "y": Y.label, "alpha": alpha, "holds": res.holds,
              "worst_t": res.worst_t},
             res.worst_gap, 1e-10))
-        points = []
-        for t in grid:
-            fx = alpha_survival_transform(X, alpha, t)
-            fy = alpha_survival_transform(Y, alpha, t)
-            points.append((t, fx, fy, abs(fx - fy)))
-        grids[(alpha, 0)] = points
+        grids[(alpha, 0)] = res.points
     return rows, grids
 
 

@@ -5,7 +5,8 @@ survival function, fractional moments E[X^s], upper partial moments
 E[(X-t)_+^s] and an explicit atom list.  Closed forms are attached where
 they exist; everything else falls back to quadrature against the
 survival function, so mixed distributions (atoms) need no special cases
-downstream.
+downstream.  Every survival function returns 1 for negative arguments;
+that contract is the only guard callers rely on for t < 0.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "build",
     "fractional_moment",
     "upper_partial_moment",
-    "survival_at",
     "quantile",
 ]
 
@@ -43,8 +43,11 @@ class DistributionModel:
     """A nonnegative random variable, seen through its survival function.
 
     ``survival`` must be nonincreasing, right-continuous, and equal to 1
-    for negative arguments.  ``atoms`` lists (location, mass) pairs of the
+    for negative arguments; callers evaluate it at negative t without a
+    guard of their own.  ``atoms`` lists (location, mass) pairs of the
     discrete part.  ``support_upper`` is sup{x : F(x) < 1} (may be inf).
+    ``closed_form_moment`` is set only where no closed partial moment
+    exists, since E[X^s] is the partial moment at t = 0.
     """
 
     label: str
@@ -130,18 +133,12 @@ def _build_exponential(lam: float) -> DistributionModel:
     _require(lam > 0, f"exponential: lambda must be > 0, got {lam}")
     log_lam = math.log(lam)
 
-    def moment(s: float) -> float:
-        if s <= -1.0:
-            raise DivergenceError(f"E[X^{s}] diverges for exponential")
-        return math.exp(math.lgamma(s + 1.0) - s * log_lam)
-
     def partial(t: float, s: float) -> float:
         return math.exp(math.lgamma(s + 1.0) - lam * t - s * log_lam)
 
     return DistributionModel(
         label=f"Exp(rate={lam:g})",
         survival=lambda t: 1.0 if t < 0.0 else math.exp(-lam * t),
-        closed_form_moment=moment,
         closed_form_partial=partial,
         density_ac=lambda t: lam * math.exp(-lam * t) if t >= 0.0 else 0.0,
     )
@@ -158,11 +155,6 @@ def _build_uniform(a: float, b: float) -> DistributionModel:
             return 0.0
         return (b - t) / width
 
-    def moment(s: float) -> float:
-        if a == 0.0 and s <= -1.0:
-            raise DivergenceError(f"E[X^{s}] diverges for uniform on [0, b]")
-        return (b ** (s + 1.0) - a ** (s + 1.0)) / ((s + 1.0) * width)
-
     def partial(t: float, s: float) -> float:
         if t >= b:
             return 0.0
@@ -173,7 +165,6 @@ def _build_uniform(a: float, b: float) -> DistributionModel:
         label=f"Uniform({a:g},{b:g})",
         survival=survival,
         support_upper=b,
-        closed_form_moment=moment,
         closed_form_partial=partial,
         density_ac=lambda t: 1.0 / width if a <= t <= b else 0.0,
     )
@@ -218,12 +209,6 @@ def _build_hyperexp2(p: float, lam1: float, lam2: float) -> DistributionModel:
             return 1.0
         return p * math.exp(-lam1 * t) + q * math.exp(-lam2 * t)
 
-    def moment(s: float) -> float:
-        if s <= -1.0:
-            raise DivergenceError(f"E[X^{s}] diverges for hyperexp2")
-        g = math.gamma(s + 1.0)
-        return g * (p * lam1 ** -s + q * lam2 ** -s)
-
     def partial(t: float, s: float) -> float:
         g = math.gamma(s + 1.0)
         return g * (p * math.exp(-lam1 * t) * lam1 ** -s
@@ -232,7 +217,6 @@ def _build_hyperexp2(p: float, lam1: float, lam2: float) -> DistributionModel:
     return DistributionModel(
         label=f"HyperExp2(p={p:g},{lam1:g},{lam2:g})",
         survival=survival,
-        closed_form_moment=moment,
         closed_form_partial=partial,
         density_ac=lambda t: (p * lam1 * math.exp(-lam1 * t)
                               + q * lam2 * math.exp(-lam2 * t)) if t >= 0.0 else 0.0,
@@ -285,8 +269,7 @@ def _build_deductible(d: float, inner: DistributionModel) -> DistributionModel:
             return 1.0
         return inner.survival(d + t)
 
-    # (X_d - t)_+ = (X - (d + t))_+ : moments delegate to the inner partials.
-    moment = (lambda s: inner_partial(d, s)) if inner_partial else None
+    # (X_d - t)_+ = (X - (d + t))_+ : partial moments delegate to the inner ones.
     partial = (lambda t, s: inner_partial(d + t, s)) if inner_partial else None
     density = (lambda t: inner_density(d + t) if t >= 0.0 else 0.0) if inner_density else None
 
@@ -296,7 +279,6 @@ def _build_deductible(d: float, inner: DistributionModel) -> DistributionModel:
         survival=survival,
         atoms=tuple(atoms),
         support_upper=upper,
-        closed_form_moment=moment,
         closed_form_partial=partial,
         density_ac=density,
     )
@@ -395,13 +377,6 @@ def build(spec: DistributionSpec) -> DistributionModel:
 # ---------------------------------------------------------------------------
 # moments
 
-def survival_at(X: DistributionModel, t: float) -> float:
-    """P(X > t); equals 1 for negative t."""
-    if t < 0.0:
-        return 1.0
-    return X.survival(t)
-
-
 def _partial_by_quadrature(X: DistributionModel, t: float, s: float,
                            cfg: QuadratureConfig) -> float:
     """E[(X-t)_+^s] from the survival function alone.
@@ -443,7 +418,7 @@ def upper_partial_moment(X: DistributionModel, t: float, s: float,
     if s <= -1.0:
         raise DivergenceError(f"E[(X-t)_+^{s:g}] diverges (exponent <= -1)")
     if s == 0.0:
-        return survival_at(X, t)
+        return X.survival(t)
     if s < 0.0:
         blocking = [loc for loc, m in X.atoms if loc > t + 1e-12 and m > 0.0]
         if blocking:
@@ -464,14 +439,24 @@ def fractional_moment(X: DistributionModel, s: float) -> float:
         raise DivergenceError(f"E[X^{s:g}] diverges: {X.label} has an atom at 0")
     if X.closed_form_moment is not None:
         return X.closed_form_moment(s)
+    if X.closed_form_partial is not None:
+        return X.closed_form_partial(0.0, s)
     return _partial_by_quadrature(X, 0.0, s, DEFAULT_CONFIG)
 
 
 def quantile(X: DistributionModel, q: float) -> float:
     """Smallest t with F(t) >= q, by bisection on the survival function."""
     _require(0.0 < q < 1.0, f"quantile level must lie in (0,1), got {q}")
-    target = 1.0 - q
-    if survival_at(X, 0.0) <= target:
+    return _survival_point(X, 1.0 - q)
+
+
+def _survival_point(X: DistributionModel, target: float) -> float:
+    """Smallest t with P(X > t) <= target, by bisection.
+
+    Takes the survival level itself, so a target far below the float
+    spacing near 1 (the tail of a deep deductible) stays exact.
+    """
+    if X.survival(0.0) <= target:
         return 0.0
     if math.isfinite(X.support_upper):
         hi = X.support_upper
@@ -480,7 +465,8 @@ def quantile(X: DistributionModel, q: float) -> float:
         while X.survival(hi) > target:
             hi *= 2.0
             if hi > 1e12:
-                raise DivergenceError(f"quantile({q}) not reached below 1e12 for {X.label}")
+                raise DivergenceError(
+                    f"survival level {target:g} not reached below 1e12 for {X.label}")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .distributions import (DistributionModel, fractional_moment, quantile,
-                            survival_at, upper_partial_moment)
+                            upper_partial_moment)
 from .errors import (DivergenceError, InvalidParameterError,
                      MissingDensityError)
 from .fracops import FracOrder
@@ -101,7 +101,7 @@ def eq_survival_recursive(X: DistributionModel, order: FracOrder, t: float) -> f
 
     def level(k: int) -> Callable[[float], float]:
         if k == 0:
-            return lambda u: survival_at(X, u)
+            return X.survival
         prev = level(k - 1)
         coef = (gamma(k * alpha + 1.0) / gamma((k - 1) * alpha + 1.0)
                 * fractional_moment(X, (k - 1) * alpha)
@@ -137,7 +137,7 @@ def first_order_cdf_interpretation(X: DistributionModel, alpha: float,
     if t == 0.0:
         return 0.0
     res = integrate_singular_power(
-        lambda y: survival_at(X, y) - survival_at(X, y + t), 0.0, alpha,
+        lambda y: X.survival(y) - X.survival(y + t), 0.0, alpha,
         upper=X.support_upper)
     norm = fractional_moment(X, alpha)
     return alpha * res.require("interval-probability integral") / norm

@@ -15,14 +15,13 @@ from typing import Callable, Iterable
 
 from .distributions import DistributionModel, fractional_moment
 from .errors import DivergenceError, InvalidParameterError
-from .numerics import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig,
-                       gamma, integrate_singular_power, reciprocal_gamma)
+from .numerics import (DEFAULT_CONFIG, QuadratureConfig, gamma,
+                       integrate_singular_power, reciprocal_gamma)
 
 __all__ = [
     "FracOrder",
     "PowerSum",
     "weyl_integral",
-    "weyl_integral_result",
     "weyl_of_function",
     "power_rl_derivative",
     "power_caputo_derivative",
@@ -175,37 +174,25 @@ def power_caputo_derivative(g: PowerSum, i: int, alpha: float) -> PowerSum:
 # ---------------------------------------------------------------------------
 # Weyl integral of survival functions
 
-def weyl_integral_result(X: DistributionModel, order: float,
-                         t: float) -> IntegralResult:
-    """Quadrature form of I_-^order Fbar(t), with truncation metadata."""
-    if order <= 0.0:
-        raise InvalidParameterError(f"Weyl integral order must be > 0, got {order}")
-    if t < 0.0:
-        raise InvalidParameterError(f"Weyl integral requires t >= 0, got {t}")
-    res = integrate_singular_power(X.survival, t, order, upper=X.support_upper)
-    g = gamma(order)
-    return IntegralResult(res.value / g, res.error_estimate / g, res.converged,
-                          res.truncation_point)
-
-
 def weyl_integral(X: DistributionModel, order: float, t: float) -> float:
     """I_-^order Fbar(t) = (1/Gamma(order)) int_t^inf (x-t)^(order-1) Fbar(x) dx."""
-    return weyl_integral_result(X, order, t).require(
-        f"Weyl integral of order {order:g} for {X.label}")
+    if t < 0.0:
+        raise InvalidParameterError(f"Weyl integral requires t >= 0, got {t}")
+    return weyl_of_function(X.survival, order, t, upper=X.support_upper)
 
 
 def weyl_of_function(h: Callable[[float], float], order: float, t: float, *,
                      upper: float | None = None) -> float:
     """I_-^order h(t) for an arbitrary integrable callable.
 
-    Used to nest transforms (semigroup checks); survival functions should
-    go through weyl_integral instead.  ``upper`` declares where h
-    vanishes for good.
+    weyl_integral applies it to a survival function; nested transforms
+    (semigroup checks) apply it to another Weyl integral.  ``upper``
+    declares where h vanishes for good.
     """
     if order <= 0.0:
         raise InvalidParameterError(f"Weyl integral order must be > 0, got {order}")
     res = integrate_singular_power(h, t, order, upper=upper)
-    return res.require(f"nested Weyl integral of order {order:g}") / gamma(order)
+    return res.require(f"Weyl integral of order {order:g}") / gamma(order)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .distributions import (DistributionModel, fractional_moment, quantile,
-                            survival_at, upper_partial_moment)
+from .distributions import (DistributionModel, _survival_point,
+                            fractional_moment, quantile, upper_partial_moment)
 from .equilibrium import eq_density, equilibrium_view
 from .errors import (DivergenceError, InvalidParameterError,
                      OrderViolationError)
@@ -60,6 +60,8 @@ class OrderCheckResult:
     holds: bool
     worst_t: float
     worst_gap: float  # max of Fbar_X^(a) - Fbar_Y^(a); positive means violation
+    # per grid point: (t, Fbar_X^(a)(t), Fbar_Y^(a)(t), |gap|)
+    points: tuple[tuple[float, float, float, float], ...]
 
 
 def default_order_grid(X: DistributionModel, Y: DistributionModel,
@@ -72,9 +74,10 @@ def default_order_grid(X: DistributionModel, Y: DistributionModel,
         upper = 2.0 * max(quantile(X, 0.999), quantile(Y, 0.999))
     if upper == 0.0:
         # both laws keep over 99.9% of their mass at 0 (a deep deductible):
-        # take the quantiles of the mass above 0 instead
-        level = 1.0 - 1e-3 * max(survival_at(X, 0.0), survival_at(Y, 0.0))
-        upper = 2.0 * max(quantile(X, level), quantile(Y, level))
+        # take the quantiles of the mass above 0 instead, as survival levels,
+        # because 1 minus such a level can round to 1
+        target = 1e-3 * max(X.survival(0.0), Y.survival(0.0))
+        upper = 2.0 * max(_survival_point(X, target), _survival_point(Y, target))
     return [0.0] + geomspace(upper * 1e-7, upper, size - 1)
 
 
@@ -90,13 +93,18 @@ def check_survival_bounded_order(X: DistributionModel, Y: DistributionModel,
         grid = default_order_grid(X, Y)
     worst_t = float(grid[0])
     worst_gap = -math.inf
+    points = []
     for t in grid:
-        gap = (alpha_survival_transform(X, alpha, float(t))
-               - alpha_survival_transform(Y, alpha, float(t)))
+        t = float(t)
+        fx = alpha_survival_transform(X, alpha, t)
+        fy = alpha_survival_transform(Y, alpha, t)
+        gap = fx - fy
         if gap > worst_gap:
             worst_gap = gap
-            worst_t = float(t)
-    return OrderCheckResult(worst_gap <= _ORDER_SLACK, worst_t, worst_gap)
+            worst_t = t
+        points.append((t, fx, fy, abs(gap)))
+    return OrderCheckResult(worst_gap <= _ORDER_SLACK, worst_t, worst_gap,
+                            tuple(points))
 
 
 @dataclass(frozen=True)

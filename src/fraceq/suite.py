@@ -17,7 +17,8 @@ from . import actuarial, distributions, equilibrium, fracops, order_mvt, taylor
 from .distributions import build, exponential, hyperexp2, uniform, weibull, zero_inflated
 from .errors import DivergenceError
 from .fracops import PowerSum
-from .numerics import DEFAULT_CONFIG, gamma, integrate_semi_infinite, linspace
+from .numerics import (DEFAULT_CONFIG, gamma, integrate_semi_infinite,
+                       integrate_singular_power, linspace)
 
 __all__ = ["CheckOutcome", "run_all", "CRITERIA", "outcome", "identity_row",
            "info_row", "direct_vs_recursive"]
@@ -125,17 +126,11 @@ def criterion_1_exponential_fixed_point() -> list[CheckOutcome]:
     rows = []
     tol = 1e-7
     for lam in (0.5, 1.0, 3.0):
-        X = build(exponential(lam))
-        worst = 0.0
-        for alpha in (0.3, 0.5, 0.9, 1.0):
-            for n in (1, 2, 3):
-                view = equilibrium.equilibrium_view(X, alpha, n)
-                for t in linspace(0.0, 8.0 / lam, 30):
-                    gap = abs(equilibrium.eq_density(view, float(t))
-                              - lam * math.exp(-lam * float(t)))
-                    worst = max(worst, gap)
+        report = equilibrium.characterization_check(
+            build(exponential(lam)), (0.3, 0.5, 0.9, 1.0), (1, 2, 3),
+            linspace(0.0, 8.0 / lam, 30), tol)
         rows.append(outcome("exponential_fixed_point", {"lambda": lam},
-                            worst, tol))
+                            report.max_deviation, tol))
     return rows
 
 
@@ -493,11 +488,12 @@ def criterion_13_numerics_quality() -> list[CheckOutcome]:
         converged = True
         for t in (0.0, 1.0):
             for order in (0.5, 1.0, 2.0):
-                res = fracops.weyl_integral_result(X, order, t)
+                res = integrate_singular_power(X.survival, t, order,
+                                               upper=X.support_upper)
                 converged = converged and res.converged
                 T = res.truncation_point
                 if T is not None and T > t:
-                    worst = max(worst, (T - t) ** order * distributions.survival_at(X, T))
+                    worst = max(worst, (T - t) ** order * X.survival(T))
         rows.append(CheckOutcome("tail_lemma_truncation",
                                  {"distribution": X.label, "converged": converged},
                                  lhs=worst, rhs=0.0, residual=worst, tolerance=1e-8,

@@ -109,6 +109,17 @@ class TestRatioCheck:
                                     [PowerSum.power(1.0)], 1.0)
 
 
+@pytest.mark.parametrize("exp", [-0.4, -1e-6])
+def test_negative_exponents_rejected(exp):
+    # a payment has an atom at 0, so E[X_d^b] diverges for every b < 0,
+    # even where b > alpha - 1 would satisfy the corollary
+    g = PowerSum.from_terms([(1.0, exp), (1.0, 1.0)])
+    with pytest.raises(InvalidParameterError):
+        deductible_mvt(g, exponential(1.0), 0.5, 1.0, 0.5)
+    with pytest.raises(InvalidParameterError):
+        exponential_ratio_check(1.0, 0.5, 1.0, 1.0, 2.0, [g], 0.5)
+
+
 def test_hyperexponential_z_density_display():
     # mixture-of-exponentials form of the Z density for a two-phase severity
     p, l1, l2 = 0.4, 1.0, 3.0

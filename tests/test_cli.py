@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from fraceq import suite
+from fraceq import cli, suite
 from fraceq.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                         EXIT_USAGE, main, parse_args)
 from fraceq.distributions import DistributionSpec, build, quantile
 from fraceq.numerics import linspace
+from fraceq.order_mvt import alpha_survival_transform
 
 EXP1 = '{"kind":"exponential","params":{"lambda":1}}'
 EXP_MEAN2 = '{"kind":"exponential","params":{"lambda":0.5}}'
@@ -79,6 +80,29 @@ class TestParse:
             parse_args(["actuarial", "--severity", EXP1, "--r", "0.5", "--s", "0.8",
                         flag, "0.1"])
         assert exc.value.code == EXIT_USAGE
+
+
+    def test_repeated_calls_give_equal_configs(self):
+        # the parser is built once and reused, so no call may leave state
+        # behind: not one that exits 2, nor an appended --g
+        assert cli._build_parser() is cli._build_parser()
+        runs = [["actuarial", "--severity", EXP1, "--r", "0.5", "--s", "1"],
+                ["actuarial", "--severity", EXP1, "--r", "0.5", "--s", "1",
+                 "--g", G_LINEAR, "--g", G_SQUARE],
+                ["eqdist", "--dist", EXP1, "--alpha", "0.5,1", "--n", "2"],
+                ["order", "--dist-x", EXP1, "--dist-y", EXP_MEAN2]]
+        first = [parse_args(argv) for argv in runs]
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["eqdist", "--dist", EXP1, "--alpha", "nan"])
+        assert exc.value.code == EXIT_USAGE
+        assert [parse_args(argv) for argv in runs] == first
+        assert [parse_args(argv) for argv in reversed(runs)] == first[::-1]
+        assert first[0].gs == [] and len(first[1].gs) == 2
+        # a caller's edit must not reach the parser's defaults
+        first[3].alphas.append(9.0)
+        first[0].gs.append(first[1].gs[0])
+        assert parse_args(runs[3]).alphas == [1.0]
+        assert parse_args(runs[0]).gs == []
 
 
 class TestRun:
@@ -192,6 +216,26 @@ class TestRun:
         rows = report_of(out)["results"]
         assert len(rows) == 2 and all(r["pass"] for r in rows)
 
+    @pytest.mark.parametrize("r,s", [("32", "33"), ("300", "301")])
+    def test_actuarial_very_deep_deductible(self, tmp_path, r, s):
+        # 1 - P(X_r > 0) rounds to 1 here, so the order grid must bisect
+        # for the survival level itself
+        out = tmp_path / "deep.json"
+        code = main(["actuarial", "--severity", EXP1, "--r", r, "--s", s,
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        rows = report_of(out)["results"]
+        assert len(rows) == 2 and all(r["pass"] for r in rows)
+
+    @pytest.mark.parametrize("extra", [[], ["--u", "1", "--v", "2"]],
+                             ids=["mvt", "ratio"])
+    def test_actuarial_negative_exponent_exits_2(self, tmp_path, extra):
+        # E[X_d^-0.4] diverges at the payment's atom at 0: a usage error
+        code = main(["actuarial", "--severity", EXP1, "--r", "0.5", "--s", "1",
+                     "--alpha", "0.5", "--g", '[{"coef":1,"exp":-0.4}]', *extra,
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+
     def test_check_failure_exits_1(self, tmp_path):
         # an impossible tolerance turns a healthy residual into a failure
         out = tmp_path / "fail.json"
@@ -250,6 +294,24 @@ class TestRun:
         lines = grid_file.read_text().splitlines()
         assert lines[0] == "t,value,oracle_value,abs_diff"
         assert len(lines) == 9
+
+    def test_order_csv_grid_files(self, tmp_path):
+        out = tmp_path / "order.csv"
+        code = main(["order", "--dist-x", EXP1, "--dist-y", EXP_MEAN2,
+                     "--alpha", "0.5,1", "--grid", "8", "--format", "csv",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        X = build(DistributionSpec.from_json(json.loads(EXP1)))
+        Y = build(DistributionSpec.from_json(json.loads(EXP_MEAN2)))
+        for alpha in (0.5, 1.0):
+            lines = (tmp_path / f"order_alpha{alpha:g}_n0.csv").read_text().splitlines()
+            assert lines[0] == "t,value,oracle_value,abs_diff"
+            assert len(lines) == 9
+            for line in lines[1:]:
+                t, fx, fy, diff = (float(v) for v in line.split(","))
+                assert fx == alpha_survival_transform(X, alpha, t)
+                assert fy == alpha_survival_transform(Y, alpha, t)
+                assert diff == abs(fx - fy)
 
     def test_stdout_when_no_out(self, capsys):
         code = main(["order", "--dist-x", EXP1, "--dist-y", EXP_MEAN2,
