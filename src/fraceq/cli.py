@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .actuarial import deductible_mvt, exponential_ratio_check
@@ -29,53 +28,13 @@ from .suite import (CheckOutcome, direct_vs_recursive, identity_row, info_row,
                     outcome, run_all)
 from .taylor import caputo_taylor_expectation, rl_taylor_expectation
 
-__all__ = ["RunConfig", "parse_args", "run", "main"]
+__all__ = ["parse_args", "run", "main"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-@dataclass
-class RunConfig:
-    command: str
-    dist: DistributionSpec | None = None
-    dist_x: DistributionSpec | None = None
-    dist_y: DistributionSpec | None = None
-    severity: DistributionSpec | None = None
-    gs: list[PowerSum] = field(default_factory=list)
-    alphas: list[float] = field(default_factory=list)
-    ns: list[int] = field(default_factory=list)
-    grid: int = 16
-    tol: float | None = None
-    r: float | None = None
-    s: float | None = None
-    u: float | None = None
-    v: float | None = None
-    caputo: bool = False
-    allow_unordered: bool = False
-    out: str | None = None
-    fmt: str = "json"
-
-    def to_json(self) -> dict:
-        obj: dict = {"command": self.command, "grid": self.grid, "format": self.fmt}
-        for name in ("dist", "dist_x", "dist_y", "severity"):
-            spec = getattr(self, name)
-            if spec is not None:
-                obj[name] = spec.to_json()
-        if self.gs:
-            obj["g"] = [g.to_json() for g in self.gs]
-        # the output path is run metadata, not part of the campaign
-        for name in ("alphas", "ns", "tol", "r", "s", "u", "v"):
-            value = getattr(self, name)
-            if value not in (None, []):
-                obj[name] = value
-        if self.caputo:
-            obj["caputo"] = True
-        if self.allow_unordered:
-            obj["allow_unordered"] = True
-        return obj
 
 
 def _json_argument(raw: str):
@@ -131,6 +90,27 @@ def _int_list(raw: str) -> list[int]:
     return values
 
 
+def _tolerance(raw: str) -> float:
+    """A finite tolerance > 0: inf would pass every check, NaN fail every one."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite number > 0, got '{raw}'")
+    return value
+
+
+def _grid_size(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 8:
+        raise argparse.ArgumentTypeError(f"need an integer >= 8, got '{raw}'")
+    return value
+
+
 @functools.cache  # one parser per process; parse_args only reads it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -139,88 +119,87 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and probabilistic Taylor/mean-value verification.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="report path (default: stdout)")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                       default="json", help="report format")
-        p.add_argument("--tol", type=float, help="tolerance override")
-        p.add_argument("--grid", type=int, default=16,
-                       help="grid size for sampled checks (>= 8)")
+    # each command takes only the options its runner reads
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", help="report path (default: stdout)")
+    report.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="report format")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, help="tolerance override")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=_grid_size, default=16,
+                      help="number of grid points (>= 8)")
 
-    p = sub.add_parser("eqdist", help="equilibrium survival vs recursive oracle")
+    p = sub.add_parser("eqdist", parents=[report, tol, grid],
+                       help="equilibrium survival vs recursive oracle")
     p.add_argument("--dist", type=_dist_argument, required=True)
     p.add_argument("--alpha", dest="alphas", type=_float_list, default=[0.5])
     p.add_argument("--n", dest="ns", type=_int_list, default=[1])
-    common(p)
 
-    p = sub.add_parser("characterize", help="exponential fixed-point scan")
+    p = sub.add_parser("characterize", parents=[report, tol],
+                       help="exponential fixed-point scan")
     p.add_argument("--dist", type=_dist_argument, required=True)
     p.add_argument("--alpha", dest="alphas", type=_float_list, default=[0.3, 0.7, 1.0])
     p.add_argument("--n", dest="ns", type=_int_list, default=[1, 2])
-    common(p)
 
-    p = sub.add_parser("taylor", help="probabilistic Taylor residuals")
+    p = sub.add_parser("taylor", parents=[report, tol],
+                       help="probabilistic Taylor residuals")
     p.add_argument("--dist", type=_dist_argument, required=True)
-    p.add_argument("--g", dest="gs", type=_powersum_argument, action="append",
+    p.add_argument("--g", type=_powersum_argument, action="append",
                    required=True, help="test function; repeat for several")
     p.add_argument("--alpha", dest="alphas", type=_float_list, default=[0.5, 1.0])
     p.add_argument("--n", dest="ns", type=_int_list, default=[0, 1])
     p.add_argument("--caputo", action="store_true",
                    help="use the Caputo expansion instead of Riemann-Liouville")
-    common(p)
 
-    p = sub.add_parser("mvt", help="fractional mean value identity")
+    p = sub.add_parser("mvt", parents=[report, tol],
+                       help="fractional mean value identity")
     p.add_argument("--dist-x", type=_dist_argument, required=True)
     p.add_argument("--dist-y", type=_dist_argument, required=True)
-    p.add_argument("--g", dest="gs", type=_powersum_argument, action="append",
+    p.add_argument("--g", type=_powersum_argument, action="append",
                    required=True, help="test function; repeat for several")
     p.add_argument("--alpha", dest="alphas", type=_float_list, default=[1.0])
     p.add_argument("--allow-unordered", action="store_true",
                    help="evaluate the identity even if the order check fails")
-    common(p)
 
-    p = sub.add_parser("order", help="survival bounded order check")
+    p = sub.add_parser("order", parents=[report, grid],
+                       help="survival bounded order check")
     p.add_argument("--dist-x", type=_dist_argument, required=True)
     p.add_argument("--dist-y", type=_dist_argument, required=True)
     p.add_argument("--alpha", dest="alphas", type=_float_list, default=[1.0])
-    common(p)
 
-    p = sub.add_parser("actuarial", help="deductible mean value identities")
+    p = sub.add_parser("actuarial", parents=[report, tol],
+                       help="deductible mean value identities")
     p.add_argument("--severity", type=_dist_argument, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--u", type=float)
     p.add_argument("--v", type=float)
-    p.add_argument("--g", dest="gs", type=_powersum_argument, action="append",
+    p.add_argument("--g", type=_powersum_argument, action="append",
                    default=[], help="transform; repeat for several (default x and x^2)")
     p.add_argument("--alpha", dest="alphas", type=_float_list, default=[1.0])
-    common(p)
 
-    p = sub.add_parser("suite", help="full acceptance battery")
-    common(p)
+    sub.add_parser("suite", parents=[report], help="full acceptance battery")
     return parser
 
 
-def parse_args(argv: list[str]) -> RunConfig:
-    """Parse argv into a validated RunConfig (SystemExit(2) on usage errors)."""
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse and validate argv (SystemExit(2) on usage errors)."""
     parser = _build_parser()
-    # every argument's dest is a RunConfig field; list defaults belong to
-    # the shared parser, so each config gets its own copy
-    cfg = RunConfig(**{k: list(v) if isinstance(v, list) else v
-                       for k, v in vars(parser.parse_args(argv)).items()})
-    if cfg.grid < 8:
-        parser.error(f"--grid must be >= 8, got {cfg.grid}")
-    if cfg.tol is not None and not 0 < cfg.tol < math.inf:
-        parser.error(f"--tol must be finite and > 0, got {cfg.tol}")
-    if (cfg.u is None) != (cfg.v is None):
+    args = parser.parse_args(argv)
+    # list defaults belong to the shared parser, so each call gets its own copy
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            setattr(args, name, list(value))
+    if args.command == "actuarial" and (args.u is None) != (args.v is None):
         parser.error("--u and --v go together: the ratio check needs both")
-    return cfg
+    return args
 
 
 # ---------------------------------------------------------------------------
 # campaigns
 
-def _run_eqdist(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
+def _run_eqdist(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
     X = build(cfg.dist)
     tol = cfg.tol or 1e-5
     hi = X.support_upper if math.isfinite(X.support_upper) else quantile(X, 0.99)
@@ -234,7 +213,7 @@ def _run_eqdist(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
     return rows, grids
 
 
-def _run_characterize(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
+def _run_characterize(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
     X = build(cfg.dist)
     tol = cfg.tol or 1e-6
     report = characterization_check(X, cfg.alphas, cfg.ns, tol=tol)
@@ -249,12 +228,12 @@ def _run_characterize(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
     return rows, {}
 
 
-def _run_taylor(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
+def _run_taylor(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
     X = build(cfg.dist)
     tol = cfg.tol or 1e-5
     expand = caputo_taylor_expectation if cfg.caputo else rl_taylor_expectation
     rows = []
-    for g in cfg.gs:
+    for g in cfg.g:
         for alpha in cfg.alphas:
             for n in cfg.ns:
                 params = {"distribution": X.label, "g": g.describe(),
@@ -270,11 +249,11 @@ def _run_taylor(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
     return rows, {}
 
 
-def _run_mvt(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
+def _run_mvt(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
     X, Y = build(cfg.dist_x), build(cfg.dist_y)
     tol = cfg.tol or 1e-5
     rows = []
-    for g in cfg.gs:
+    for g in cfg.g:
         for alpha in cfg.alphas:
             report = mvt_verify(g, X, Y, alpha,
                                 require_order=not cfg.allow_unordered)
@@ -286,11 +265,11 @@ def _run_mvt(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
     return rows, {}
 
 
-def _run_order(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
+def _run_order(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
     X, Y = build(cfg.dist_x), build(cfg.dist_y)
     rows, grids = [], {}
     for alpha in cfg.alphas:
-        grid = default_order_grid(X, Y, max(cfg.grid, 8))
+        grid = default_order_grid(X, Y, cfg.grid)
         res = check_survival_bounded_order(X, Y, alpha, grid)
         rows.append(info_row(  # informational command
             "order_check",
@@ -301,9 +280,9 @@ def _run_order(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
     return rows, grids
 
 
-def _run_actuarial(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
+def _run_actuarial(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
     tol = cfg.tol or 1e-5
-    gs = cfg.gs or [PowerSum.power(1.0), PowerSum.power(2.0)]
+    gs = cfg.g or [PowerSum.power(1.0), PowerSum.power(2.0)]
     rows = []
     for g in gs:
         for alpha in cfg.alphas:
@@ -329,7 +308,7 @@ def _run_actuarial(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
     return rows, {}
 
 
-def _run_suite(cfg: RunConfig) -> tuple[list[CheckOutcome], dict]:
+def _run_suite(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
     return run_all(), {}
 
 
@@ -347,8 +326,20 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # reports
 
-def _json_report(cfg: RunConfig, rows: list[CheckOutcome]) -> str:
-    report = {"header": {"version": __version__, "config": cfg.to_json()},
+def _config_json(cfg: argparse.Namespace) -> dict:
+    """The header's record of the campaign: every option the command takes
+    except the output path, which is run metadata; unset ones are left out."""
+    def plain(value):
+        if isinstance(value, list):
+            return [plain(v) for v in value]
+        return value.to_json() if hasattr(value, "to_json") else value
+    return {name: plain(value) for name, value in vars(cfg).items()
+            if name != "out" and value is not None and value is not False
+            and value != []}
+
+
+def _json_report(cfg: argparse.Namespace, rows: list[CheckOutcome]) -> str:
+    report = {"header": {"version": __version__, "config": _config_json(cfg)},
               "results": [r.to_json() for r in rows]}
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -364,17 +355,22 @@ def _flat_csv(rows: list[CheckOutcome]) -> str:
     return buf.getvalue()
 
 
-def _grid_csv(points: list[tuple[float, float, float, float]]) -> str:
+# columns of the per-(alpha, n) grid files of the commands that write them
+_GRID_COLUMNS = {"eqdist": ["t", "value", "oracle_value", "abs_diff"],
+                 "order": ["t", "transform_x", "transform_y", "abs_gap"]}
+
+
+def _grid_csv(columns: list[str], points: list[tuple[float, float, float, float]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "value", "oracle_value", "abs_diff"])
+    writer.writerow(columns)
     for t, value, oracle, diff in points:
         writer.writerow([repr(t), repr(value), repr(oracle), repr(diff)])
     return buf.getvalue()
 
 
-def _emit(cfg: RunConfig, rows: list[CheckOutcome], grids: dict) -> None:
-    if cfg.fmt == "json":
+def _emit(cfg: argparse.Namespace, rows: list[CheckOutcome], grids: dict) -> None:
+    if cfg.format == "json":
         text = _json_report(cfg, rows)
     else:
         text = _flat_csv(rows)
@@ -383,15 +379,15 @@ def _emit(cfg: RunConfig, rows: list[CheckOutcome], grids: dict) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if cfg.fmt == "csv" and grids and cfg.out:
+    if cfg.format == "csv" and grids and cfg.out:
         stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
         for (alpha, n), points in grids.items():
             path = f"{stem}_alpha{alpha:g}_n{n}.csv"
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_grid_csv(points))
+                fh.write(_grid_csv(_GRID_COLUMNS[cfg.command], points))
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     """Execute a campaign and write its report; returns the exit code."""
     if cfg.command not in _RUNNERS:
         return EXIT_USAGE

@@ -58,8 +58,8 @@ class DistributionModel:
     closed_form_partial: Callable[[float, float], float] | None = None
     density_ac: Callable[[float], float] | None = None
 
-    def atom_mass_at(self, loc: float, tol: float = 1e-12) -> float:
-        return sum(m for x, m in self.atoms if abs(x - loc) <= tol)
+    def atom_mass_at(self, loc: float) -> float:
+        return sum(m for x, m in self.atoms if abs(x - loc) <= 1e-12)
 
     def __repr__(self) -> str:  # keep reports readable
         return f"DistributionModel({self.label})"
@@ -464,9 +464,9 @@ def _survival_point(X: DistributionModel, target: float) -> float:
         hi = 1.0
         while X.survival(hi) > target:
             hi *= 2.0
-            if hi > 1e12:
+            if hi == math.inf:
                 raise DivergenceError(
-                    f"survival level {target:g} not reached below 1e12 for {X.label}")
+                    f"survival level {target:g} not reached at any finite t for {X.label}")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

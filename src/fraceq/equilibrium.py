@@ -151,7 +151,6 @@ class CharacterizationReport:
     max_deviation: float
     # (alpha, n, t) of the worst deviation; None for a fixed point (noise only)
     witness: tuple[float, int, float] | None
-    tolerance: float
     deviations: dict  # (alpha, n) -> max deviation over the grid
 
 
@@ -185,5 +184,4 @@ def characterization_check(X: DistributionModel, alphas: Sequence[float],
                     witness = (float(alpha), int(n), float(t))
             deviations[(float(alpha), int(n))] = dev
     fixed = worst <= tol
-    return CharacterizationReport(fixed, worst, None if fixed else witness, tol,
-                                  deviations)
+    return CharacterizationReport(fixed, worst, None if fixed else witness, deviations)

@@ -20,12 +20,6 @@ class DivergenceError(FraceqError, ArithmeticError):
 class OrderViolationError(FraceqError, RuntimeError):
     """The survival bounded order required by an operation does not hold."""
 
-    def __init__(self, message: str, worst_t: float = float("nan"),
-                 worst_gap: float = float("nan")):
-        super().__init__(message)
-        self.worst_t = worst_t
-        self.worst_gap = worst_gap
-
 
 class MissingDensityError(FraceqError, ValueError):
     """An operation needs an absolutely continuous density the model lacks."""

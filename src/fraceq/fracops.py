@@ -96,9 +96,9 @@ class PowerSum:
             return math.inf
         return self.terms[0][1]
 
-    def coefficient_at(self, exponent: float, tol: float = _EXP_TOL) -> float:
+    def coefficient_at(self, exponent: float) -> float:
         for coef, exp in self.terms:
-            if abs(exp - exponent) <= tol:
+            if abs(exp - exponent) <= _EXP_TOL:
                 return coef
         return 0.0
 

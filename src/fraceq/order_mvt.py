@@ -120,8 +120,7 @@ class ZAlphaModel:
 
 
 def z_alpha_model(X: DistributionModel, Y: DistributionModel, alpha: float,
-                  require_order: bool = True,
-                  grid: Sequence[float] | None = None) -> ZAlphaModel:
+                  require_order: bool = True) -> ZAlphaModel:
     """Build Z_alpha; with require_order the survival bounded order is checked.
 
     Pass require_order=False to waive the check (the density may then go
@@ -137,11 +136,11 @@ def z_alpha_model(X: DistributionModel, Y: DistributionModel, alpha: float,
             f"E[Y^a] - E[X^a] must be positive, got {denom:.6g}")
     verified = False
     if require_order:
-        check = check_survival_bounded_order(X, Y, alpha, grid)
+        check = check_survival_bounded_order(X, Y, alpha)
         if not check.holds:
             raise OrderViolationError(
                 f"survival bounded order fails at t={check.worst_t:.6g} "
-                f"(gap {check.worst_gap:.3g})", check.worst_t, check.worst_gap)
+                f"(gap {check.worst_gap:.3g})")
         verified = True
     return ZAlphaModel(X, Y, alpha, denom, ey / denom, verified)
 
@@ -251,7 +250,7 @@ def extract_c0(g: PowerSum, alpha: float) -> float:
         if exp < target - _C0_TOL:
             raise DivergenceError(
                 f"limit x^(1-a) g(x) at 0+ diverges: exponent {exp:g} < {target:g}")
-    return gamma(alpha) * g.coefficient_at(target, _C0_TOL)
+    return gamma(alpha) * g.coefficient_at(target)
 
 
 def expected_derivative_at_z(g: PowerSum, z: ZAlphaModel, alpha: float) -> float:
@@ -281,8 +280,7 @@ class MvtReport:
 
 
 def mvt_verify(g: PowerSum, X: DistributionModel, Y: DistributionModel,
-               alpha: float, require_order: bool = True,
-               grid: Sequence[float] | None = None) -> MvtReport:
+               alpha: float, require_order: bool = True) -> MvtReport:
     """Check E[g(Y)] - E[g(X)] against the fractional mean value identity.
 
     The right side is c0/Gamma(a) {E[Y^(a-1)] - E[X^(a-1)]} plus
@@ -292,7 +290,7 @@ def mvt_verify(g: PowerSum, X: DistributionModel, Y: DistributionModel,
     if g.terms and g.min_exponent() <= -1.0:
         raise DivergenceError(f"g has an exponent <= -1: {g.describe()}")
     c0 = extract_c0(g, alpha)
-    z = z_alpha_model(X, Y, alpha, require_order=require_order, grid=grid)
+    z = z_alpha_model(X, Y, alpha, require_order=require_order)
     lhs = power_mean(g, Y) - power_mean(g, X)
     if c0 != 0.0:
         term_c0 = (c0 / gamma(alpha)

@@ -58,9 +58,9 @@ class TestParse:
     def test_repeated_g(self):
         cfg = parse_args(["mvt", "--dist-x", EXP1, "--dist-y", EXP_MEAN2,
                           "--g", G_LINEAR, "--g", G_SQUARE])
-        assert [g.describe() for g in cfg.gs] == ["1*x^1", "1*x^2"]
+        assert [g.describe() for g in cfg.g] == ["1*x^1", "1*x^2"]
         assert parse_args(["actuarial", "--severity", EXP1, "--r", "0.5",
-                           "--s", "1"]).gs == []
+                           "--s", "1"]).g == []
 
     @pytest.mark.parametrize("flag,value", [("--alpha", ""), ("--alpha", ","),
                                             ("--alpha", "nan"), ("--alpha", "0.5,inf"),
@@ -97,12 +97,30 @@ class TestParse:
         assert exc.value.code == EXIT_USAGE
         assert [parse_args(argv) for argv in runs] == first
         assert [parse_args(argv) for argv in reversed(runs)] == first[::-1]
-        assert first[0].gs == [] and len(first[1].gs) == 2
+        assert first[0].g == [] and len(first[1].g) == 2
         # a caller's edit must not reach the parser's defaults
         first[3].alphas.append(9.0)
-        first[0].gs.append(first[1].gs[0])
+        first[0].g.append(first[1].g[0])
         assert parse_args(runs[3]).alphas == [1.0]
-        assert parse_args(runs[0]).gs == []
+        assert parse_args(runs[0]).g == []
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--tol", "1"],
+        ["suite", "--grid", "8"],
+        ["order", "--dist-x", EXP1, "--dist-y", EXP_MEAN2, "--tol", "1e-3"],
+        ["characterize", "--dist", EXP1, "--grid", "32"],
+        ["taylor", "--dist", EXP1, "--g", G_SQUARE, "--grid", "32"],
+        ["mvt", "--dist-x", EXP1, "--dist-y", EXP_MEAN2, "--g", G_SQUARE,
+         "--grid", "32"],
+        ["actuarial", "--severity", EXP1, "--r", "0.5", "--s", "1", "--grid", "32"]],
+        ids=["suite-tol", "suite-grid", "order-tol", "characterize-grid",
+             "taylor-grid", "mvt-grid", "actuarial-grid"])
+    def test_option_the_command_ignores_exits_2(self, argv):
+        # a command takes only the options its runner reads, so a setting
+        # that would change nothing is refused instead of recorded
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestRun:
@@ -305,13 +323,48 @@ class TestRun:
         Y = build(DistributionSpec.from_json(json.loads(EXP_MEAN2)))
         for alpha in (0.5, 1.0):
             lines = (tmp_path / f"order_alpha{alpha:g}_n0.csv").read_text().splitlines()
-            assert lines[0] == "t,value,oracle_value,abs_diff"
+            assert lines[0] == "t,transform_x,transform_y,abs_gap"
             assert len(lines) == 9
             for line in lines[1:]:
                 t, fx, fy, diff = (float(v) for v in line.split(","))
                 assert fx == alpha_survival_transform(X, alpha, t)
                 assert fy == alpha_survival_transform(Y, alpha, t)
                 assert diff == abs(fx - fy)
+
+    @pytest.mark.parametrize("argv,options", [
+        (["eqdist", "--dist", EXP1, "--alpha", "0.5", "--n", "1", "--tol", "1e-5",
+          "--grid", "8"], {"dist", "alphas", "ns", "tol", "grid"}),
+        (["characterize", "--dist", EXP1, "--alpha", "1", "--n", "1", "--tol", "1e-6"],
+         {"dist", "alphas", "ns", "tol"}),
+        (["taylor", "--dist", EXP1, "--g", G_SQUARE, "--alpha", "1", "--n", "1",
+          "--tol", "1e-5", "--caputo"], {"dist", "g", "alphas", "ns", "tol", "caputo"}),
+        (["mvt", "--dist-x", EXP1, "--dist-y", EXP_MEAN2, "--g", G_SQUARE,
+          "--alpha", "1", "--tol", "1e-5", "--allow-unordered"],
+         {"dist_x", "dist_y", "g", "alphas", "tol", "allow_unordered"}),
+        (["order", "--dist-x", EXP1, "--dist-y", EXP_MEAN2, "--alpha", "1",
+          "--grid", "8"], {"dist_x", "dist_y", "alphas", "grid"}),
+        (["actuarial", "--severity", EXP1, "--r", "0.5", "--s", "1", "--u", "1",
+          "--v", "2", "--g", G_LINEAR, "--alpha", "1", "--tol", "1e-5"],
+         {"severity", "r", "s", "u", "v", "g", "alphas", "tol"}),
+        (["suite"], set())],
+        ids=["eqdist", "characterize", "taylor", "mvt", "order", "actuarial", "suite"])
+    def test_header_config_is_the_command_options(self, tmp_path, monkeypatch,
+                                                  argv, options):
+        # every option given, so each appears; the output path is left out
+        monkeypatch.setattr(suite, "CRITERIA", {})
+        out = tmp_path / "r.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == EXIT_OK
+        config = report_of(out)["header"]["config"]
+        assert set(config) == options | {"command", "format"}
+        assert config["command"] == argv[0]
+
+    def test_order_heavy_tail(self, tmp_path):
+        # the 0.999 quantile of Weibull(0.05) is about 6e16, far past 1e12
+        out = tmp_path / "order.json"
+        code = main(["order", "--dist-x", '{"kind":"weibull","params":{"k":0.05,"lambda":1}}',
+                     "--dist-y", EXP1, "--out", str(out)])
+        assert code == EXIT_OK
+        assert report_of(out)["results"][0]["params"]["holds"] is False
 
     def test_stdout_when_no_out(self, capsys):
         code = main(["order", "--dist-x", EXP1, "--dist-y", EXP_MEAN2,

@@ -229,6 +229,11 @@ def test_quantile():
     assert abs(quantile(X, 1.0 - math.exp(-1.0)) - 1.0) < 1e-9
     U = build(dist.uniform(0.0, 1.0))
     assert abs(quantile(U, 0.25) - 0.25) < 1e-9
+    # heavy tails: the doubling search runs until t overflows
+    W = build(dist.weibull(0.05, 1.0))
+    assert rel_diff(quantile(W, 0.999), math.log(1000.0) ** 20) < 1e-12
+    with pytest.raises(DivergenceError):
+        quantile(build(dist.weibull(0.001, 1.0)), 0.999)
 
 
 def test_numeric_moments_near_exponential(catalog):
