@@ -11,18 +11,18 @@ verifiable against an independent quadrature oracle.
 
 __version__ = "0.1.0"
 
-from .distributions import (DistributionModel, DistributionSpec, build,
-                            deductible, exponential, fractional_moment,
-                            hyperexp2, numeric, quantile, uniform,
-                            upper_partial_moment, weibull, zero_inflated)
+from .distributions import (DistributionModel, build, deductible, exponential,
+                            fractional_moment, hyperexp2, numeric, quantile,
+                            uniform, upper_partial_moment, weibull,
+                            zero_inflated)
 from .equilibrium import (CharacterizationReport, EquilibriumView,
                           characterization_check, eq_density, eq_moment,
                           eq_survival, eq_survival_recursive,
                           equilibrium_view, first_order_cdf_interpretation)
 from .errors import (DivergenceError, FraceqError, InvalidParameterError,
                      MissingDensityError, OrderViolationError, PoleError)
-from .fracops import (FracOrder, PowerSum, power_caputo_derivative,
-                      power_rl_derivative, weyl_integral)
+from .fracops import (PowerSum, power_caputo_derivative, power_rl_derivative,
+                      weyl_integral)
 from .numerics import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, beta,
                        gamma, integrate_interval, integrate_semi_infinite,
                        integrate_singular_power, reciprocal_gamma)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import DistributionSpec, build, deductible
+from .distributions import DistributionModel, deductible, exponential
 from .errors import InvalidParameterError
 from .fracops import PowerSum, power_mean
 from .order_mvt import _C0_TOL, MvtReport, mvt_verify
@@ -35,7 +35,7 @@ def _require_admissible(g: PowerSum, alpha: float) -> None:
             f"got {g.describe()}")
 
 
-def deductible_mvt(g: PowerSum, severity: DistributionSpec, r: float, s: float,
+def deductible_mvt(g: PowerSum, severity: DistributionModel, r: float, s: float,
                    alpha: float) -> MvtReport:
     """Check E[g(X_r)] - E[g(X_s)] = [lambda_a(X_r) - lambda_a(X_s)] E[D^a g(Z_a)].
 
@@ -45,8 +45,7 @@ def deductible_mvt(g: PowerSum, severity: DistributionSpec, r: float, s: float,
     if not (0.0 < r < s):
         raise InvalidParameterError(f"need 0 < r < s, got r={r}, s={s}")
     _require_admissible(g, alpha)
-    return mvt_verify(g, build(deductible(s, severity)),
-                      build(deductible(r, severity)), alpha)
+    return mvt_verify(g, deductible(s, severity), deductible(r, severity), alpha)
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,10 @@ def exponential_ratio_check(lam: float, r: float, s: float, u: float, v: float,
     Every admissible g must give the same ratio
     (e^(-lam r) - e^(-lam s)) / (e^(-lam u) - e^(-lam v)).
     """
-    if lam <= 0.0:
-        raise InvalidParameterError(f"rate must be > 0, got {lam}")
     if not (0.0 < r < s and 0.0 < u < v):
         raise InvalidParameterError("need 0 < r < s and 0 < u < v")
-    sev = DistributionSpec("exponential", {"lambda": lam})
-    models = {d: build(deductible(d, sev)) for d in {r, s, u, v}}
+    sev = exponential(lam)  # checks lam > 0
+    models = {d: deductible(d, sev) for d in {r, s, u, v}}
     reference = ((math.exp(-lam * r) - math.exp(-lam * s))
                  / (math.exp(-lam * u) - math.exp(-lam * v)))
     ratios = []

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .actuarial import deductible_mvt, exponential_ratio_check
-from .distributions import DistributionSpec, build, quantile
+from .distributions import build, quantile
 from .equilibrium import characterization_check
 from .errors import DivergenceError, FraceqError, InvalidParameterError
 from .fracops import PowerSum
@@ -51,13 +51,6 @@ def _json_argument(raw: str):
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-
-
-def _dist_argument(raw: str) -> DistributionSpec:
-    try:
-        return DistributionSpec.from_json(_json_argument(raw))
-    except InvalidParameterError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _powersum_argument(raw: str) -> PowerSum:
@@ -132,19 +125,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eqdist", parents=[report, tol, grid],
                        help="equilibrium survival vs recursive oracle")
-    p.add_argument("--dist", type=_dist_argument, required=True)
+    p.add_argument("--dist", type=_json_argument, required=True)
     p.add_argument("--alpha", dest="alphas", type=_float_list, default=[0.5])
     p.add_argument("--n", dest="ns", type=_int_list, default=[1])
 
     p = sub.add_parser("characterize", parents=[report, tol],
                        help="exponential fixed-point scan")
-    p.add_argument("--dist", type=_dist_argument, required=True)
+    p.add_argument("--dist", type=_json_argument, required=True)
     p.add_argument("--alpha", dest="alphas", type=_float_list, default=[0.3, 0.7, 1.0])
     p.add_argument("--n", dest="ns", type=_int_list, default=[1, 2])
 
     p = sub.add_parser("taylor", parents=[report, tol],
                        help="probabilistic Taylor residuals")
-    p.add_argument("--dist", type=_dist_argument, required=True)
+    p.add_argument("--dist", type=_json_argument, required=True)
     p.add_argument("--g", type=_powersum_argument, action="append",
                    required=True, help="test function; repeat for several")
     p.add_argument("--alpha", dest="alphas", type=_float_list, default=[0.5, 1.0])
@@ -154,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mvt", parents=[report, tol],
                        help="fractional mean value identity")
-    p.add_argument("--dist-x", type=_dist_argument, required=True)
-    p.add_argument("--dist-y", type=_dist_argument, required=True)
+    p.add_argument("--dist-x", type=_json_argument, required=True)
+    p.add_argument("--dist-y", type=_json_argument, required=True)
     p.add_argument("--g", type=_powersum_argument, action="append",
                    required=True, help="test function; repeat for several")
     p.add_argument("--alpha", dest="alphas", type=_float_list, default=[1.0])
@@ -164,13 +157,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order", parents=[report, grid],
                        help="survival bounded order check")
-    p.add_argument("--dist-x", type=_dist_argument, required=True)
-    p.add_argument("--dist-y", type=_dist_argument, required=True)
+    p.add_argument("--dist-x", type=_json_argument, required=True)
+    p.add_argument("--dist-y", type=_json_argument, required=True)
     p.add_argument("--alpha", dest="alphas", type=_float_list, default=[1.0])
 
     p = sub.add_parser("actuarial", parents=[report, tol],
                        help="deductible mean value identities")
-    p.add_argument("--severity", type=_dist_argument, required=True)
+    p.add_argument("--severity", type=_json_argument, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--u", type=float)
@@ -281,22 +274,24 @@ def _run_order(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
 
 
 def _run_actuarial(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
+    severity = build(cfg.severity)
+    kind = cfg.severity["kind"]
     tol = cfg.tol or 1e-5
     gs = cfg.g or [PowerSum.power(1.0), PowerSum.power(2.0)]
     rows = []
     for g in gs:
         for alpha in cfg.alphas:
-            report = deductible_mvt(g, cfg.severity, cfg.r, cfg.s, alpha)
+            report = deductible_mvt(g, severity, cfg.r, cfg.s, alpha)
             rows.append(identity_row(
                 "deductible_mvt",
-                {"severity": cfg.severity.kind, "g": g.describe(),
+                {"severity": kind, "g": g.describe(),
                  "r": cfg.r, "s": cfg.s, "alpha": alpha},
                 report, tol))
     if cfg.u is not None and cfg.v is not None:
-        if cfg.severity.kind != "exponential":
+        if kind != "exponential":
             raise InvalidParameterError(
                 "the ratio check is defined for exponential severities")
-        lam = cfg.severity.params["lambda"]
+        lam = cfg.severity["params"]["lambda"]
         for alpha in cfg.alphas:
             check = exponential_ratio_check(lam, cfg.r, cfg.s, cfg.u, cfg.v, gs, alpha)
             rows.append(outcome(
@@ -328,11 +323,12 @@ _RUNNERS = {
 
 def _config_json(cfg: argparse.Namespace) -> dict:
     """The header's record of the campaign: every option the command takes
-    except the output path, which is run metadata; unset ones are left out."""
+    except the output path, which is run metadata; unset ones are left out.
+    A distribution is recorded as the JSON the user gave."""
     def plain(value):
         if isinstance(value, list):
             return [plain(v) for v in value]
-        return value.to_json() if hasattr(value, "to_json") else value
+        return value.to_json() if isinstance(value, PowerSum) else value
     return {name: plain(value) for name, value in vars(cfg).items()
             if name != "out" and value is not None and value is not False
             and value != []}
@@ -382,7 +378,9 @@ def _emit(cfg: argparse.Namespace, rows: list[CheckOutcome], grids: dict) -> Non
     if cfg.format == "csv" and grids and cfg.out:
         stem = cfg.out[:-4] if cfg.out.endswith(".csv") else cfg.out
         for (alpha, n), points in grids.items():
-            path = f"{stem}_alpha{alpha:g}_n{n}.csv"
+            # {alpha:g} keeps six digits, so two close orders would share a file
+            name = f"{alpha:g}" if float(f"{alpha:g}") == alpha else repr(alpha)
+            path = f"{stem}_alpha{name}_n{n}.csv"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(_grid_csv(_GRID_COLUMNS[cfg.command], points))
 

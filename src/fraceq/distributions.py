@@ -6,14 +6,15 @@ E[(X-t)_+^s] and an explicit atom list.  Closed forms are attached where
 they exist; everything else falls back to quadrature against the
 survival function, so mixed distributions (atoms) need no special cases
 downstream.  Every survival function returns 1 for negative arguments;
-that contract is the only guard callers rely on for t < 0.
+that contract is the only guard callers rely on for t < 0.  The catalog
+constructors return models; ``build`` reads the command line's JSON form.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DivergenceError, InvalidParameterError
@@ -23,7 +24,6 @@ from .numerics import (DEFAULT_CONFIG, QuadratureConfig,
 
 __all__ = [
     "DistributionModel",
-    "DistributionSpec",
     "exponential",
     "uniform",
     "weibull",
@@ -65,71 +65,15 @@ class DistributionModel:
         return f"DistributionModel({self.label})"
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """Serializable description of a catalog member.
-
-    JSON form: {"kind": ..., "params": {...}, "inner": {...}?}.
-    """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    inner: "DistributionSpec | None" = None
-
-    def to_json(self) -> dict:
-        obj: dict = {"kind": self.kind, "params": dict(self.params)}
-        if self.inner is not None:
-            obj["inner"] = self.inner.to_json()
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DistributionSpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise InvalidParameterError("distribution spec needs a 'kind' field")
-        inner = None
-        if obj.get("inner") is not None:
-            inner = cls.from_json(obj["inner"])
-        return cls(kind=str(obj["kind"]), params=dict(obj.get("params", {})),
-                   inner=inner)
-
-
-def exponential(lam: float) -> DistributionSpec:
-    return DistributionSpec("exponential", {"lambda": lam})
-
-
-def uniform(a: float, b: float) -> DistributionSpec:
-    return DistributionSpec("uniform", {"a": a, "b": b})
-
-
-def weibull(k: float, lam: float) -> DistributionSpec:
-    return DistributionSpec("weibull", {"k": k, "lambda": lam})
-
-
-def hyperexp2(p: float, lam1: float, lam2: float) -> DistributionSpec:
-    return DistributionSpec("hyperexp2", {"p": p, "lambda1": lam1, "lambda2": lam2})
-
-
-def zero_inflated(p: float, inner: DistributionSpec) -> DistributionSpec:
-    return DistributionSpec("zero_inflated", {"p": p}, inner=inner)
-
-
-def deductible(d: float, inner: DistributionSpec) -> DistributionSpec:
-    return DistributionSpec("deductible", {"d": d}, inner=inner)
-
-
-def numeric(knots: list[tuple[float, float]]) -> DistributionSpec:
-    return DistributionSpec("numeric", {"knots": [[float(t), float(s)] for t, s in knots]})
-
-
 # ---------------------------------------------------------------------------
-# builders
+# constructors
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidParameterError(message)
 
 
-def _build_exponential(lam: float) -> DistributionModel:
+def exponential(lam: float) -> DistributionModel:
     _require(lam > 0, f"exponential: lambda must be > 0, got {lam}")
     log_lam = math.log(lam)
 
@@ -144,7 +88,7 @@ def _build_exponential(lam: float) -> DistributionModel:
     )
 
 
-def _build_uniform(a: float, b: float) -> DistributionModel:
+def uniform(a: float, b: float) -> DistributionModel:
     _require(0.0 <= a < b, f"uniform: need 0 <= a < b, got ({a}, {b})")
     width = b - a
 
@@ -170,7 +114,7 @@ def _build_uniform(a: float, b: float) -> DistributionModel:
     )
 
 
-def _build_weibull(k: float, lam: float) -> DistributionModel:
+def weibull(k: float, lam: float) -> DistributionModel:
     _require(k > 0 and lam > 0, f"weibull: shape and scale must be > 0, got ({k}, {lam})")
 
     def survival(t: float) -> float:
@@ -199,7 +143,7 @@ def _build_weibull(k: float, lam: float) -> DistributionModel:
     )
 
 
-def _build_hyperexp2(p: float, lam1: float, lam2: float) -> DistributionModel:
+def hyperexp2(p: float, lam1: float, lam2: float) -> DistributionModel:
     _require(0.0 < p < 1.0, f"hyperexp2: p must lie in (0,1), got {p}")
     _require(lam1 > 0 and lam2 > 0, "hyperexp2: rates must be > 0")
     q = 1.0 - p
@@ -223,7 +167,7 @@ def _build_hyperexp2(p: float, lam1: float, lam2: float) -> DistributionModel:
     )
 
 
-def _build_zero_inflated(p: float, inner: DistributionModel) -> DistributionModel:
+def zero_inflated(p: float, inner: DistributionModel) -> DistributionModel:
     _require(0.0 < p < 1.0, f"zero_inflated: p must lie in (0,1), got {p}")
     q = 1.0 - p
     atoms = [(0.0, p + q * inner.atom_mass_at(0.0))]
@@ -253,7 +197,7 @@ def _build_zero_inflated(p: float, inner: DistributionModel) -> DistributionMode
     )
 
 
-def _build_deductible(d: float, inner: DistributionModel) -> DistributionModel:
+def deductible(d: float, inner: DistributionModel) -> DistributionModel:
     _require(d > 0, f"deductible: d must be > 0, got {d}")
     _require(d < inner.support_upper,
              f"deductible: d={d} not below the support upper bound {inner.support_upper}")
@@ -284,7 +228,7 @@ def _build_deductible(d: float, inner: DistributionModel) -> DistributionModel:
     )
 
 
-def _build_numeric(knots: list) -> DistributionModel:
+def numeric(knots: list[tuple[float, float]]) -> DistributionModel:
     _require(len(knots) >= 2, "numeric: need at least two knots")
     ts = [float(t) for t, _ in knots]
     ss = [float(s) for _, s in knots]
@@ -334,44 +278,52 @@ def _build_numeric(knots: list) -> DistributionModel:
     )
 
 
-_BUILDERS = {
-    "exponential": lambda spec: _build_exponential(spec.params["lambda"]),
-    "uniform": lambda spec: _build_uniform(spec.params["a"], spec.params["b"]),
-    "weibull": lambda spec: _build_weibull(spec.params["k"], spec.params["lambda"]),
-    "hyperexp2": lambda spec: _build_hyperexp2(
-        spec.params["p"], spec.params["lambda1"], spec.params["lambda2"]),
+# JSON kind -> (constructor, parameter names); "inner" is the nested spec
+_KINDS = {
+    "exponential": (exponential, ("lambda",)),
+    "uniform": (uniform, ("a", "b")),
+    "weibull": (weibull, ("k", "lambda")),
+    "hyperexp2": (hyperexp2, ("p", "lambda1", "lambda2")),
+    "zero_inflated": (zero_inflated, ("p", "inner")),
+    "deductible": (deductible, ("d", "inner")),
+    "numeric": (numeric, ("knots",)),
 }
 
 
-def _has_bool(value) -> bool:
-    if isinstance(value, (list, tuple)):
-        return any(_has_bool(v) for v in value)
-    return isinstance(value, bool)
-
-
-def build(spec: DistributionSpec) -> DistributionModel:
-    """Instantiate the model described by ``spec``."""
+def _finite_numbers(value) -> bool:
+    """True unless a boolean, NaN or infinity sits anywhere in ``value``."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
     # bool is an int subclass, so JSON true would otherwise run as 1
-    _require(not _has_bool(list(spec.params.values())),
-             f"{spec.kind}: parameters must be numbers, not booleans")
+    return not isinstance(value, bool) and not (
+        isinstance(value, float) and not math.isfinite(value))
+
+
+def build(obj: dict) -> DistributionModel:
+    """The model described by parsed JSON {"kind", "params", "inner"?}."""
+    _require(isinstance(obj, dict) and isinstance(obj.get("kind"), str),
+             "distribution JSON needs a string 'kind' field")
+    kind = obj["kind"]
+    _require(kind in _KINDS, f"unknown distribution kind '{kind}'")
+    params = obj.get("params", {})
+    _require(isinstance(params, dict), f"{kind}: 'params' must be an object")
+    _require(_finite_numbers(obj),
+             f"{kind}: parameters must be finite numbers, not booleans, NaN or infinity")
+    constructor, names = _KINDS[kind]
     try:
-        if spec.kind in _BUILDERS:
-            return _BUILDERS[spec.kind](spec)
-        if spec.kind == "zero_inflated":
-            _require(spec.inner is not None, "zero_inflated: missing inner spec")
-            return _build_zero_inflated(spec.params["p"], build(spec.inner))
-        if spec.kind == "deductible":
-            _require(spec.inner is not None, "deductible: missing inner spec")
-            return _build_deductible(spec.params["d"], build(spec.inner))
-        if spec.kind == "numeric":
-            return _build_numeric(spec.params["knots"])
+        args = [params[name] for name in names if name != "inner"]
+        if "inner" in names:  # always the last argument
+            _require(obj.get("inner") is not None, f"{kind}: missing inner spec")
+            args.append(build(obj["inner"]))
+        return constructor(*args)
     except KeyError as exc:
-        raise InvalidParameterError(f"{spec.kind}: missing parameter {exc}") from exc
+        raise InvalidParameterError(f"{kind}: missing parameter {exc}") from exc
     except InvalidParameterError:
         raise
     except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
-        raise InvalidParameterError(f"{spec.kind}: bad parameter ({exc})") from exc
-    raise InvalidParameterError(f"unknown distribution kind '{spec.kind}'")
+        raise InvalidParameterError(f"{kind}: bad parameter ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .distributions import (DistributionModel, fractional_moment, quantile,
                             upper_partial_moment)
 from .errors import (DivergenceError, InvalidParameterError,
                      MissingDensityError)
-from .fracops import FracOrder
 from .numerics import (QuadratureConfig, beta, gamma, geomspace,
                        integrate_singular_power)
 
@@ -44,32 +43,40 @@ class EquilibriumView:
     """X seen through its order-(alpha, n) fractional equilibrium variable."""
 
     base: DistributionModel
-    order: FracOrder
-    norm: float  # E[X^(n*alpha)], cached
+    alpha: float
+    n: int
+    norm: float = field(init=False)  # E[X^(n*alpha)], cached
 
     def __post_init__(self) -> None:
-        if self.order.n < 1:
+        if self.alpha <= 0.0:
+            raise InvalidParameterError(f"alpha must be > 0, got {self.alpha}")
+        if self.n < 1:
             raise InvalidParameterError("equilibrium views need n >= 1")
-        if not (0.0 < self.norm < math.inf):
+        norm = fractional_moment(self.base, self.total)
+        if not (0.0 < norm < math.inf):
             raise DivergenceError(
-                f"E[X^{self.order.total:g}] must be finite and positive, got {self.norm}")
+                f"E[X^{self.total:g}] must be finite and positive, got {norm}")
+        object.__setattr__(self, "norm", norm)
+
+    @property
+    def total(self) -> float:
+        """n * alpha."""
+        return self.n * self.alpha
 
 
 def equilibrium_view(X: DistributionModel, alpha: float, n: int) -> EquilibriumView:
-    order = FracOrder(alpha, n)
-    norm = fractional_moment(X, order.total)
-    return EquilibriumView(X, order, norm)
+    return EquilibriumView(X, alpha, n)
 
 
 def eq_survival(view: EquilibriumView, t: float) -> float:
     """P(X_alpha^(n) > t) = E[(X-t)_+^(n alpha)] / E[X^(n alpha)]."""
-    return upper_partial_moment(view.base, t, view.order.total) / view.norm
+    return upper_partial_moment(view.base, t, view.total) / view.norm
 
 
 def eq_density(view: EquilibriumView, t: float,
                cfg: QuadratureConfig | None = None) -> float:
     """Density n alpha E[(X-t)_+^(n alpha - 1)] / E[X^(n alpha)]."""
-    na = view.order.total
+    na = view.total
     return na * upper_partial_moment(view.base, t, na - 1.0, cfg) / view.norm
 
 
@@ -84,18 +91,18 @@ def eq_density_fn(view: EquilibriumView,
     return functools.cache(lambda t: eq_density(view, t, cfg))
 
 
-def eq_survival_recursive(X: DistributionModel, order: FracOrder, t: float) -> float:
+def eq_survival_recursive(X: DistributionModel, alpha: float, n: int, t: float) -> float:
     """Literal recursion: n nested Weyl integrals of the base survival.
 
     Exists solely as an independent oracle for eq_survival; depth is
     capped at n = 3 to bound the cost of nested quadrature.
     """
-    if order.n < 1:
-        raise InvalidParameterError("recursive equilibrium needs n >= 1")
-    if order.n > _MAX_RECURSION_ORDER:
+    if alpha <= 0.0 or n < 1:
         raise InvalidParameterError(
-            f"recursive oracle capped at n = {_MAX_RECURSION_ORDER}, got {order.n}")
-    alpha = order.alpha
+            f"recursive equilibrium needs alpha > 0 and n >= 1, got ({alpha}, {n})")
+    if n > _MAX_RECURSION_ORDER:
+        raise InvalidParameterError(
+            f"recursive oracle capped at n = {_MAX_RECURSION_ORDER}, got {n}")
     g_alpha = gamma(alpha)
     b = X.support_upper
 
@@ -113,14 +120,14 @@ def eq_survival_recursive(X: DistributionModel, order: FracOrder, t: float) -> f
 
         return surv
 
-    return level(order.n)(t)
+    return level(n)(t)
 
 
 def eq_moment(view: EquilibriumView, r: float) -> float:
     """E[(X_alpha^(n))^r] = n a B(n a, r+1) E[X^(n a + r)] / E[X^(n a)]."""
     if r <= 0.0:
         raise InvalidParameterError(f"moment order must be > 0, got {r}")
-    na = view.order.total
+    na = view.total
     return na * beta(na, r + 1.0) * fractional_moment(view.base, na + r) / view.norm
 
 

@@ -19,7 +19,6 @@ from .numerics import (DEFAULT_CONFIG, QuadratureConfig, gamma,
                        integrate_singular_power, reciprocal_gamma)
 
 __all__ = [
-    "FracOrder",
     "PowerSum",
     "weyl_integral",
     "weyl_of_function",
@@ -30,29 +29,6 @@ __all__ = [
 ]
 
 _EXP_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """The pair (alpha, n) driving every fractional operator call.
-
-    The equilibrium machinery accepts any alpha > 0; the Taylor theorems
-    restrict themselves to alpha <= 1 at their own entry points.
-    """
-
-    alpha: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise InvalidParameterError(f"alpha must be > 0, got {self.alpha}")
-        if self.n < 0:
-            raise InvalidParameterError(f"n must be >= 0, got {self.n}")
-
-    @property
-    def total(self) -> float:
-        """n * alpha."""
-        return self.n * self.alpha
 
 
 @dataclass(frozen=True)
@@ -108,10 +84,13 @@ class PowerSum:
     @classmethod
     def from_json(cls, obj: list) -> "PowerSum":
         try:
-            return cls.from_terms([(float(t["coef"]), float(t["exp"])) for t in obj])
+            terms = [(float(t["coef"]), float(t["exp"])) for t in obj]
         except (TypeError, KeyError) as exc:
             raise InvalidParameterError(
                 "power sum JSON must be a list of {'coef':…, 'exp':…}") from exc
+        if not all(math.isfinite(v) for term in terms for v in term):
+            raise InvalidParameterError(f"power sum terms must be finite, got {terms}")
+        return cls.from_terms(terms)
 
     def describe(self) -> str:
         if not self.terms:

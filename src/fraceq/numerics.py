@@ -280,8 +280,9 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
     """Integral of f over [a, +inf).
 
     Truncates at T found by geometric doubling from T0 = a + 1: doubling
-    stops once the last increment falls below _TAIL_EPSILON * (1 + |value|).
-    The final T is reported as ``truncation_point``.
+    stops once the last increment falls below _TAIL_EPSILON * (1 + |value|),
+    or, unconverged, when the next T would overflow.  The final T is
+    reported as ``truncation_point``.
 
     ``upper`` declares that f vanishes identically beyond that point
     (e.g. a bounded support); the integral is then computed on [a, upper]
@@ -302,19 +303,20 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
     err = first.error_estimate
     converged = first.converged
     t_hi = a + width
-    stabilized = False
-    for _ in range(64):
-        t_next = a + 2.0 * (t_hi - a)
-        seg = integrate_interval(f, t_hi, t_next, seg_cfg)
+    while math.isfinite(t_next := a + 2.0 * (t_hi - a)):
+        try:
+            seg = integrate_interval(f, t_hi, t_next, seg_cfg)
+        except OverflowError:  # f itself overflows this far out
+            converged = False
+            break
         value += seg.value
         err += seg.error_estimate
         converged = converged and seg.converged
         t_hi = t_next
         if abs(seg.value) <= _TAIL_EPSILON * (1.0 + abs(value)):
-            stabilized = True
             break
-    if not stabilized:
-        converged = False
+    else:
+        converged = False  # the tail never stabilized
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
         converged = False
     return IntegralResult(value, err, converged, truncation_point=t_hi)
@@ -391,7 +393,8 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
         sub_upper = max(upper - t, 0.0) ** p
     res = integrate_semi_infinite(lambda u: f(t + u ** inv_p) / p, 0.0, cfg,
                                   upper=sub_upper)
-    trunc = None
-    if res.truncation_point is not None:
+    try:
         trunc = t + res.truncation_point ** inv_p
+    except OverflowError:  # an unconverged tail can end past the float range
+        trunc = math.inf
     return IntegralResult(res.value, res.error_estimate, res.converged, trunc)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import actuarial, distributions, equilibrium, fracops, order_mvt, taylor
-from .distributions import build, exponential, hyperexp2, uniform, weibull, zero_inflated
+from .distributions import exponential, hyperexp2, uniform, weibull, zero_inflated
 from .errors import DivergenceError
 from .fracops import PowerSum
 from .numerics import (DEFAULT_CONFIG, gamma, integrate_semi_infinite,
@@ -84,12 +84,11 @@ def direct_vs_recursive(X: distributions.DistributionModel, alpha: float, n: int
     """Worst relative gap of eq_survival to its literal recursion over ts, and
     the grid points (t, direct, oracle, |direct - oracle|)."""
     view = equilibrium.equilibrium_view(X, alpha, n)
-    order = fracops.FracOrder(alpha, n)
     worst = 0.0
     points = []
     for t in ts:
         direct = equilibrium.eq_survival(view, t)
-        oracle = equilibrium.eq_survival_recursive(X, order, t)
+        oracle = equilibrium.eq_survival_recursive(X, alpha, n, t)
         worst = max(worst, _rel(direct, oracle))
         points.append((t, direct, oracle, abs(direct - oracle)))
     return outcome("equilibrium_direct_vs_recursive", params, worst, tol), points
@@ -97,7 +96,7 @@ def direct_vs_recursive(X: distributions.DistributionModel, alpha: float, n: int
 
 def _exp_mean(mu: float):
     """Exponential with the given mean."""
-    return build(exponential(1.0 / mu))
+    return exponential(1.0 / mu)
 
 
 _NUMERIC_KNOTS = [(0.0, 1.0), (0.25, math.exp(-0.25)), (0.5, math.exp(-0.5)),
@@ -108,13 +107,13 @@ _NUMERIC_KNOTS = [(0.0, 1.0), (0.25, math.exp(-0.25)), (0.5, math.exp(-0.5)),
 
 def _catalog() -> list[distributions.DistributionModel]:
     return [
-        build(exponential(1.0)),
-        build(uniform(0.0, 1.0)),
-        build(weibull(2.0, 1.0)),
-        build(hyperexp2(0.4, 1.0, 3.0)),
-        build(zero_inflated(0.3, exponential(1.0))),
-        build(distributions.deductible(1.0, exponential(1.0))),
-        build(distributions.numeric(_NUMERIC_KNOTS)),
+        exponential(1.0),
+        uniform(0.0, 1.0),
+        weibull(2.0, 1.0),
+        hyperexp2(0.4, 1.0, 3.0),
+        zero_inflated(0.3, exponential(1.0)),
+        distributions.deductible(1.0, exponential(1.0)),
+        distributions.numeric(_NUMERIC_KNOTS),
     ]
 
 
@@ -127,7 +126,7 @@ def criterion_1_exponential_fixed_point() -> list[CheckOutcome]:
     tol = 1e-7
     for lam in (0.5, 1.0, 3.0):
         report = equilibrium.characterization_check(
-            build(exponential(lam)), (0.3, 0.5, 0.9, 1.0), (1, 2, 3),
+            exponential(lam), (0.3, 0.5, 0.9, 1.0), (1, 2, 3),
             linspace(0.0, 8.0 / lam, 30), tol)
         rows.append(outcome("exponential_fixed_point", {"lambda": lam},
                             report.max_deviation, tol))
@@ -137,9 +136,9 @@ def criterion_1_exponential_fixed_point() -> list[CheckOutcome]:
 def criterion_2_characterization_negative() -> list[CheckOutcome]:
     """Non-exponential inputs must be detected as non-fixed-points."""
     rows = []
-    for spec, label in ((weibull(2.0, 1.0), "weibull(2,1)"),
-                        (uniform(0.0, 1.0), "uniform(0,1)")):
-        report = equilibrium.characterization_check(build(spec), [1.0], [1], tol=1e-6)
+    for X, label in ((weibull(2.0, 1.0), "weibull(2,1)"),
+                     (uniform(0.0, 1.0), "uniform(0,1)")):
+        report = equilibrium.characterization_check(X, [1.0], [1], tol=1e-6)
         rows.append(CheckOutcome(
             "characterization_negative",
             {"distribution": label, "is_fixed_point": report.is_fixed_point,
@@ -154,8 +153,8 @@ def criterion_3_semigroup() -> list[CheckOutcome]:
     """Nested Weyl integrals agree with the single integral of summed order."""
     rows = []
     tol = 1e-5
-    cases = {"Exp(1)": (build(exponential(1.0)), linspace(0.0, 3.0, 10)),
-             "Uniform(0,1)": (build(uniform(0.0, 1.0)), linspace(0.0, 0.9, 10))}
+    cases = {"Exp(1)": (exponential(1.0), linspace(0.0, 3.0, 10)),
+             "Uniform(0,1)": (uniform(0.0, 1.0), linspace(0.0, 0.9, 10))}
     for label, (X, grid) in cases.items():
         for a, b in ((0.5, 0.5), (0.3, 0.7), (1.0, 1.0)):
             inner = lambda x, _b=b: fracops.weyl_integral(X, _b, x)
@@ -174,8 +173,8 @@ def criterion_4_recursive_equilibrium() -> list[CheckOutcome]:
     """Direct partial-moment survival equals the literal recursion."""
     rows = []
     tol = 1e-5
-    cases = {"Exp(1)": (build(exponential(1.0)), (0.0, 0.5, 1.0, 2.0, 3.0)),
-             "Uniform(0,1)": (build(uniform(0.0, 1.0)), (0.0, 0.2, 0.5, 0.7, 0.9))}
+    cases = {"Exp(1)": (exponential(1.0), (0.0, 0.5, 1.0, 2.0, 3.0)),
+             "Uniform(0,1)": (uniform(0.0, 1.0), (0.0, 0.2, 0.5, 0.7, 0.9))}
     for label, (X, grid) in cases.items():
         for n in (1, 2):
             for alpha in (0.5, 1.0):
@@ -205,7 +204,7 @@ def criterion_5_equilibrium_moments() -> list[CheckOutcome]:
             rows.append(outcome("equilibrium_moment_vs_quadrature",
                                 {"distribution": X.label, "alpha": alpha, "n": n},
                                 worst, 1e-5))
-    X = build(exponential(1.0))
+    X = exponential(1.0)
     for r in (0.5, 1.0, 2.0):
         worst = 0.0
         for alpha, n in ((0.5, 1), (0.5, 3), (1.0, 2)):
@@ -228,8 +227,8 @@ def criterion_6_taylor() -> list[CheckOutcome]:
     """Taylor residuals over the admissible grid plus the moment corollary."""
     rows = []
     tol = 1e-5
-    dists = {"Exp(1)": build(exponential(1.0)),
-             "Uniform(0,1)": build(uniform(0.0, 1.0))}
+    dists = {"Exp(1)": exponential(1.0),
+             "Uniform(0,1)": uniform(0.0, 1.0)}
     ran = 0
     for label, X in dists.items():
         for alpha in (0.5, 0.75, 1.0):
@@ -247,17 +246,17 @@ def criterion_6_taylor() -> list[CheckOutcome]:
     rows.append(CheckOutcome("taylor_grid_coverage", {"combinations": ran},
                              lhs=ran, rhs=40.0, residual=float(ran), tolerance=0.0,
                              passed=ran >= 40))
-    corollary = [(1.0, build(exponential(1.0)), 0.5, 0, "Exp(1)"),
-                 (2.0, build(exponential(1.0)), 1.0, 1, "Exp(1)"),
-                 (1.5, build(uniform(0.0, 1.0)), 0.5, 1, "Uniform(0,1)"),
-                 (1.5, build(uniform(0.0, 1.0)), 0.5, 2, "Uniform(0,1)")]
+    corollary = [(1.0, exponential(1.0), 0.5, 0, "Exp(1)"),
+                 (2.0, exponential(1.0), 1.0, 1, "Exp(1)"),
+                 (1.5, uniform(0.0, 1.0), 0.5, 1, "Uniform(0,1)"),
+                 (1.5, uniform(0.0, 1.0), 0.5, 2, "Uniform(0,1)")]
     for beta_exp, X, alpha, n, label in corollary:
         lhs, rhs = taylor.fractional_moment_identity(beta_exp, X, alpha, n)
         rows.append(outcome("fractional_moment_identity",
                             {"beta": beta_exp, "alpha": alpha, "n": n,
                              "distribution": label},
                             _rel(lhs, rhs), 1e-5, lhs=lhs, rhs=rhs))
-    lhs, rhs = taylor.fractional_moment_identity(1.0, build(exponential(1.0)), 0.5, 0)
+    lhs, rhs = taylor.fractional_moment_identity(1.0, exponential(1.0), 0.5, 0)
     rows.append(outcome("gamma_cancellation_exact_one",
                         {"beta": 1.0, "alpha": 0.5, "n": 0},
                         abs(rhs - 1.0), 1e-8, lhs=lhs, rhs=rhs))
@@ -265,8 +264,8 @@ def criterion_6_taylor() -> list[CheckOutcome]:
 
 
 def _mvt_pairs():
-    x_zero = build(zero_inflated(0.3, exponential(1.0)))
-    y_exp = build(exponential(1.0))
+    x_zero = zero_inflated(0.3, exponential(1.0))
+    y_exp = exponential(1.0)
     return [("Exp(mean 1)/Exp(mean 2)", _exp_mean(1.0), _exp_mean(2.0), (1.0, 1.5)),
             ("ZeroInflated(0.3)/Exp(1)", x_zero, y_exp, (0.5, 1.0))]
 
@@ -302,8 +301,8 @@ def criterion_7_mvt() -> list[CheckOutcome]:
 def criterion_8_mixture() -> list[CheckOutcome]:
     """Generalized mixture identity, pointwise, plus the exact coefficient."""
     rows = []
-    x_zero = build(zero_inflated(0.3, exponential(1.0)))
-    y_exp = build(exponential(1.0))
+    x_zero = zero_inflated(0.3, exponential(1.0))
+    y_exp = exponential(1.0)
     cases = [("Exp(mean 1)/Exp(mean 2)", _exp_mean(1.0), _exp_mean(2.0), 1.0, 5.0),
              ("Exp(mean 1)/Exp(mean 2)", _exp_mean(1.0), _exp_mean(2.0), 1.5, 5.0),
              ("ZeroInflated(0.3)/Exp(1)", x_zero, y_exp, 0.5, 5.0),
@@ -327,12 +326,12 @@ def criterion_9_mean_location() -> list[CheckOutcome]:
     rows = []
     pairs = [("Exp(1)/Exp(2)", _exp_mean(1.0), _exp_mean(2.0), 1.0, True),
              ("Exp(1)/Exp(2)", _exp_mean(1.0), _exp_mean(2.0), 0.5, False),
-             ("Uniform(0,1)/Exp(1)", build(uniform(0.0, 1.0)), build(exponential(1.0)),
+             ("Uniform(0,1)/Exp(1)", uniform(0.0, 1.0), exponential(1.0),
               1.0, False),
-             ("HyperExp2/Exp(1)", build(hyperexp2(0.4, 1.0, 3.0)),
-              build(exponential(1.0)), 1.0, False),
-             ("ZeroInflated(0.3)/Exp(1)", build(zero_inflated(0.3, exponential(1.0))),
-              build(exponential(1.0)), 1.0, True)]
+             ("HyperExp2/Exp(1)", hyperexp2(0.4, 1.0, 3.0),
+              exponential(1.0), 1.0, False),
+             ("ZeroInflated(0.3)/Exp(1)", zero_inflated(0.3, exponential(1.0)),
+              exponential(1.0), 1.0, True)]
     for label, X, Y, alpha, ordered in pairs:
         z = order_mvt.z_alpha_model(X, Y, alpha, require_order=ordered)
         report = order_mvt.classify_mean_location(z)
@@ -371,13 +370,14 @@ def criterion_10_order_checker() -> list[CheckOutcome]:
 def criterion_11_actuarial() -> list[CheckOutcome]:
     """Deductible identities: MVT, ratio independence, exponential Z."""
     rows = []
-    cases = [("x", PowerSum.power(1.0), exponential(1.0), 0.5, 1.0, 1.0),
-             ("x^0.5", PowerSum.power(0.5), exponential(1.0), 0.5, 1.0, 0.5),
-             ("x^2", PowerSum.power(2.0), hyperexp2(0.4, 1.0, 3.0), 0.2, 0.8, 1.0)]
-    for g_label, g, sev, r, s, alpha in cases:
-        report = actuarial.deductible_mvt(g, sev, r, s, alpha)
+    cases = [("x", PowerSum.power(1.0), "exponential", exponential(1.0), 0.5, 1.0, 1.0),
+             ("x^0.5", PowerSum.power(0.5), "exponential", exponential(1.0), 0.5, 1.0, 0.5),
+             ("x^2", PowerSum.power(2.0), "hyperexp2", hyperexp2(0.4, 1.0, 3.0),
+              0.2, 0.8, 1.0)]
+    for g_label, g, kind, severity, r, s, alpha in cases:
+        report = actuarial.deductible_mvt(g, severity, r, s, alpha)
         rows.append(identity_row("deductible_mvt",
-                                 {"severity": sev.kind, "g": g_label, "r": r, "s": s,
+                                 {"severity": kind, "g": g_label, "r": r, "s": s,
                                   "alpha": alpha},
                                  report, 1e-5))
 
@@ -442,7 +442,7 @@ def _classical_taylor_rhs(coeffs: dict[int, float], X, n: int) -> float:
 def criterion_12_caputo() -> list[CheckOutcome]:
     """Caputo expansion residuals and the alpha = 1 three-way agreement."""
     rows = []
-    X = build(exponential(1.0))
+    X = exponential(1.0)
     family = [("x^(2a), a=0.4, n=1", PowerSum.power(0.8), 0.4, 1),
               ("const 5, n=0", PowerSum.constant(5.0), 0.7, 0),
               ("x^2+x, a=1, n=1", PowerSum.from_terms([(1.0, 2.0), (1.0, 1.0)]), 1.0, 1),
@@ -453,7 +453,7 @@ def criterion_12_caputo() -> list[CheckOutcome]:
 
     poly = PowerSum.from_terms([(1.0, 2.0), (1.0, 1.0)])
     coeffs = {2: 1.0, 1: 1.0}
-    for label, model in (("Exp(1)", X), ("Uniform(0,1)", build(uniform(0.0, 1.0)))):
+    for label, model in (("Exp(1)", X), ("Uniform(0,1)", uniform(0.0, 1.0))):
         for n in (0, 1):
             rl = taylor.rl_taylor_expectation(poly, model, 1.0, n)
             cap = taylor.caputo_taylor_expectation(poly, model, 1.0, n)

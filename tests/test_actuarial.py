@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rel_diff
 from fraceq.actuarial import deductible_mvt, exponential_ratio_check
-from fraceq.distributions import build, deductible, exponential, hyperexp2, uniform
+from fraceq.distributions import deductible, exponential, hyperexp2, uniform
 from fraceq.errors import InvalidParameterError
 from fraceq.fracops import PowerSum
 from fraceq.numerics import linspace
@@ -14,18 +14,18 @@ from fraceq.order_mvt import normalized_moment, z_density
 
 class TestDeductibleModel:
     def test_exponential(self):
-        X = build(deductible(1.0, exponential(1.0)))
+        X = deductible(1.0, exponential(1.0))
         assert abs(X.atoms[0][1] - (1.0 - math.exp(-1.0))) < 1e-12
         assert abs(X.survival(0.5) - math.exp(-1.5)) < 1e-15
 
     def test_uniform(self):
-        X = build(deductible(0.5, uniform(0.0, 1.0)))
+        X = deductible(0.5, uniform(0.0, 1.0))
         assert abs(X.atoms[0][1] - 0.5) < 1e-12
         assert X.support_upper == 0.5
 
     def test_zero_deductible_rejected(self):
         with pytest.raises(InvalidParameterError):
-            build(deductible(0.0, exponential(1.0)))
+            deductible(0.0, exponential(1.0))
 
 
 class TestDeductibleMvt:
@@ -70,7 +70,7 @@ def test_deductible_z_is_exponential(r, s, alpha):
 
 def test_normalized_moment_closed_vs_quadrature():
     lam, d = 1.0, 0.7
-    X = build(deductible(d, exponential(lam)))
+    X = deductible(d, exponential(lam))
     bare = replace(X, closed_form_moment=None, closed_form_partial=None)
     for alpha in (0.5, 1.0, 1.5):
         expected = math.exp(-lam * d) * lam ** -alpha

@@ -5,7 +5,7 @@ import pytest
 from fraceq import cli, suite
 from fraceq.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                         EXIT_USAGE, main, parse_args)
-from fraceq.distributions import DistributionSpec, build, quantile
+from fraceq.distributions import build, quantile
 from fraceq.numerics import linspace
 from fraceq.order_mvt import alpha_survival_transform
 
@@ -27,7 +27,7 @@ class TestParse:
     def test_eqdist_config(self):
         cfg = parse_args(["eqdist", "--dist", EXP1, "--alpha", "0.5", "--n", "2"])
         assert cfg.command == "eqdist"
-        assert cfg.dist.kind == "exponential"
+        assert cfg.dist == json.loads(EXP1)
         assert cfg.alphas == [0.5]
         assert cfg.ns == [2]
 
@@ -140,7 +140,7 @@ class TestRun:
         code = main(["eqdist", "--dist", WEIBULL, "--alpha", "0.5", "--n", "1",
                      "--grid", "8", "--out", str(out)])
         assert code == EXIT_OK
-        X = build(DistributionSpec.from_json(json.loads(WEIBULL)))
+        X = build(json.loads(WEIBULL))
         row, points = suite.direct_vs_recursive(
             X, 0.5, 1, linspace(0.0, quantile(X, 0.99), 8), 1e-5,
             {"distribution": X.label, "alpha": 0.5, "n": 1})
@@ -283,6 +283,31 @@ class TestRun:
         code = main(["eqdist", "--dist", dist, "--out", str(tmp_path / "x.json")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["eqdist", "--dist", '{"kind":"weibull","params":{"k":Infinity,"lambda":1}}'],
+        ["eqdist", "--dist", '{"kind":"exponential","params":{"lambda":Infinity}}'],
+        ["eqdist", "--dist", '{"kind":"uniform","params":{"a":0,"b":Infinity}}'],
+        ["eqdist", "--dist", '{"kind":"numeric","params":{"knots":[[0,1],[NaN,0.5]]}}'],
+        ["order", "--dist-x", EXP1, "--dist-y",
+         '{"kind":"deductible","params":{"d":0.5},"inner":'
+         '{"kind":"exponential","params":{"lambda":NaN}}}'],
+        ["actuarial", "--severity", '{"kind":"exponential","params":{"lambda":-Infinity}}',
+         "--r", "0.5", "--s", "1"]])
+    def test_nonfinite_distribution_parameter_exits_2(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "x.json")]) == EXIT_USAGE
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["mvt", "--dist-x", EXP1, "--dist-y", EXP_MEAN2, "--g", '[{"coef":1,"exp":NaN}]'],
+        ["actuarial", "--severity", EXP1, "--r", "0.5", "--s", "1",
+         "--g", '[{"coef":1,"exp":NaN}]'],
+        ["taylor", "--dist", EXP1, "--g", '[{"coef":NaN,"exp":1}]'],
+        ["taylor", "--dist", EXP1, "--g", '[{"coef":1,"exp":Infinity}]']])
+    def test_nonfinite_g_term_exits_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x.json")])
+        assert exc.value.code == EXIT_USAGE
+
     def test_overflow_exits_3(self, tmp_path):
         huge = '{"kind":"uniform","params":{"a":0,"b":1e300}}'
         code = main(["eqdist", "--dist", huge, "--grid", "8",
@@ -319,8 +344,7 @@ class TestRun:
                      "--alpha", "0.5,1", "--grid", "8", "--format", "csv",
                      "--out", str(out)])
         assert code == EXIT_OK
-        X = build(DistributionSpec.from_json(json.loads(EXP1)))
-        Y = build(DistributionSpec.from_json(json.loads(EXP_MEAN2)))
+        X, Y = build(json.loads(EXP1)), build(json.loads(EXP_MEAN2))
         for alpha in (0.5, 1.0):
             lines = (tmp_path / f"order_alpha{alpha:g}_n0.csv").read_text().splitlines()
             assert lines[0] == "t,transform_x,transform_y,abs_gap"
@@ -330,6 +354,15 @@ class TestRun:
                 assert fx == alpha_survival_transform(X, alpha, t)
                 assert fy == alpha_survival_transform(Y, alpha, t)
                 assert diff == abs(fx - fy)
+
+    def test_close_orders_get_separate_grid_files(self, tmp_path):
+        # both orders print as 0.123457 with {:g}
+        code = main(["order", "--dist-x", EXP1, "--dist-y", EXP_MEAN2,
+                     "--alpha", "0.1234567,0.1234568", "--grid", "8",
+                     "--format", "csv", "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "o.csv", "o_alpha0.1234567_n0.csv", "o_alpha0.1234568_n0.csv"]
 
     @pytest.mark.parametrize("argv,options", [
         (["eqdist", "--dist", EXP1, "--alpha", "0.5", "--n", "1", "--tol", "1e-5",
@@ -357,12 +390,23 @@ class TestRun:
         config = report_of(out)["header"]["config"]
         assert set(config) == options | {"command", "format"}
         assert config["command"] == argv[0]
+        for name in ("dist", "dist_x", "severity"):  # the JSON as given
+            if name in config:
+                assert config[name] == json.loads(EXP1)
 
     def test_order_heavy_tail(self, tmp_path):
         # the 0.999 quantile of Weibull(0.05) is about 6e16, far past 1e12
         out = tmp_path / "order.json"
         code = main(["order", "--dist-x", '{"kind":"weibull","params":{"k":0.05,"lambda":1}}',
                      "--dist-y", EXP1, "--out", str(out)])
+        assert code == EXIT_OK
+        assert report_of(out)["results"][0]["params"]["holds"] is False
+
+    def test_order_heavy_tail_fractional(self, tmp_path):
+        # E[(X-t)_+^-0.5] at t ~ 1e17 needs more than 64 tail doublings
+        out = tmp_path / "order.json"
+        code = main(["order", "--dist-x", '{"kind":"weibull","params":{"k":0.05,"lambda":1}}',
+                     "--dist-y", EXP1, "--alpha", "0.5", "--out", str(out)])
         assert code == EXIT_OK
         assert report_of(out)["results"][0]["params"]["holds"] is False
 

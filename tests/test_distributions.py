@@ -3,11 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import CATALOG_SPECS, rel_diff
+from conftest import exp_knots, rel_diff
 from fraceq import distributions as dist
-from fraceq.distributions import (DistributionModel, DistributionSpec, build,
-                                  fractional_moment, quantile,
-                                  upper_partial_moment)
+from fraceq.distributions import (DistributionModel, build, fractional_moment,
+                                  quantile, upper_partial_moment)
 from fraceq.errors import DivergenceError, InvalidParameterError
 
 
@@ -16,15 +15,18 @@ def strip_closed(model):
     return replace(model, closed_form_moment=None, closed_form_partial=None)
 
 
+EXP1 = {"kind": "exponential", "params": {"lambda": 1.0}}
+
+
 class TestBuild:
     def test_exponential(self):
-        X = build(dist.exponential(1.0))
+        X = dist.exponential(1.0)
         assert X.atoms == ()
         assert abs(X.survival(1.0) - math.exp(-1.0)) < 1e-15
         assert X.support_upper == math.inf
 
     def test_deductible_over_exponential(self):
-        X = build(dist.deductible(1.0, dist.exponential(1.0)))
+        X = dist.deductible(1.0, dist.exponential(1.0))
         assert len(X.atoms) == 1
         loc, mass = X.atoms[0]
         assert loc == 0.0
@@ -33,12 +35,12 @@ class TestBuild:
             assert abs(X.survival(t) - math.exp(-(1.0 + t))) < 1e-15
 
     def test_zero_inflated(self):
-        X = build(dist.zero_inflated(0.3, dist.exponential(1.0)))
+        X = dist.zero_inflated(0.3, dist.exponential(1.0))
         assert X.atoms == ((0.0, 0.3),)
         assert abs(X.survival(1.0) - 0.7 * math.exp(-1.0)) < 1e-15
 
     def test_numeric_interpolation(self):
-        X = build(CATALOG_SPECS["numeric"])
+        X = dist.numeric(exp_knots())
         # knot values are exact, interior points interpolate monotonically
         assert X.survival(0.5) == math.exp(-0.5)
         assert math.exp(-0.8) < X.survival(0.75) < math.exp(-0.7)
@@ -46,36 +48,65 @@ class TestBuild:
         assert 0.0 < X.survival(6.0) < X.survival(4.0)
 
     @pytest.mark.parametrize("spec", [
-        dist.exponential(0.0),
-        dist.exponential(-2.0),
-        dist.uniform(1.0, 1.0),
-        dist.weibull(2.0, 0.0),
-        dist.hyperexp2(1.5, 1.0, 2.0),
-        dist.zero_inflated(0.0, dist.exponential(1.0)),
-        dist.deductible(0.0, dist.exponential(1.0)),
-        dist.deductible(2.0, dist.uniform(0.0, 1.0)),
-        dist.numeric([(0.0, 1.0)]),
-        dist.numeric([(0.0, 0.4), (1.0, 0.6)]),
-        DistributionSpec("frobnicate"),
+        {"kind": "exponential", "params": {"lambda": 0.0}},
+        {"kind": "exponential", "params": {"lambda": -2.0}},
+        {"kind": "uniform", "params": {"a": 1.0, "b": 1.0}},
+        {"kind": "weibull", "params": {"k": 2.0, "lambda": 0.0}},
+        {"kind": "hyperexp2", "params": {"p": 1.5, "lambda1": 1.0, "lambda2": 2.0}},
+        {"kind": "zero_inflated", "params": {"p": 0.0}, "inner": EXP1},
+        {"kind": "deductible", "params": {"d": 0.0}, "inner": EXP1},
+        {"kind": "deductible", "params": {"d": 2.0},
+         "inner": {"kind": "uniform", "params": {"a": 0.0, "b": 1.0}}},
+        {"kind": "numeric", "params": {"knots": [[0.0, 1.0]]}},
+        {"kind": "numeric", "params": {"knots": [[0.0, 0.4], [1.0, 0.6]]}},
+        {"kind": "frobnicate"},
+        {"kind": 1, "params": {"lambda": 1.0}},
+        [EXP1],
+        {"kind": "exponential", "params": {"lambda": True}},
+        {"kind": "exponential", "params": {"lambda": "fast"}},
+        {"kind": "exponential", "params": {}},
+        {"kind": "exponential", "params": [1.0]},
+        {"kind": "deductible", "params": {"d": 1.0}},
+        {"kind": "exponential", "params": {"lambda": math.inf}},
+        {"kind": "uniform", "params": {"a": 0.0, "b": math.inf}},
+        {"kind": "weibull", "params": {"k": math.inf, "lambda": 1.0}},
+        {"kind": "weibull", "params": {"k": 2.0, "lambda": math.nan}},
+        {"kind": "numeric", "params": {"knots": [[0.0, 1.0], [math.inf, 0.5]]}},
+        {"kind": "deductible", "params": {"d": 1.0},
+         "inner": {"kind": "exponential", "params": {"lambda": math.nan}}},
     ])
     def test_invalid_parameters(self, spec):
         with pytest.raises(InvalidParameterError):
             build(spec)
 
-    def test_spec_json_roundtrip(self):
-        spec = dist.deductible(1.0, dist.hyperexp2(0.4, 1.0, 3.0))
-        assert DistributionSpec.from_json(spec.to_json()) == spec
+    @pytest.mark.parametrize("obj,model", [
+        (EXP1, dist.exponential(1.0)),
+        ({"kind": "deductible", "params": {"d": 1.0},
+          "inner": {"kind": "hyperexp2",
+                    "params": {"p": 0.4, "lambda1": 1.0, "lambda2": 3.0}}},
+         dist.deductible(1.0, dist.hyperexp2(0.4, 1.0, 3.0))),
+        ({"kind": "numeric", "params": {"knots": [list(k) for k in exp_knots()]}},
+         dist.numeric(exp_knots())),
+    ], ids=["exponential", "deductible", "numeric"])
+    def test_build_matches_constructor(self, obj, model):
+        X = build(obj)
+        assert X.label == model.label
+        assert X.atoms == model.atoms
+        assert X.support_upper == model.support_upper
+        for t in (0.0, 0.5, 2.0):
+            assert X.survival(t) == model.survival(t)
+            assert upper_partial_moment(X, t, 0.5) == upper_partial_moment(model, t, 0.5)
 
 
 class TestFractionalMoment:
     def test_exponential_half_moment(self):
         # E[X^s] = Gamma(s+1) / lambda^s for the exponential
-        X = build(dist.exponential(1.0))
+        X = dist.exponential(1.0)
         assert abs(fractional_moment(X, 0.5) - math.gamma(1.5)) < 1e-14
         assert abs(fractional_moment(X, 1.0) - 1.0) < 1e-14
 
     def test_uniform_second_moment(self):
-        X = build(dist.uniform(0.0, 1.0))
+        X = dist.uniform(0.0, 1.0)
         assert abs(fractional_moment(X, 2.0) - 1.0 / 3.0) < 1e-14
 
     def test_zeroth_moment_is_one(self, catalog):
@@ -83,13 +114,13 @@ class TestFractionalMoment:
             assert fractional_moment(model, 0.0) == 1.0
 
     def test_negative_exponent_against_closed_form(self):
-        X = build(dist.exponential(1.0))
+        X = dist.exponential(1.0)
         bare = strip_closed(X)
         for s in (-0.5, -0.25):
             assert rel_diff(fractional_moment(bare, s), math.gamma(s + 1.0)) < 1e-8
 
     def test_negative_exponent_with_atom_at_zero_diverges(self):
-        X = build(dist.zero_inflated(0.3, dist.exponential(1.0)))
+        X = dist.zero_inflated(0.3, dist.exponential(1.0))
         with pytest.raises(DivergenceError):
             fractional_moment(X, -0.5)
 
@@ -110,7 +141,7 @@ class TestFractionalMoment:
 class TestUpperPartialMoment:
     def test_exponential_tail_formula(self):
         # E[(X-t)_+^s] = Gamma(s+1) e^(-t) for the unit exponential
-        X = build(dist.exponential(1.0))
+        X = dist.exponential(1.0)
         got = upper_partial_moment(X, 2.0, 0.5)
         assert abs(got - math.exp(-2.0) * math.gamma(1.5)) < 1e-12  # 0.1199377...
 
@@ -121,7 +152,7 @@ class TestUpperPartialMoment:
             assert rel_diff(lhs, rhs) < 1e-8, model.label
 
     def test_uniform_excess(self):
-        X = build(dist.uniform(0.0, 1.0))
+        X = dist.uniform(0.0, 1.0)
         # int_{1/2}^1 (x - 1/2) dx = 1/8
         assert abs(upper_partial_moment(X, 0.5, 1.0) - 0.125) < 1e-14
 
@@ -147,7 +178,7 @@ class TestUpperPartialMoment:
                 prev = value
 
     def test_negative_exponent_quadrature_vs_closed(self):
-        X = build(dist.exponential(1.0))
+        X = dist.exponential(1.0)
         bare = strip_closed(X)
         for t in (0.0, 0.5, 2.0):
             closed = upper_partial_moment(X, t, -0.5)
@@ -157,14 +188,14 @@ class TestUpperPartialMoment:
     def test_deeply_negative_exponents_stay_accurate(self):
         # the survival increment cancels catastrophically near u = 0; the
         # secant model keeps the weighted head integral well-conditioned
-        bare = strip_closed(build(dist.exponential(1.0)))
+        bare = strip_closed(dist.exponential(1.0))
         for s in (-0.7, -0.9, -0.99):
             got = upper_partial_moment(bare, 0.5, s)
             exact = math.gamma(s + 1.0) * math.exp(-0.5)
             assert rel_diff(got, exact) < 1e-9, s
 
     def test_negative_exponent_uniform_closed_form(self):
-        X = build(dist.uniform(0.0, 1.0))
+        X = dist.uniform(0.0, 1.0)
         # int_t^1 (x-t)^(-1/2) dx = 2 sqrt(1-t)
         for t in (0.0, 0.25, 0.75):
             assert abs(upper_partial_moment(X, t, -0.5)
@@ -172,7 +203,7 @@ class TestUpperPartialMoment:
 
     def test_atom_at_threshold_is_allowed(self):
         # the (x)_+ convention nullifies mass sitting exactly at t
-        X = build(dist.deductible(1.0, dist.exponential(1.0)))
+        X = dist.deductible(1.0, dist.exponential(1.0))
         got = upper_partial_moment(X, 0.0, -0.5)
         assert abs(got - math.exp(-1.0) * math.gamma(0.5)) < 1e-12
 
@@ -192,10 +223,10 @@ class TestUpperPartialMoment:
 
 class TestSurvival:
     def test_examples(self):
-        X = build(dist.exponential(1.0))
+        X = dist.exponential(1.0)
         assert X.survival(0.0) == 1.0
         assert abs(X.survival(1.0) - math.exp(-1.0)) < 1e-15
-        X_d = build(dist.deductible(1.0, dist.exponential(1.0)))
+        X_d = dist.deductible(1.0, dist.exponential(1.0))
         assert abs(X_d.survival(0.0) - math.exp(-1.0)) < 1e-15
 
     def test_negative_arguments(self, catalog):
@@ -225,15 +256,15 @@ def test_zero_inflated_partial_identity(catalog):
 
 
 def test_quantile():
-    X = build(dist.exponential(1.0))
+    X = dist.exponential(1.0)
     assert abs(quantile(X, 1.0 - math.exp(-1.0)) - 1.0) < 1e-9
-    U = build(dist.uniform(0.0, 1.0))
+    U = dist.uniform(0.0, 1.0)
     assert abs(quantile(U, 0.25) - 0.25) < 1e-9
     # heavy tails: the doubling search runs until t overflows
-    W = build(dist.weibull(0.05, 1.0))
+    W = dist.weibull(0.05, 1.0)
     assert rel_diff(quantile(W, 0.999), math.log(1000.0) ** 20) < 1e-12
     with pytest.raises(DivergenceError):
-        quantile(build(dist.weibull(0.001, 1.0)), 0.999)
+        quantile(dist.weibull(0.001, 1.0), 0.999)
 
 
 def test_numeric_moments_near_exponential(catalog):

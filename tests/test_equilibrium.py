@@ -4,20 +4,36 @@ import pytest
 
 from conftest import rel_diff
 from fraceq import equilibrium
-from fraceq.distributions import build, exponential, quantile, uniform, weibull
+from fraceq.distributions import exponential, quantile, uniform, weibull
 from fraceq.equilibrium import (characterization_check, eq_density,
                                 eq_density_fn, eq_moment, eq_survival,
                                 eq_survival_recursive, equilibrium_view,
                                 first_order_cdf_interpretation)
 from fraceq.errors import (InvalidParameterError, MissingDensityError)
-from fraceq.fracops import FracOrder, PowerSum, power_expectation
+from fraceq.fracops import PowerSum, power_expectation
 from fraceq.numerics import (DEFAULT_CONFIG, beta, geomspace,
                              integrate_semi_infinite, linspace)
 
 
+class TestEquilibriumView:
+    def test_accessors(self):
+        view = equilibrium_view(exponential(2.0), 0.5, 3)
+        assert (view.alpha, view.n, view.total) == (0.5, 3, 1.5)
+        assert rel_diff(view.norm, math.gamma(2.5) / 2.0 ** 1.5) < 1e-14
+
+    def test_validation(self):
+        X = exponential(1.0)
+        # checked before E[X^(n alpha)]: alpha = -0.6, n = 2 would diverge
+        for alpha, n in ((0.0, 1), (-0.6, 2), (0.5, 0), (0.5, -1)):
+            with pytest.raises(InvalidParameterError):
+                equilibrium_view(X, alpha, n)
+        with pytest.raises(InvalidParameterError):
+            eq_survival_recursive(X, 0.0, 1, 0.5)
+
+
 class TestEqSurvival:
     def test_exponential_fixed_point_value(self):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         view = equilibrium_view(X, 0.5, 2)
         assert abs(eq_survival(view, 1.0) - math.exp(-1.0)) < 1e-12
 
@@ -28,7 +44,7 @@ class TestEqSurvival:
                 assert abs(eq_survival(view, 0.0) - 1.0) < 1e-9, model.label
 
     def test_uniform_value(self):
-        view = equilibrium_view(build(uniform(0.0, 1.0)), 1.0, 1)
+        view = equilibrium_view(uniform(0.0, 1.0), 1.0, 1)
         # E[(X-t)_+]/E[X] = (1-t)^2 at t = 1/2
         assert abs(eq_survival(view, 0.5) - 0.25) < 1e-14
 
@@ -40,7 +56,7 @@ class TestEqSurvival:
             assert all(a >= b - 1e-10 for a, b in zip(values, values[1:])), model.label
 
     def test_vanishes_at_truncation_scale(self):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         view = equilibrium_view(X, 0.5, 1)
         res = integrate_semi_infinite(X.survival, 0.0)
         assert eq_survival(view, res.truncation_point) < 1e-6
@@ -48,18 +64,18 @@ class TestEqSurvival:
 
 class TestEqDensity:
     def test_exponential_fixed_point_value(self):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         assert abs(eq_density(equilibrium_view(X, 0.5, 1), 2.0)
                    - math.exp(-2.0)) < 1e-12
         assert abs(eq_density(equilibrium_view(X, 1.0, 1), 0.0) - 1.0) < 1e-14
 
     def test_uniform_linear_density(self):
-        view = equilibrium_view(build(uniform(0.0, 1.0)), 1.0, 1)
+        view = equilibrium_view(uniform(0.0, 1.0), 1.0, 1)
         assert abs(eq_density(view, 0.25) - 1.5) < 1e-14
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
     def test_fixed_point_sweep(self, lam):
-        X = build(exponential(lam))
+        X = exponential(lam)
         for alpha in (0.3, 0.9):
             for n in (1, 3):
                 view = equilibrium_view(X, alpha, n)
@@ -103,39 +119,38 @@ class TestEqDensity:
 
 class TestRecursiveOracle:
     def test_single_level_is_plain_equilibrium(self):
-        X = build(exponential(1.0))
-        got = eq_survival_recursive(X, FracOrder(1.0, 1), 0.7)
+        X = exponential(1.0)
+        got = eq_survival_recursive(X, 1.0, 1, 0.7)
         assert abs(got - math.exp(-0.7)) < 1e-8
 
     @pytest.mark.parametrize("alpha,n", [(0.5, 1), (1.0, 1), (0.5, 2), (1.0, 2)])
     def test_matches_direct_form(self, alpha, n):
-        for spec, ts in ((exponential(1.0), (0.0, 1.0, 2.5)),
-                         (uniform(0.0, 1.0), (0.0, 0.3, 0.8))):
-            X = build(spec)
+        for X, ts in ((exponential(1.0), (0.0, 1.0, 2.5)),
+                      (uniform(0.0, 1.0), (0.0, 0.3, 0.8))):
             view = equilibrium_view(X, alpha, n)
             for t in ts:
                 direct = eq_survival(view, t)
-                oracle = eq_survival_recursive(X, FracOrder(alpha, n), t)
-                assert rel_diff(direct, oracle) < 1e-5, (spec.kind, alpha, n, t)
+                oracle = eq_survival_recursive(X, alpha, n, t)
+                assert rel_diff(direct, oracle) < 1e-5, (X.label, alpha, n, t)
 
     def test_depth_guard(self):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         with pytest.raises(InvalidParameterError):
-            eq_survival_recursive(X, FracOrder(0.5, 4), 0.0)
+            eq_survival_recursive(X, 0.5, 4, 0.0)
 
 
 class TestEqMoment:
     def test_first_moment_of_exponential_is_mean(self):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         for alpha, n in ((0.3, 1), (0.5, 2), (1.0, 3)):
             assert abs(eq_moment(equilibrium_view(X, alpha, n), 1.0) - 1.0) < 1e-12
 
     def test_uniform_first_moment(self):
-        view = equilibrium_view(build(uniform(0.0, 1.0)), 1.0, 1)
+        view = equilibrium_view(uniform(0.0, 1.0), 1.0, 1)
         assert abs(eq_moment(view, 1.0) - 1.0 / 3.0) < 1e-14
 
     def test_exponential_second_moment_higher_order(self):
-        view = equilibrium_view(build(exponential(1.0)), 0.5, 3)
+        view = equilibrium_view(exponential(1.0), 0.5, 3)
         assert abs(eq_moment(view, 2.0) - 2.0) < 1e-12
 
     def test_against_bruteforce_integral(self, catalog):
@@ -163,7 +178,7 @@ class TestEqMoment:
 
 class TestFirstOrderCdf:
     def test_exponential(self):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         got = first_order_cdf_interpretation(X, 1.0, 1.0)
         assert abs(got - (1.0 - math.exp(-1.0))) < 1e-9
 
@@ -172,12 +187,12 @@ class TestFirstOrderCdf:
             assert first_order_cdf_interpretation(model, 0.7, 0.0) == 0.0
 
     def test_uniform(self):
-        U = build(uniform(0.0, 1.0))
+        U = uniform(0.0, 1.0)
         assert abs(first_order_cdf_interpretation(U, 1.0, 0.5) - 0.75) < 1e-9
 
     @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0])
     def test_oracle_for_eq_survival(self, alpha):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         view = equilibrium_view(X, alpha, 1)
         for t in (0.3, 1.0, 2.0):
             lhs = first_order_cdf_interpretation(X, alpha, t)
@@ -186,13 +201,13 @@ class TestFirstOrderCdf:
 
 class TestCharacterization:
     def test_exponential_is_fixed_point(self):
-        report = characterization_check(build(exponential(2.0)),
+        report = characterization_check(exponential(2.0),
                                         [0.3, 0.7, 1.0], [1, 2], tol=1e-6)
         assert report.is_fixed_point
         assert report.max_deviation <= 1e-6
 
     def test_weibull_detected(self):
-        report = characterization_check(build(weibull(2.0, 1.0)),
+        report = characterization_check(weibull(2.0, 1.0),
                                         [0.3, 0.7, 1.0], [1, 2], tol=1e-6)
         assert not report.is_fixed_point
         assert report.max_deviation > 0.05
@@ -201,12 +216,12 @@ class TestCharacterization:
     def test_witness_none_for_fixed_point(self):
         # every deviation of an exponential is rounding noise, so no point
         # of the grid is a meaningful witness
-        report = characterization_check(build(exponential(1.0)), [0.5, 1.0], [1, 2])
+        report = characterization_check(exponential(1.0), [0.5, 1.0], [1, 2])
         assert report.is_fixed_point
         assert report.witness is None
 
     def test_witness_on_grid_for_non_fixed_point(self):
-        X = build(weibull(2.0, 1.0))
+        X = weibull(2.0, 1.0)
         report = characterization_check(X, [0.5, 1.0], [1, 2])
         alpha, n, t = report.witness
         hi = quantile(X, 0.99)
@@ -214,7 +229,7 @@ class TestCharacterization:
         assert report.deviations[(alpha, n)] == report.max_deviation
 
     def test_uniform_detected(self):
-        report = characterization_check(build(uniform(0.0, 1.0)), [1.0], [1],
+        report = characterization_check(uniform(0.0, 1.0), [1.0], [1],
                                         tol=1e-6)
         assert not report.is_fixed_point
         # f_1(0) = 2 against f(0) = 1

@@ -3,26 +3,14 @@ import math
 import pytest
 
 from conftest import rel_diff
-from fraceq.distributions import build, exponential, uniform, upper_partial_moment
+from fraceq.distributions import exponential, uniform, upper_partial_moment
 from fraceq.errors import DivergenceError, InvalidParameterError
-from fraceq.fracops import (FracOrder, PowerSum, power_caputo_derivative,
+from fraceq.fracops import (PowerSum, power_caputo_derivative,
                             power_expectation, power_rl_derivative,
                             weyl_integral, weyl_of_function)
 from fraceq.numerics import integrate_singular_power
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-class TestFracOrder:
-    def test_accessors(self):
-        order = FracOrder(0.5, 3)
-        assert order.total == 1.5
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            FracOrder(0.0, 1)
-        with pytest.raises(InvalidParameterError):
-            FracOrder(0.5, -1)
 
 
 class TestPowerSum:
@@ -35,6 +23,12 @@ class TestPowerSum:
         assert PowerSum.from_json(g.to_json()) == g
         with pytest.raises(InvalidParameterError):
             PowerSum.from_json([{"coef": 1.0}])
+
+    @pytest.mark.parametrize("coef,exp", [(math.nan, 1.0), (1.0, math.nan),
+                                          (math.inf, 1.0), (1.0, -math.inf)])
+    def test_json_rejects_nonfinite_terms(self, coef, exp):
+        with pytest.raises(InvalidParameterError):
+            PowerSum.from_json([{"coef": coef, "exp": exp}])
 
 
 class TestPowerRlDerivative:
@@ -121,12 +115,12 @@ class TestPowerCaputo:
 
 class TestWeylIntegral:
     def test_exponential_examples(self):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         assert abs(weyl_integral(X, 0.5, 0.0) - 1.0) < 1e-8
         assert abs(weyl_integral(X, 2.0, 1.0) - math.exp(-1.0)) < 1e-9
 
     def test_uniform_mean(self):
-        U = build(uniform(0.0, 1.0))
+        U = uniform(0.0, 1.0)
         assert abs(weyl_integral(U, 1.0, 0.0) - 0.5) < 1e-10
 
     def test_both_paths_agree_on_catalog(self, catalog):
@@ -155,7 +149,7 @@ class TestWeylIntegral:
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.3, 0.7), (1.0, 1.0)])
     def test_semigroup_spot_check(self, a, b):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         inner = lambda x: weyl_integral(X, b, x)
         nested = weyl_of_function(inner, a, 1.0, upper=X.support_upper)
         direct = weyl_integral(X, a + b, 1.0)
@@ -173,7 +167,7 @@ class TestWeylIntegral:
 
 
 def test_power_expectation_against_exponential_moments():
-    X = build(exponential(1.0))
+    X = exponential(1.0)
     g = PowerSum.from_terms([(2.0, -0.5), (1.0, 1.0)])
     value, bound = power_expectation(g, X.density_ac)
     expected = 2.0 * math.gamma(0.5) + 1.0

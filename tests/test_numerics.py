@@ -116,6 +116,18 @@ class TestSemiInfinite:
         assert res.truncation_point is not None
         assert math.exp(-res.truncation_point) < 1e-12
 
+    def test_slow_tail_doubles_past_64_times(self):
+        # int_0^inf (1+x)^-1.1 dx = 10; the increments fall like 2^(-k/10)
+        res = integrate_semi_infinite(lambda x: (1.0 + x) ** -1.1, 0.0)
+        assert res.converged
+        assert abs(res.value - 10.0) < 1e-10
+        assert res.truncation_point > 2.0 ** 64
+
+    def test_divergent_tail_stops_before_overflow(self):
+        res = integrate_semi_infinite(lambda x: (1.0 + x) ** -0.9, 0.0)
+        assert not res.converged
+        assert math.isfinite(res.truncation_point)
+
     def test_explicit_upper_bound(self):
         res = integrate_semi_infinite(lambda x: 1.0 if x < 1.0 else 0.0, 0.0, upper=1.0)
         assert res.converged

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import rel_diff
-from fraceq.distributions import (build, exponential, fractional_moment,
+from fraceq.distributions import (exponential, fractional_moment,
                                   deductible, uniform, zero_inflated)
 from fraceq.equilibrium import eq_density, equilibrium_view
 from fraceq.errors import (DivergenceError, InvalidParameterError,
@@ -21,7 +21,7 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 def exp_mean(mu):
-    return build(exponential(1.0 / mu))
+    return exponential(1.0 / mu)
 
 
 class TestAlphaSurvivalTransform:
@@ -40,7 +40,7 @@ class TestAlphaSurvivalTransform:
                     == pytest.approx(model.survival(t), abs=1e-14)
 
     def test_zero_beyond_support(self):
-        U = build(uniform(0.0, 1.0))
+        U = uniform(0.0, 1.0)
         assert alpha_survival_transform(U, 2.0, 1.0) == 0.0
         assert alpha_survival_transform(U, 0.5, 1.3) == 0.0
 
@@ -67,15 +67,15 @@ class TestOrderCheck:
         # X_8 and X_9 of Exp(1) keep all but e^-8 of their mass at 0, so both
         # 0.999-quantiles are 0; the grid then spans the mass above 0, whose
         # 1 - 1e-3 e^-8 quantile is ln(1000) for X_8
-        X = build(deductible(8.0, exponential(1.0)))
-        Y = build(deductible(9.0, exponential(1.0)))
+        X = deductible(8.0, exponential(1.0))
+        Y = deductible(9.0, exponential(1.0))
         grid = default_order_grid(X, Y)
         assert len(grid) == 64 and grid[0] == 0.0 and grid[1] > 0.0
         assert rel_diff(grid[-1], 2.0 * math.log(1000.0)) < 1e-9
 
     def test_zero_inflated_dominates_inner_for_all_alpha(self):
-        X = build(zero_inflated(0.3, exponential(1.0)))
-        Y = build(exponential(1.0))
+        X = zero_inflated(0.3, exponential(1.0))
+        Y = exponential(1.0)
         for alpha in (0.3, 0.8, 1.0, 2.0):
             assert check_survival_bounded_order(X, Y, alpha).holds
 
@@ -98,16 +98,16 @@ class TestZAlpha:
     def test_density_integrates_to_one_when_ordered(self):
         for X, Y, alpha in ((exp_mean(1.0), exp_mean(2.0), 1.0),
                             (exp_mean(1.0), exp_mean(2.0), 1.5),
-                            (build(zero_inflated(0.3, exponential(1.0))),
-                             build(exponential(1.0)), 0.5)):
+                            (zero_inflated(0.3, exponential(1.0)),
+                             exponential(1.0), 0.5)):
             z = z_alpha_model(X, Y, alpha)
             assert z.verified
             res = integrate_semi_infinite(lambda t: z_density(z, t), 0.0)
             assert abs(res.value - 1.0) < 1e-7
 
     def test_zero_inflated_pair_collapses_to_equilibrium_density(self):
-        Y = build(exponential(1.0))
-        X = build(zero_inflated(0.3, exponential(1.0)))
+        Y = exponential(1.0)
+        X = zero_inflated(0.3, exponential(1.0))
         z = z_alpha_model(X, Y, 1.0)
         view = equilibrium_view(Y, 1.0, 1)
         for t in (0.0, 0.3, 1.5):
@@ -130,8 +130,8 @@ class TestMixture:
     def test_identity_pointwise(self):
         cases = [(exp_mean(1.0), exp_mean(2.0), 1.0),
                  (exp_mean(1.0), exp_mean(2.0), 1.5),
-                 (build(zero_inflated(0.3, exponential(1.0))),
-                  build(exponential(1.0)), 0.5)]
+                 (zero_inflated(0.3, exponential(1.0)),
+                  exponential(1.0), 0.5)]
         for X, Y, alpha in cases:
             z = z_alpha_model(X, Y, alpha)
             for t in linspace(0.0, 5.0, 30):
@@ -144,8 +144,8 @@ class TestMixture:
 
     def test_coefficient_at_least_one(self):
         for X, Y, alpha in ((exp_mean(1.0), exp_mean(2.0), 1.5),
-                            (build(zero_inflated(0.3, exponential(1.0))),
-                             build(exponential(1.0)), 1.0)):
+                            (zero_inflated(0.3, exponential(1.0)),
+                             exponential(1.0), 1.0)):
             assert z_alpha_model(X, Y, alpha).mix_c >= 1.0
 
 
@@ -170,26 +170,26 @@ class TestZMoment:
 
 class TestNormalizedMomentAndVariance:
     def test_normalized_moment(self):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         assert abs(normalized_moment(X, 0.5) - 1.0) < 1e-14
         assert abs(normalized_moment(X, 1.0) - fractional_moment(X, 1.0)) < 1e-14
 
     def test_normalized_moment_of_deductible(self):
         # e^(-lam d) lam^(-alpha) for an exponential severity
         lam, d = 2.0, 0.7
-        X = build(deductible(d, exponential(lam)))
+        X = deductible(d, exponential(lam))
         for alpha in (0.5, 1.0, 1.3):
             expected = math.exp(-lam * d) * lam ** -alpha
             assert rel_diff(normalized_moment(X, alpha), expected) < 1e-12
 
     def test_fractional_variance_reduces_to_variance(self):
-        assert abs(fractional_variance(build(exponential(1.0)), 1.0) - 1.0) < 1e-12
+        assert abs(fractional_variance(exponential(1.0), 1.0) - 1.0) < 1e-12
         assert abs(fractional_variance(exp_mean(2.0), 1.0) - 4.0) < 1e-12
 
     def test_fractional_variance_half(self):
         # Gamma(5/2) - Gamma(3/2)^2 / 2 = 3 sqrt(pi)/4 - pi/8
         expected = 0.75 * SQRT_PI - math.pi / 8.0
-        assert abs(fractional_variance(build(exponential(1.0)), 0.5)
+        assert abs(fractional_variance(exponential(1.0), 0.5)
                    - expected) < 1e-12
 
 
@@ -213,7 +213,7 @@ class TestMeanLocation:
     def test_equal_variance_pair_is_balanced(self):
         # Exp with mean 1/sqrt(12) has variance 1/12, same as Uniform(0,1)
         X = exp_mean(1.0 / math.sqrt(12.0))
-        Y = build(uniform(0.0, 1.0))
+        Y = uniform(0.0, 1.0)
         z = z_alpha_model(X, Y, 1.0, require_order=False)
         report = classify_mean_location(z)
         assert report.balanced_variance_residual < 1e-12
@@ -247,8 +247,8 @@ class TestMvt:
 
     def test_family_grid(self):
         pairs = [(exp_mean(1.0), exp_mean(2.0), (1.0, 1.5)),
-                 (build(zero_inflated(0.3, exponential(1.0))),
-                  build(exponential(1.0)), (0.5, 1.0))]
+                 (zero_inflated(0.3, exponential(1.0)),
+                  exponential(1.0), (0.5, 1.0))]
         checked = 0
         for X, Y, alphas in pairs:
             for alpha in alphas:

@@ -12,8 +12,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from fraceq.distributions import (build, deductible, exponential, hyperexp2,
-                                  uniform, zero_inflated)
+from fraceq.distributions import (deductible, exponential, hyperexp2, uniform,
+                                  zero_inflated)
 from fraceq.equilibrium import eq_density, eq_survival, equilibrium_view
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
@@ -28,11 +28,11 @@ RATES = st.floats(0.2, 5.0)
 def test_exponential_is_a_fixed_point(lam, alpha, n, u):
     # every equilibrium transform of Exp(lam) is Exp(lam) again
     t = u / lam
-    got = eq_density(equilibrium_view(build(exponential(lam)), alpha, n), t)
+    got = eq_density(equilibrium_view(exponential(lam), alpha, n), t)
     assert got == pytest.approx(lam * math.exp(-lam * t), rel=1e-9)
 
 
-def _closed_form_spec(kind, a, b, c):
+def _closed_form_law(kind, a, b, c):
     """A catalog law with closed-form partial moments, from three draws."""
     if kind == "exponential":
         return exponential(a)
@@ -45,17 +45,16 @@ def _closed_form_spec(kind, a, b, c):
     return deductible(c, exponential(a))
 
 
-LAWS = st.builds(_closed_form_spec,
+LAWS = st.builds(_closed_form_law,
                  st.sampled_from(["exponential", "uniform", "hyperexp2",
                                   "zero_inflated", "deductible"]),
                  RATES, RATES, st.floats(0.01, 1.0))
 
 
 @PROPERTY
-@given(spec=LAWS, alpha=ALPHAS, n=ORDERS,
+@given(X=LAWS, alpha=ALPHAS, n=ORDERS,
        us=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=8))
-def test_eq_survival_is_a_survival_function(spec, alpha, n, us):
-    X = build(spec)
+def test_eq_survival_is_a_survival_function(X, alpha, n, us):
     view = equilibrium_view(X, alpha, n)
     # spread the points over the bulk of X, including past a finite support
     scale = X.support_upper if math.isfinite(X.support_upper) else 3.0

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import rel_diff
-from fraceq.distributions import build, exponential, fractional_moment, uniform
+from fraceq.distributions import exponential, fractional_moment, uniform
 from fraceq.equilibrium import eq_density_fn, equilibrium_view
 from fraceq.errors import DivergenceError, InvalidParameterError
 from fraceq.fracops import PowerSum, power_expectation, power_rl_derivative
@@ -38,14 +38,14 @@ class TestCoefficients:
 class TestRlExpectation:
     def test_mean_of_exponential_all_in_remainder(self):
         report = rl_taylor_expectation(PowerSum.power(1.0),
-                                       build(exponential(1.0)), 0.5, 0)
+                                       exponential(1.0), 0.5, 0)
         assert abs(report.lhs - 1.0) < 1e-12
         assert report.terms == (0.0,)
         assert abs(report.remainder - 1.0) < 1e-9
         assert abs(report.residual) < 1e-9
 
     def test_annihilated_g_all_in_series(self):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         report = rl_taylor_expectation(PowerSum.power(-0.5, coef=2.0), X, 0.5, 0)
         assert report.remainder == 0.0
         assert abs(report.terms[0] - 2.0 * gamma(0.5)) < 1e-12
@@ -53,13 +53,13 @@ class TestRlExpectation:
 
     def test_square_on_uniform_at_alpha_one(self):
         report = rl_taylor_expectation(PowerSum.power(2.0),
-                                       build(uniform(0.0, 1.0)), 1.0, 1)
+                                       uniform(0.0, 1.0), 1.0, 1)
         assert abs(report.lhs - 1.0 / 3.0) < 1e-14
         assert abs(report.residual) < 1e-7
 
     def test_order_zero_remark_assembled_independently(self):
         # c0/Gamma(a) E[X^(a-1)] + E[X^a]/Gamma(a+1) E[D^a g(X_a^(1))]
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         alpha = 0.5
         g = PowerSum.from_terms([(1.0, -0.5), (1.0, 1.0)])
         report = rl_taylor_expectation(g, X, alpha, 0)
@@ -73,7 +73,7 @@ class TestRlExpectation:
         assert abs((sum(report.terms) + report.remainder) - remark) < 1e-10
 
     def test_residual_stable_as_order_grows(self):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         residuals = [abs(rl_taylor_expectation(PowerSum.power(2.0), X, 0.5, n).residual)
                      for n in (0, 1, 2)]
         assert all(r < 1e-6 for r in residuals)
@@ -83,12 +83,12 @@ class TestRlExpectation:
         # D^(3a) x with a = 0.75 carries exponent 1 - 2.25 < -1
         with pytest.raises(DivergenceError):
             rl_taylor_expectation(PowerSum.power(1.0),
-                                  build(exponential(1.0)), 0.75, 2)
+                                  exponential(1.0), 0.75, 2)
 
     def test_alpha_validation(self):
         with pytest.raises(InvalidParameterError):
             rl_taylor_expectation(PowerSum.power(1.0),
-                                  build(exponential(1.0)), 1.5, 0)
+                                  exponential(1.0), 1.5, 0)
 
 
 GRID_DISTS = [("Exp(1)", exponential(1.0)), ("Uniform(0,1)", uniform(0.0, 1.0))]
@@ -98,7 +98,7 @@ GRID_DISTS = [("Exp(1)", exponential(1.0)), ("Uniform(0,1)", uniform(0.0, 1.0))]
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_rl_residual_grid(label, spec, alpha, n):
-    X = build(spec)
+    X = spec
     gs = [PowerSum.power(1.0), PowerSum.power(2.0), PowerSum.power(0.5),
           PowerSum.from_terms([(1.0, alpha - 1.0), (1.0, 2.0 * alpha)])]
     for g in gs:
@@ -111,27 +111,27 @@ def test_rl_residual_grid(label, spec, alpha, n):
 
 class TestMomentIdentity:
     def test_gamma_cancellation_is_exactly_one(self):
-        lhs, rhs = fractional_moment_identity(1.0, build(exponential(1.0)), 0.5, 0)
+        lhs, rhs = fractional_moment_identity(1.0, exponential(1.0), 0.5, 0)
         assert abs(lhs - 1.0) < 1e-12
         assert abs(rhs - 1.0) < 1e-8
 
     def test_second_moment_exponential(self):
-        lhs, rhs = fractional_moment_identity(2.0, build(exponential(1.0)), 1.0, 1)
+        lhs, rhs = fractional_moment_identity(2.0, exponential(1.0), 1.0, 1)
         assert abs(lhs - 2.0) < 1e-12
         assert rel_diff(lhs, rhs) < 1e-8
 
     def test_uniform_fractional(self):
-        lhs, rhs = fractional_moment_identity(1.5, build(uniform(0.0, 1.0)), 0.5, 1)
+        lhs, rhs = fractional_moment_identity(1.5, uniform(0.0, 1.0), 0.5, 1)
         assert abs(lhs - 0.4) < 1e-14
         assert rel_diff(lhs, rhs) < 1e-6
 
     def test_quadrature_branch_for_small_residual_exponent(self):
         # beta - (n+1) alpha in (-1, 0) exercises the singular-power branch
-        lhs, rhs = fractional_moment_identity(1.3, build(exponential(1.0)), 0.5, 1)
+        lhs, rhs = fractional_moment_identity(1.3, exponential(1.0), 0.5, 1)
         assert rel_diff(lhs, rhs) < 1e-6
 
     def test_preconditions(self):
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         with pytest.raises(InvalidParameterError):
             fractional_moment_identity(0.3, X, 0.5, 0)  # beta < alpha
         with pytest.raises(InvalidParameterError):
@@ -142,7 +142,7 @@ class TestCaputoExpectation:
     def test_power_two_alpha(self):
         # g = x^(2a) with a = 0.4: both series terms vanish and the
         # remainder collapses to E[X^0.8] by Gamma cancellation
-        X = build(exponential(1.0))
+        X = exponential(1.0)
         report = caputo_taylor_expectation(PowerSum.power(0.8), X, 0.4, 1)
         assert report.terms == (0.0, 0.0)
         assert rel_diff(report.remainder, fractional_moment(X, 0.8)) < 1e-8
@@ -157,18 +157,18 @@ class TestCaputoExpectation:
 
     def test_classical_second_order(self):
         g = PowerSum.from_terms([(1.0, 2.0), (1.0, 1.0)])
-        report = caputo_taylor_expectation(g, build(exponential(1.0)), 1.0, 1)
+        report = caputo_taylor_expectation(g, exponential(1.0), 1.0, 1)
         assert abs(report.lhs - 3.0) < 1e-12
         assert abs(report.residual) < 1e-7
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(InvalidParameterError):
             caputo_taylor_expectation(PowerSum.power(-0.5),
-                                      build(exponential(1.0)), 0.5, 0)
+                                      exponential(1.0), 0.5, 0)
 
     @pytest.mark.parametrize("label,spec", GRID_DISTS)
     def test_alpha_one_agrees_with_rl(self, label, spec):
-        X = build(spec)
+        X = spec
         g = PowerSum.from_terms([(1.0, 2.0), (1.0, 1.0)])
         for n in (0, 1):
             rl = rl_taylor_expectation(g, X, 1.0, n)
