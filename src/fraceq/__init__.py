@@ -18,9 +18,8 @@ from .distributions import (DistributionModel, build, deductible, exponential,
 from .equilibrium import (CharacterizationReport, EquilibriumView,
                           characterization_check, eq_density, eq_moment,
                           eq_survival, eq_survival_recursive,
-                          equilibrium_view, first_order_cdf_interpretation)
-from .errors import (DivergenceError, FraceqError, InvalidParameterError,
-                     MissingDensityError, OrderViolationError, PoleError)
+                          first_order_cdf_interpretation)
+from .errors import DivergenceError, FraceqError, InvalidParameterError
 from .fracops import (PowerSum, power_caputo_derivative, power_rl_derivative,
                       weyl_integral)
 from .numerics import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, beta,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .distributions import DistributionModel, deductible, exponential
 from .errors import InvalidParameterError
-from .fracops import PowerSum, power_mean
-from .order_mvt import _C0_TOL, MvtReport, mvt_verify
+from .fracops import _EXP_TOL, PowerSum, power_mean
+from .order_mvt import MvtReport, mvt_verify
 
 __all__ = [
     "deductible_mvt",
@@ -29,7 +29,7 @@ __all__ = [
 def _require_admissible(g: PowerSum, alpha: float) -> None:
     # the corollary has no c0 term: g ~ x^beta with beta > alpha - 1 near 0;
     # a payment has an atom at 0, so E[X_d^beta] diverges for every beta < 0
-    if g.min_exponent() <= alpha - 1.0 + _C0_TOL or g.min_exponent() < 0.0:
+    if g.min_exponent() <= alpha - 1.0 + _EXP_TOL or g.min_exponent() < 0.0:
         raise InvalidParameterError(
             f"g must have exponents >= 0 and > alpha - 1 = {alpha - 1.0:g}; "
             f"got {g.describe()}")

@@ -17,14 +17,12 @@ from typing import Callable, Sequence
 
 from .distributions import (DistributionModel, fractional_moment, quantile,
                             upper_partial_moment)
-from .errors import (DivergenceError, InvalidParameterError,
-                     MissingDensityError)
+from .errors import DivergenceError, InvalidParameterError
 from .numerics import (QuadratureConfig, beta, gamma, geomspace,
                        integrate_singular_power)
 
 __all__ = [
     "EquilibriumView",
-    "equilibrium_view",
     "eq_survival",
     "eq_density",
     "eq_density_fn",
@@ -62,10 +60,6 @@ class EquilibriumView:
     def total(self) -> float:
         """n * alpha."""
         return self.n * self.alpha
-
-
-def equilibrium_view(X: DistributionModel, alpha: float, n: int) -> EquilibriumView:
-    return EquilibriumView(X, alpha, n)
 
 
 def eq_survival(view: EquilibriumView, t: float) -> float:
@@ -171,7 +165,7 @@ def characterization_check(X: DistributionModel, alphas: Sequence[float],
     claims a converse proof beyond the family tested.
     """
     if X.density_ac is None:
-        raise MissingDensityError(f"{X.label} has no absolutely continuous density")
+        raise InvalidParameterError(f"{X.label} has no absolutely continuous density")
     if grid is None:
         hi = quantile(X, 0.99)
         grid = geomspace(hi * 1e-3, hi, 20)
@@ -180,7 +174,7 @@ def characterization_check(X: DistributionModel, alphas: Sequence[float],
     deviations: dict = {}
     for alpha in alphas:
         for n in ns:
-            view = equilibrium_view(X, alpha, n)
+            view = EquilibriumView(X, alpha, n)
             dev = 0.0
             for t in grid:
                 gap = abs(eq_density(view, float(t)) - X.density_ac(float(t)))

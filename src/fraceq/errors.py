@@ -6,20 +6,10 @@ class FraceqError(Exception):
 
 
 class InvalidParameterError(FraceqError, ValueError):
-    """A distribution or model parameter violates its constraints."""
-
-
-class PoleError(FraceqError, ValueError):
-    """Gamma evaluated at a nonpositive integer."""
+    """An input violates its constraints: a parameter out of range, a Gamma
+    pole, a pair that fails the survival bounded order, or a law without
+    the density an operation needs."""
 
 
 class DivergenceError(FraceqError, ArithmeticError):
     """An integral or moment diverges, or its quadrature failed to converge."""
-
-
-class OrderViolationError(FraceqError, RuntimeError):
-    """The survival bounded order required by an operation does not hold."""
-
-
-class MissingDensityError(FraceqError, ValueError):
-    """An operation needs an absolutely continuous density the model lacks."""

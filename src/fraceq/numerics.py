@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DivergenceError, InvalidParameterError, PoleError
+from .errors import DivergenceError, InvalidParameterError
 
 __all__ = [
     "QuadratureConfig",
@@ -79,9 +79,9 @@ _TAIL_EPSILON = 1e-14  # relative size of the doubling increment that ends a tai
 # special functions
 
 def gamma(x: float) -> float:
-    """Gamma function; raises PoleError at nonpositive integers."""
+    """Gamma function; raises InvalidParameterError at nonpositive integers."""
     if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma pole at x={x}")
+        raise InvalidParameterError(f"gamma pole at x={x}")
     return math.gamma(x)
 
 

@@ -83,7 +83,7 @@ def direct_vs_recursive(X: distributions.DistributionModel, alpha: float, n: int
                         ts, tol: float, params: dict) -> tuple[CheckOutcome, list]:
     """Worst relative gap of eq_survival to its literal recursion over ts, and
     the grid points (t, direct, oracle, |direct - oracle|)."""
-    view = equilibrium.equilibrium_view(X, alpha, n)
+    view = equilibrium.EquilibriumView(X, alpha, n)
     worst = 0.0
     points = []
     for t in ts:
@@ -192,14 +192,13 @@ def criterion_5_equilibrium_moments() -> list[CheckOutcome]:
     oracle_cfg = DEFAULT_CONFIG.scaled(10.0)
     for X in _catalog():
         for alpha, n in ((0.5, 1), (1.0, 1)):
-            view = equilibrium.equilibrium_view(X, alpha, n)
+            view = equilibrium.EquilibriumView(X, alpha, n)
             density = equilibrium.eq_density_fn(view, oracle_cfg)
             worst = 0.0
             for r in (0.5, 1.0, 2.0):
                 closed = equilibrium.eq_moment(view, r)
-                brute, _ = fracops.power_expectation(PowerSum.power(r), density,
-                                                     oracle_cfg,
-                                                     upper=X.support_upper)
+                brute = fracops.power_expectation(PowerSum.power(r), density,
+                                                  oracle_cfg, upper=X.support_upper)
                 worst = max(worst, _rel(closed, brute))
             rows.append(outcome("equilibrium_moment_vs_quadrature",
                                 {"distribution": X.label, "alpha": alpha, "n": n},
@@ -208,7 +207,7 @@ def criterion_5_equilibrium_moments() -> list[CheckOutcome]:
     for r in (0.5, 1.0, 2.0):
         worst = 0.0
         for alpha, n in ((0.5, 1), (0.5, 3), (1.0, 2)):
-            view = equilibrium.equilibrium_view(X, alpha, n)
+            view = equilibrium.EquilibriumView(X, alpha, n)
             worst = max(worst, abs(equilibrium.eq_moment(view, r) - gamma(r + 1.0)))
         rows.append(outcome("equilibrium_moment_exponential_gamma",
                             {"r": r}, worst, 1e-6))
@@ -291,8 +290,8 @@ def criterion_7_mvt() -> list[CheckOutcome]:
     closed = order_mvt.z_moment(z, 1.0)
     rows.append(outcome("z_mean_closed_form", {"pair": "Exp(1)/Exp(2)", "alpha": 1.0},
                         closed - 3.0, 1e-8, lhs=closed, rhs=3.0))
-    brute, _ = fracops.power_expectation(PowerSum.power(1.0),
-                                         lambda t: order_mvt.z_density(z, t))
+    brute = fracops.power_expectation(PowerSum.power(1.0),
+                                      lambda t: order_mvt.z_density(z, t))
     rows.append(outcome("z_mean_quadrature", {"pair": "Exp(1)/Exp(2)", "alpha": 1.0},
                         brute - 3.0, 1e-5, lhs=brute, rhs=3.0))
     return rows

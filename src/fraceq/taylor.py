@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 from .distributions import DistributionModel, fractional_moment
-from .equilibrium import eq_density_fn, eq_moment, equilibrium_view
+from .equilibrium import EquilibriumView, eq_density_fn, eq_moment
 from .errors import DivergenceError, InvalidParameterError
-from .fracops import (PowerSum, power_caputo_derivative, power_expectation,
-                      power_mean, power_rl_derivative)
+from .fracops import (_EXP_TOL, PowerSum, extract_c0, power_caputo_derivative,
+                      power_expectation, power_mean, power_rl_derivative)
 from .numerics import gamma
-from .order_mvt import extract_c0
 
 __all__ = [
     "TaylorReport",
@@ -53,33 +52,25 @@ def rl_taylor_coefficient(g: PowerSum, j: int, alpha: float) -> float:
     return extract_c0(power_rl_derivative(g, j, alpha), alpha)
 
 
-def _validate_input(g: PowerSum, alpha: float, n: int) -> None:
+def _validate_order(alpha: float, n: int) -> None:
     if not (0.0 < alpha <= 1.0):
         raise InvalidParameterError(f"alpha must lie in (0, 1], got {alpha}")
     if n < 0:
         raise InvalidParameterError(f"n must be >= 0, got {n}")
-    if g.terms and g.min_exponent() <= -1.0:
-        raise DivergenceError(f"g has an exponent <= -1: {g.describe()}")
 
 
 def _remainder(h: PowerSum, X: DistributionModel, alpha: float, n: int) -> float:
     """E[X^((n+1)a)] / Gamma((n+1)a + 1) * E[h(X_a^(n+1))] by quadrature.
 
-    The integrals also certify E[|h(X_a^(n+1))|] < inf (term-by-term
-    triangle bound); a violated hypothesis surfaces as DivergenceError
-    rather than a silently wrong residual.
+    power_expectation requires every term to converge, so a violated
+    E[|h(X_a^(n+1))|] < inf hypothesis surfaces as DivergenceError rather
+    than a silently wrong residual.
     """
     if h.is_zero:
         return 0.0
     top = (n + 1) * alpha
-    if h.min_exponent() <= -1.0:
-        raise DivergenceError(
-            f"remainder hypothesis fails: D^({n + 1}a) g has exponent "
-            f"{h.min_exponent():g} <= -1")
-    view = equilibrium_view(X, alpha, n + 1)
-    value, bound = power_expectation(h, eq_density_fn(view), upper=X.support_upper)
-    if not math.isfinite(bound):
-        raise DivergenceError("remainder hypothesis fails: E|h| is not finite")
+    view = EquilibriumView(X, alpha, n + 1)
+    value = power_expectation(h, eq_density_fn(view), upper=X.support_upper)
     return fractional_moment(X, top) / gamma(top + 1.0) * value
 
 
@@ -90,7 +81,7 @@ def rl_taylor_expectation(g: PowerSum, X: DistributionModel, alpha: float,
     Terms are c_j / Gamma((j+1)a) * E[X^((j+1)a - 1)] for j = 0..n; the
     remainder expectation runs over the order-(n+1) equilibrium variable.
     """
-    _validate_input(g, alpha, n)
+    _validate_order(alpha, n)
     lhs = power_mean(g, X)
     terms = []
     for j in range(n + 1):
@@ -112,25 +103,17 @@ def fractional_moment_identity(beta_exp: float, X: DistributionModel,
     Valid for beta >= alpha and n <= (beta - alpha)/alpha, where every
     series coefficient vanishes and only the remainder survives.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise InvalidParameterError(f"alpha must lie in (0, 1], got {alpha}")
+    _validate_order(alpha, n)
     if beta_exp < alpha:
         raise InvalidParameterError(f"need beta >= alpha, got {beta_exp} < {alpha}")
-    if n > (beta_exp - alpha) / alpha + 1e-12:
+    if n > (beta_exp - alpha) / alpha + _EXP_TOL:
         raise InvalidParameterError(
             f"need n <= (beta - alpha)/alpha = {(beta_exp - alpha) / alpha:g}, got {n}")
     top = (n + 1) * alpha
     lhs = fractional_moment(X, beta_exp)
-    view = equilibrium_view(X, alpha, n + 1)
-    residual_exp = beta_exp - top
-    if residual_exp > 1e-12:
-        eq_part = eq_moment(view, residual_exp)
-    elif residual_exp >= -1e-12:
-        eq_part = 1.0
-    else:
-        value, _ = power_expectation(PowerSum.power(residual_exp),
-                                     eq_density_fn(view), upper=X.support_upper)
-        eq_part = value
+    view = EquilibriumView(X, alpha, n + 1)
+    residual_exp = beta_exp - top  # >= -_EXP_TOL * alpha by the guard on n
+    eq_part = eq_moment(view, residual_exp) if residual_exp > _EXP_TOL else 1.0
     rhs = (fractional_moment(X, top) / gamma(top + 1.0)
            * gamma(1.0 + beta_exp) / gamma(1.0 - top + beta_exp)
            * eq_part)
@@ -145,8 +128,8 @@ def caputo_taylor_expectation(g: PowerSum, X: DistributionModel, alpha: float,
     constant coefficient of its power sum) times E[X^(i a)] / Gamma(i a + 1);
     constants are annihilated, so polynomials terminate exactly.
     """
-    _validate_input(g, alpha, n)
-    if g.terms and g.min_exponent() < -1e-12:
+    _validate_order(alpha, n)
+    if g.terms and g.min_exponent() < -_EXP_TOL:
         raise InvalidParameterError(
             f"Caputo expansion needs nonnegative exponents, got {g.describe()}")
     lhs = power_mean(g, X)
@@ -154,7 +137,7 @@ def caputo_taylor_expectation(g: PowerSum, X: DistributionModel, alpha: float,
     for i in range(n + 1):
         di = power_caputo_derivative(g, i, alpha)
         at_zero = di.coefficient_at(0.0)
-        if di.terms and di.min_exponent() < -1e-12:
+        if di.terms and di.min_exponent() < -_EXP_TOL:
             raise DivergenceError(
                 f"Caputo derivative of order {i}a is singular at 0: {di.describe()}")
         if at_zero == 0.0:

@@ -182,6 +182,29 @@ class TestRun:
                      "--alpha", "0.5,1", "--n", "0,1", "--out", str(out)])
         assert code == EXIT_OK
 
+    def test_taylor_inadmissible_rows(self, tmp_path):
+        # x^-0.9 lies below alpha - 1 = -0.5, so the c_0 limit diverges: each
+        # order gets a passing row that says why instead of a residual
+        out = tmp_path / "taylor.json"
+        code = main(["taylor", "--dist", EXP1, "--g", '[{"coef":1,"exp":-0.9}]',
+                     "--alpha", "0.5", "--n", "0,1", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = report_of(out)["results"]
+        assert [row["params"]["n"] for row in rows] == [0, 1]
+        for row in rows:
+            assert row["check"] == "taylor_inadmissible"
+            assert row["pass"] is True
+            assert "diverges" in row["params"]["reason"]
+
+    @pytest.mark.parametrize("exp", ["-0.5", "-1.5"])
+    def test_caputo_negative_exponent_exits_2(self, tmp_path, exp):
+        # the Caputo expansion needs g(0): every negative exponent is a usage
+        # error, however far below -1 it lies
+        code = main(["taylor", "--caputo", "--dist", EXP1,
+                     "--g", '[{"coef":1,"exp":%s}]' % exp,
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+
     @pytest.mark.parametrize("argv", [
         ["taylor", "--dist", EXP1, "--n", "1"],
         ["mvt", "--dist-x", EXP1, "--dist-y", EXP_MEAN2]], ids=["taylor", "mvt"])

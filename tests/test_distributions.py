@@ -47,6 +47,28 @@ class TestBuild:
         # exponential extrapolation beyond the last knot keeps decaying
         assert 0.0 < X.survival(6.0) < X.survival(4.0)
 
+    def test_numeric_first_knot_above_zero(self):
+        # (0, 1) is prepended, so the law has no atom at 0
+        X = dist.numeric([(1.0, 0.5), (2.0, 0.25)])
+        assert X.label == "Numeric(3 knots)"
+        assert X.atoms == ()
+        assert X.survival(0.0) == 1.0
+        assert X.survival(0.5) == 0.75
+
+    def test_numeric_ending_at_survival_zero(self):
+        # the support ends at the first knot with survival 0: no tail
+        X = dist.numeric([(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)])
+        assert X.support_upper == 2.0
+        assert X.survival(3.0) == 0.0
+        assert abs(fractional_moment(X, 1.0) - 1.0) < 1e-10
+        assert abs(fractional_moment(X, 2.0) - 4.0 / 3.0) < 1e-10
+
+    def test_numeric_flat_last_knots_fall_back_to_rate_one(self):
+        # equal survival at the last two knots fits no decay rate
+        X = dist.numeric([(0.0, 1.0), (1.0, 0.5), (2.0, 0.5)])
+        assert X.support_upper == math.inf
+        assert X.survival(3.0) == 0.5 * math.exp(-1.0)
+
     @pytest.mark.parametrize("spec", [
         {"kind": "exponential", "params": {"lambda": 0.0}},
         {"kind": "exponential", "params": {"lambda": -2.0}},

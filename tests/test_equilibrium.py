@@ -5,11 +5,11 @@ import pytest
 from conftest import rel_diff
 from fraceq import equilibrium
 from fraceq.distributions import exponential, quantile, uniform, weibull
-from fraceq.equilibrium import (characterization_check, eq_density,
-                                eq_density_fn, eq_moment, eq_survival,
-                                eq_survival_recursive, equilibrium_view,
+from fraceq.equilibrium import (EquilibriumView, characterization_check,
+                                eq_density, eq_density_fn, eq_moment,
+                                eq_survival, eq_survival_recursive,
                                 first_order_cdf_interpretation)
-from fraceq.errors import (InvalidParameterError, MissingDensityError)
+from fraceq.errors import InvalidParameterError
 from fraceq.fracops import PowerSum, power_expectation
 from fraceq.numerics import (DEFAULT_CONFIG, beta, geomspace,
                              integrate_semi_infinite, linspace)
@@ -17,7 +17,7 @@ from fraceq.numerics import (DEFAULT_CONFIG, beta, geomspace,
 
 class TestEquilibriumView:
     def test_accessors(self):
-        view = equilibrium_view(exponential(2.0), 0.5, 3)
+        view = EquilibriumView(exponential(2.0), 0.5, 3)
         assert (view.alpha, view.n, view.total) == (0.5, 3, 1.5)
         assert rel_diff(view.norm, math.gamma(2.5) / 2.0 ** 1.5) < 1e-14
 
@@ -26,7 +26,7 @@ class TestEquilibriumView:
         # checked before E[X^(n alpha)]: alpha = -0.6, n = 2 would diverge
         for alpha, n in ((0.0, 1), (-0.6, 2), (0.5, 0), (0.5, -1)):
             with pytest.raises(InvalidParameterError):
-                equilibrium_view(X, alpha, n)
+                EquilibriumView(X, alpha, n)
         with pytest.raises(InvalidParameterError):
             eq_survival_recursive(X, 0.0, 1, 0.5)
 
@@ -34,30 +34,30 @@ class TestEquilibriumView:
 class TestEqSurvival:
     def test_exponential_fixed_point_value(self):
         X = exponential(1.0)
-        view = equilibrium_view(X, 0.5, 2)
+        view = EquilibriumView(X, 0.5, 2)
         assert abs(eq_survival(view, 1.0) - math.exp(-1.0)) < 1e-12
 
     def test_starts_at_one(self, catalog):
         for model in catalog.values():
             for alpha, n in ((0.5, 1), (1.0, 2)):
-                view = equilibrium_view(model, alpha, n)
+                view = EquilibriumView(model, alpha, n)
                 assert abs(eq_survival(view, 0.0) - 1.0) < 1e-9, model.label
 
     def test_uniform_value(self):
-        view = equilibrium_view(uniform(0.0, 1.0), 1.0, 1)
+        view = EquilibriumView(uniform(0.0, 1.0), 1.0, 1)
         # E[(X-t)_+]/E[X] = (1-t)^2 at t = 1/2
         assert abs(eq_survival(view, 0.5) - 0.25) < 1e-14
 
     def test_nonincreasing(self, catalog):
         for model in catalog.values():
-            view = equilibrium_view(model, 0.7, 1)
+            view = EquilibriumView(model, 0.7, 1)
             hi = model.support_upper if math.isfinite(model.support_upper) else 6.0
             values = [eq_survival(view, hi * k / 29.0) for k in range(30)]
             assert all(a >= b - 1e-10 for a, b in zip(values, values[1:])), model.label
 
     def test_vanishes_at_truncation_scale(self):
         X = exponential(1.0)
-        view = equilibrium_view(X, 0.5, 1)
+        view = EquilibriumView(X, 0.5, 1)
         res = integrate_semi_infinite(X.survival, 0.0)
         assert eq_survival(view, res.truncation_point) < 1e-6
 
@@ -65,12 +65,12 @@ class TestEqSurvival:
 class TestEqDensity:
     def test_exponential_fixed_point_value(self):
         X = exponential(1.0)
-        assert abs(eq_density(equilibrium_view(X, 0.5, 1), 2.0)
+        assert abs(eq_density(EquilibriumView(X, 0.5, 1), 2.0)
                    - math.exp(-2.0)) < 1e-12
-        assert abs(eq_density(equilibrium_view(X, 1.0, 1), 0.0) - 1.0) < 1e-14
+        assert abs(eq_density(EquilibriumView(X, 1.0, 1), 0.0) - 1.0) < 1e-14
 
     def test_uniform_linear_density(self):
-        view = equilibrium_view(uniform(0.0, 1.0), 1.0, 1)
+        view = EquilibriumView(uniform(0.0, 1.0), 1.0, 1)
         assert abs(eq_density(view, 0.25) - 1.5) < 1e-14
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
@@ -78,7 +78,7 @@ class TestEqDensity:
         X = exponential(lam)
         for alpha in (0.3, 0.9):
             for n in (1, 3):
-                view = equilibrium_view(X, alpha, n)
+                view = EquilibriumView(X, alpha, n)
                 for t in linspace(0.0, 5.0 / lam, 12):
                     assert abs(eq_density(view, float(t))
                                - lam * math.exp(-lam * float(t))) < 1e-9
@@ -86,7 +86,7 @@ class TestEqDensity:
     def test_integrates_back_to_survival(self, catalog):
         for name in ("exp1", "uniform01", "hyperexp"):
             model = catalog[name]
-            view = equilibrium_view(model, 0.5, 1)
+            view = EquilibriumView(model, 0.5, 1)
             for t in (0.0, 0.4):
                 res = integrate_semi_infinite(eq_density_fn(view), t,
                                               upper=model.support_upper)
@@ -99,7 +99,7 @@ class TestEqDensity:
         # powers integrated against one density revisit the same nodes
         # (1,200 evaluations of 660 distinct nodes without the memo)
         model = catalog["numeric"]
-        view = equilibrium_view(model, 1.0, 1)
+        view = EquilibriumView(model, 1.0, 1)
         cfg = DEFAULT_CONFIG.scaled(10.0)
         nodes = []
 
@@ -127,7 +127,7 @@ class TestRecursiveOracle:
     def test_matches_direct_form(self, alpha, n):
         for X, ts in ((exponential(1.0), (0.0, 1.0, 2.5)),
                       (uniform(0.0, 1.0), (0.0, 0.3, 0.8))):
-            view = equilibrium_view(X, alpha, n)
+            view = EquilibriumView(X, alpha, n)
             for t in ts:
                 direct = eq_survival(view, t)
                 oracle = eq_survival_recursive(X, alpha, n, t)
@@ -143,24 +143,24 @@ class TestEqMoment:
     def test_first_moment_of_exponential_is_mean(self):
         X = exponential(1.0)
         for alpha, n in ((0.3, 1), (0.5, 2), (1.0, 3)):
-            assert abs(eq_moment(equilibrium_view(X, alpha, n), 1.0) - 1.0) < 1e-12
+            assert abs(eq_moment(EquilibriumView(X, alpha, n), 1.0) - 1.0) < 1e-12
 
     def test_uniform_first_moment(self):
-        view = equilibrium_view(uniform(0.0, 1.0), 1.0, 1)
+        view = EquilibriumView(uniform(0.0, 1.0), 1.0, 1)
         assert abs(eq_moment(view, 1.0) - 1.0 / 3.0) < 1e-14
 
     def test_exponential_second_moment_higher_order(self):
-        view = equilibrium_view(exponential(1.0), 0.5, 3)
+        view = EquilibriumView(exponential(1.0), 0.5, 3)
         assert abs(eq_moment(view, 2.0) - 2.0) < 1e-12
 
     def test_against_bruteforce_integral(self, catalog):
         for name in ("exp1", "uniform01", "deductible"):
             model = catalog[name]
-            view = equilibrium_view(model, 0.5, 1)
+            view = EquilibriumView(model, 0.5, 1)
             for r in (0.5, 1.0, 2.0):
-                brute, _ = power_expectation(PowerSum.power(r),
-                                             eq_density_fn(view),
-                                             upper=model.support_upper)
+                brute = power_expectation(PowerSum.power(r),
+                                          eq_density_fn(view),
+                                          upper=model.support_upper)
                 assert rel_diff(eq_moment(view, r), brute) < 1e-5, (name, r)
 
     def test_classical_stationary_excess_formula_at_alpha_one(self, catalog):
@@ -168,7 +168,7 @@ class TestEqMoment:
         from fraceq.distributions import fractional_moment
         for model in (catalog["exp1"], catalog["uniform01"]):
             for n in (1, 2):
-                view = equilibrium_view(model, 1.0, n)
+                view = EquilibriumView(model, 1.0, n)
                 for r in (1.0, 2.0):
                     classical = (n * beta(float(n), r + 1.0)
                                  * fractional_moment(model, n + r)
@@ -193,7 +193,7 @@ class TestFirstOrderCdf:
     @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0])
     def test_oracle_for_eq_survival(self, alpha):
         X = exponential(1.0)
-        view = equilibrium_view(X, alpha, 1)
+        view = EquilibriumView(X, alpha, 1)
         for t in (0.3, 1.0, 2.0):
             lhs = first_order_cdf_interpretation(X, alpha, t)
             assert abs(lhs - (1.0 - eq_survival(view, t))) < 1e-7
@@ -236,10 +236,10 @@ class TestCharacterization:
         assert report.max_deviation > 0.05
 
     def test_missing_density(self, catalog):
-        with pytest.raises(MissingDensityError):
+        with pytest.raises(InvalidParameterError):
             characterization_check(catalog["numeric"], [1.0], [1])
 
 
 def test_view_validation(catalog):
     with pytest.raises(InvalidParameterError):
-        equilibrium_view(catalog["exp1"], 0.5, 0)
+        EquilibriumView(catalog["exp1"], 0.5, 0)

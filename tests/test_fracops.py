@@ -169,9 +169,8 @@ class TestWeylIntegral:
 def test_power_expectation_against_exponential_moments():
     X = exponential(1.0)
     g = PowerSum.from_terms([(2.0, -0.5), (1.0, 1.0)])
-    value, bound = power_expectation(g, X.density_ac)
+    value = power_expectation(g, X.density_ac)
     expected = 2.0 * math.gamma(0.5) + 1.0
     assert rel_diff(value, expected) < 1e-8
-    assert bound >= abs(value)
     with pytest.raises(DivergenceError):
         power_expectation(PowerSum.power(-1.2), X.density_ac)

@@ -9,7 +9,7 @@ import pytest
 
 import fraceq
 from fraceq import numerics
-from fraceq.errors import InvalidParameterError, PoleError
+from fraceq.errors import InvalidParameterError
 from fraceq.numerics import (QuadratureConfig, beta, gamma, geomspace,
                              integrate_interval, integrate_semi_infinite,
                              integrate_singular_power, linspace,
@@ -44,7 +44,7 @@ class TestGamma:
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
     def test_pole_error(self, x):
-        with pytest.raises(PoleError):
+        with pytest.raises(InvalidParameterError):
             gamma(x)
 
     def test_overflow_signal(self):

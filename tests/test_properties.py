@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from fraceq.distributions import (deductible, exponential, hyperexp2, uniform,
                                   zero_inflated)
-from fraceq.equilibrium import eq_density, eq_survival, equilibrium_view
+from fraceq.equilibrium import EquilibriumView, eq_density, eq_survival
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
 
@@ -28,7 +28,7 @@ RATES = st.floats(0.2, 5.0)
 def test_exponential_is_a_fixed_point(lam, alpha, n, u):
     # every equilibrium transform of Exp(lam) is Exp(lam) again
     t = u / lam
-    got = eq_density(equilibrium_view(exponential(lam), alpha, n), t)
+    got = eq_density(EquilibriumView(exponential(lam), alpha, n), t)
     assert got == pytest.approx(lam * math.exp(-lam * t), rel=1e-9)
 
 
@@ -55,7 +55,7 @@ LAWS = st.builds(_closed_form_law,
 @given(X=LAWS, alpha=ALPHAS, n=ORDERS,
        us=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=8))
 def test_eq_survival_is_a_survival_function(X, alpha, n, us):
-    view = equilibrium_view(X, alpha, n)
+    view = EquilibriumView(X, alpha, n)
     # spread the points over the bulk of X, including past a finite support
     scale = X.support_upper if math.isfinite(X.support_upper) else 3.0
     values = [eq_survival(view, u * scale) for u in sorted(us)]

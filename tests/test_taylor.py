@@ -4,7 +4,7 @@ import pytest
 
 from conftest import rel_diff
 from fraceq.distributions import exponential, fractional_moment, uniform
-from fraceq.equilibrium import eq_density_fn, equilibrium_view
+from fraceq.equilibrium import EquilibriumView, eq_density_fn
 from fraceq.errors import DivergenceError, InvalidParameterError
 from fraceq.fracops import PowerSum, power_expectation, power_rl_derivative
 from fraceq.numerics import gamma
@@ -65,9 +65,9 @@ class TestRlExpectation:
         report = rl_taylor_expectation(g, X, alpha, 0)
         c0 = gamma(alpha) * 1.0
         series = c0 / gamma(alpha) * fractional_moment(X, alpha - 1.0)
-        view = equilibrium_view(X, alpha, 1)
+        view = EquilibriumView(X, alpha, 1)
         dg = power_rl_derivative(g, 1, alpha)
-        inner, _ = power_expectation(dg, eq_density_fn(view))
+        inner = power_expectation(dg, eq_density_fn(view))
         remark = series + fractional_moment(X, alpha) / gamma(alpha + 1.0) * inner
         assert abs(report.lhs - remark) < 1e-8
         assert abs((sum(report.terms) + report.remainder) - remark) < 1e-10
@@ -79,8 +79,9 @@ class TestRlExpectation:
         assert all(r < 1e-6 for r in residuals)
         assert max(residuals) - min(residuals) < 1e-6
 
-    def test_inadmissible_remainder_rejected(self):
-        # D^(3a) x with a = 0.75 carries exponent 1 - 2.25 < -1
+    def test_inadmissible_order_rejected_by_coefficient_limit(self):
+        # D^(2a) x with a = 0.75 is x^-0.5, below a - 1 = -0.25, so c_2
+        # diverges before the remainder D^(3a) x (exponent -1.25) is formed
         with pytest.raises(DivergenceError):
             rl_taylor_expectation(PowerSum.power(1.0),
                                   exponential(1.0), 0.75, 2)
@@ -125,8 +126,8 @@ class TestMomentIdentity:
         assert abs(lhs - 0.4) < 1e-14
         assert rel_diff(lhs, rhs) < 1e-6
 
-    def test_quadrature_branch_for_small_residual_exponent(self):
-        # beta - (n+1) alpha in (-1, 0) exercises the singular-power branch
+    def test_fractional_residual_exponent(self):
+        # beta - (n+1) alpha = 0.3: the equilibrium moment of a fractional order
         lhs, rhs = fractional_moment_identity(1.3, exponential(1.0), 0.5, 1)
         assert rel_diff(lhs, rhs) < 1e-6
 
