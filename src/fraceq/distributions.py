@@ -47,7 +47,9 @@ class DistributionModel:
     guard of their own.  ``atoms`` lists (location, mass) pairs of the
     discrete part.  ``support_upper`` is sup{x : F(x) < 1} (may be inf).
     ``closed_form_moment`` is set only where no closed partial moment
-    exists, since E[X^s] is the partial moment at t = 0.
+    exists, since E[X^s] is the partial moment at t = 0.  ``breakpoints``
+    is the sorted tuple of positive points where the survival function
+    has a kink, for quadrature to split its panels at.
     """
 
     label: str
@@ -57,6 +59,7 @@ class DistributionModel:
     closed_form_moment: Callable[[float], float] | None = None
     closed_form_partial: Callable[[float, float], float] | None = None
     density_ac: Callable[[float], float] | None = None
+    breakpoints: tuple[float, ...] = ()
 
     def atom_mass_at(self, loc: float) -> float:
         return sum(m for x, m in self.atoms if abs(x - loc) <= 1e-12)
@@ -111,6 +114,7 @@ def uniform(a: float, b: float) -> DistributionModel:
         support_upper=b,
         closed_form_partial=partial,
         density_ac=lambda t: 1.0 / width if a <= t <= b else 0.0,
+        breakpoints=(a, b) if a > 0.0 else (b,),
     )
 
 
@@ -194,6 +198,7 @@ def zero_inflated(p: float, inner: DistributionModel) -> DistributionModel:
         closed_form_moment=moment,
         closed_form_partial=partial,
         density_ac=density,
+        breakpoints=inner.breakpoints,
     )
 
 
@@ -225,6 +230,7 @@ def deductible(d: float, inner: DistributionModel) -> DistributionModel:
         support_upper=upper,
         closed_form_partial=partial,
         density_ac=density,
+        breakpoints=tuple(x - d for x in inner.breakpoints if x > d),
     )
 
 
@@ -275,6 +281,7 @@ def numeric(knots: list[tuple[float, float]]) -> DistributionModel:
         survival=survival,
         atoms=tuple(atoms),
         support_upper=upper,
+        breakpoints=tuple(ts[1:]),
     )
 
 

@@ -370,29 +370,45 @@ def weighted_increment_integral(increment: Callable[[float], float], p: float,
 
 def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
                              cfg: QuadratureConfig | None = None, *,
-                             upper: float | None = None) -> IntegralResult:
+                             upper: float | None = None,
+                             breakpoints: tuple[float, ...] = ()) -> IntegralResult:
     """Integral of (x - t)^(p-1) * f(x) over [t, +inf), p > 0.
 
     For p < 1 the endpoint singularity is removed with u = (x - t)^p,
     which turns the integrand into f(t + u^(1/p)) / p on [0, +inf); for
     p >= 1 the weight is integrated directly.  ``upper`` is forwarded as
-    in integrate_semi_infinite.
+    in integrate_semi_infinite.  Each of the sorted ``breakpoints`` (kinks
+    of f) strictly between t and ``upper`` becomes a panel edge, mapped
+    into u when p < 1; past the last one the integral runs as it would
+    from t.
     """
     cfg = cfg or DEFAULT_CONFIG
     if p <= 0.0:
         raise InvalidParameterError(f"singular power requires p > 0, got {p}")
-    if p == 1.0:
-        return integrate_semi_infinite(f, t, cfg, upper=upper)
-    if p > 1.0:
+    finite = upper is not None and math.isfinite(upper)
+    edges = [x for x in breakpoints if x > t and not (finite and x >= upper)]
+    if p < 1.0:
+        inv_p = 1.0 / p
+        integrand = lambda u: f(t + u ** inv_p) / p
+        to_var = lambda x: max(x - t, 0.0) ** p
+    elif p == 1.0:
+        integrand = f
+        to_var = lambda x: x
+    else:
         q = p - 1.0
-        return integrate_semi_infinite(lambda x: (x - t) ** q * f(x), t, cfg,
-                                       upper=upper)
-    inv_p = 1.0 / p
-    sub_upper = None
-    if upper is not None and math.isfinite(upper):
-        sub_upper = max(upper - t, 0.0) ** p
-    res = integrate_semi_infinite(lambda u: f(t + u ** inv_p) / p, 0.0, cfg,
-                                  upper=sub_upper)
+        integrand = lambda x: (x - t) ** q * f(x)
+        to_var = lambda x: x
+    cuts = [to_var(x) for x in [t] + edges]
+    res = integrate_semi_infinite(integrand, cuts[-1], cfg,
+                                  upper=to_var(upper) if finite else None)
+    if edges:
+        pieces = [integrate_interval(integrand, lo, hi, cfg)
+                  for lo, hi in zip(cuts, cuts[1:])] + [res]
+        res = IntegralResult(math.fsum(r.value for r in pieces),
+                             math.fsum(r.error_estimate for r in pieces),
+                             all(r.converged for r in pieces), res.truncation_point)
+    if p >= 1.0:
+        return res
     try:
         trunc = t + res.truncation_point ** inv_p
     except OverflowError:  # an unconverged tail can end past the float range

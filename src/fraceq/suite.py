@@ -81,14 +81,13 @@ def _rel(a: float, b: float) -> float:
 
 def direct_vs_recursive(X: distributions.DistributionModel, alpha: float, n: int,
                         ts, tol: float, params: dict) -> tuple[CheckOutcome, list]:
-    """Worst relative gap of eq_survival to its literal recursion over ts, and
-    the grid points (t, direct, oracle, |direct - oracle|)."""
+    """Worst relative gap of eq_survival to its recursive definition over ts,
+    and the grid points (t, direct, oracle, |direct - oracle|)."""
     view = equilibrium.EquilibriumView(X, alpha, n)
     worst = 0.0
     points = []
-    for t in ts:
+    for t, oracle in zip(ts, equilibrium.eq_survival_recursive(X, alpha, n, ts)):
         direct = equilibrium.eq_survival(view, t)
-        oracle = equilibrium.eq_survival_recursive(X, alpha, n, t)
         worst = max(worst, _rel(direct, oracle))
         points.append((t, direct, oracle, abs(direct - oracle)))
     return outcome("equilibrium_direct_vs_recursive", params, worst, tol), points
@@ -170,7 +169,7 @@ def criterion_3_semigroup() -> list[CheckOutcome]:
 
 
 def criterion_4_recursive_equilibrium() -> list[CheckOutcome]:
-    """Direct partial-moment survival equals the literal recursion."""
+    """Direct partial-moment survival equals the recursive definition."""
     rows = []
     tol = 1e-5
     cases = {"Exp(1)": (exponential(1.0), (0.0, 0.5, 1.0, 2.0, 3.0)),

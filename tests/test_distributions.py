@@ -120,6 +120,36 @@ class TestBuild:
             assert upper_partial_moment(X, t, 0.5) == upper_partial_moment(model, t, 0.5)
 
 
+class TestBreakpoints:
+    def test_smooth_kinds_have_none(self):
+        for X in (dist.exponential(1.0), dist.weibull(0.7, 1.0),
+                  dist.hyperexp2(0.4, 1.0, 3.0)):
+            assert X.breakpoints == (), X.label
+
+    def test_uniform(self):
+        assert dist.uniform(0.0, 1.0).breakpoints == (1.0,)
+        assert dist.uniform(0.25, 2.0).breakpoints == (0.25, 2.0)
+
+    def test_numeric_knots_above_zero(self):
+        assert dist.numeric(exp_knots()).breakpoints == (
+            0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+        # the prepended (0, 1) knot is not a breakpoint; the first given one is
+        X = dist.numeric([(0.5, 0.9), (1.5, 0.3), (2.5, 0.05)])
+        assert X.breakpoints == (0.5, 1.5, 2.5)
+
+    def test_zero_inflated_keeps_inner(self):
+        X = dist.zero_inflated(0.3, dist.uniform(0.25, 2.0))
+        assert X.breakpoints == (0.25, 2.0)
+        assert dist.zero_inflated(0.3, dist.exponential(1.0)).breakpoints == ()
+
+    def test_deductible_shifts_inner(self):
+        inner = dist.numeric([(0.5, 0.9), (1.5, 0.3), (2.5, 0.05)])
+        # 0.5 - 1 is not above 0 and is dropped
+        assert dist.deductible(1.0, inner).breakpoints == (0.5, 1.5)
+        assert dist.deductible(0.5, inner).breakpoints == (1.0, 2.0)
+        assert dist.deductible(1.0, dist.exponential(1.0)).breakpoints == ()
+
+
 class TestFractionalMoment:
     def test_exponential_half_moment(self):
         # E[X^s] = Gamma(s+1) / lambda^s for the exponential

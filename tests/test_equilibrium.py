@@ -3,8 +3,8 @@ import math
 import pytest
 
 from conftest import rel_diff
-from fraceq import equilibrium
-from fraceq.distributions import exponential, quantile, uniform, weibull
+from fraceq import equilibrium, suite
+from fraceq.distributions import exponential, numeric, quantile, uniform, weibull
 from fraceq.equilibrium import (EquilibriumView, characterization_check,
                                 eq_density, eq_density_fn, eq_moment,
                                 eq_survival, eq_survival_recursive,
@@ -28,7 +28,7 @@ class TestEquilibriumView:
             with pytest.raises(InvalidParameterError):
                 EquilibriumView(X, alpha, n)
         with pytest.raises(InvalidParameterError):
-            eq_survival_recursive(X, 0.0, 1, 0.5)
+            eq_survival_recursive(X, 0.0, 1, [0.5])
 
 
 class TestEqSurvival:
@@ -120,7 +120,7 @@ class TestEqDensity:
 class TestRecursiveOracle:
     def test_single_level_is_plain_equilibrium(self):
         X = exponential(1.0)
-        got = eq_survival_recursive(X, 1.0, 1, 0.7)
+        [got] = eq_survival_recursive(X, 1.0, 1, [0.7])
         assert abs(got - math.exp(-0.7)) < 1e-8
 
     @pytest.mark.parametrize("alpha,n", [(0.5, 1), (1.0, 1), (0.5, 2), (1.0, 2)])
@@ -128,15 +128,107 @@ class TestRecursiveOracle:
         for X, ts in ((exponential(1.0), (0.0, 1.0, 2.5)),
                       (uniform(0.0, 1.0), (0.0, 0.3, 0.8))):
             view = EquilibriumView(X, alpha, n)
-            for t in ts:
+            for t, oracle in zip(ts, eq_survival_recursive(X, alpha, n, ts)):
                 direct = eq_survival(view, t)
-                oracle = eq_survival_recursive(X, alpha, n, t)
                 assert rel_diff(direct, oracle) < 1e-5, (X.label, alpha, n, t)
 
     def test_depth_guard(self):
         X = exponential(1.0)
         with pytest.raises(InvalidParameterError):
-            eq_survival_recursive(X, 0.5, 4, 0.0)
+            eq_survival_recursive(X, 0.5, 4, [0.0])
+
+
+# S(x) = 0.5 (1 - x)_+ + 0.25 (2 - x)_+: kinks at 1 and 2
+KINKED = [(0.0, 1.0), (1.0, 0.25), (2.0, 0.0)]
+# the fixed 5-knot Exp(1) table of the eqdist benchmark: exp(-t) to 4 places
+KNOT5 = [(0.0, 1.0), (0.5, 0.6065), (1.0, 0.3679), (2.0, 0.1353), (4.0, 0.0183)]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """oracle(X, alpha, n): the 8-point eqdist grid of X and the recursive
+    oracle on it, computed once for this module's tests."""
+    computed = {}
+
+    def run(X, alpha, n):
+        key = (X.label, alpha, n)
+        if key not in computed:
+            hi = (X.support_upper if math.isfinite(X.support_upper)
+                  else quantile(X, 0.99))
+            ts = linspace(0.0, hi, 8)
+            computed[key] = ts, eq_survival_recursive(X, alpha, n, ts)
+        return computed[key]
+    return run
+
+
+def ramp_equilibrium(ramps, alpha, n):
+    """Exact P(X_alpha^(n) > t) for S(x) = sum c (k - x)_+ on x >= 0.
+
+    The Weyl integral maps (k - x)_+^b to a multiple of (k - x)_+^(b + alpha),
+    so after normalization each ramp becomes c (k - t)_+^(n alpha + 1).
+    """
+    e = n * alpha + 1.0
+    norm = sum(c * k ** e for c, k in ramps)
+    return lambda t: sum(c * max(k - t, 0.0) ** e for c, k in ramps) / norm
+
+
+def knot_table_equilibrium(knots):
+    """Exact P(X_alpha^(n) > t) at n alpha = 1, int_t^inf S / int_0^inf S,
+    for a numeric law with an exponential tail: trapezoids plus the tail."""
+    ts = [t for t, _ in knots]
+    ss = [s for _, s in knots]
+    decay = math.log(ss[-2] / ss[-1]) / (ts[-1] - ts[-2])
+
+    def area_above(x):
+        if x >= ts[-1]:
+            return ss[-1] * math.exp(-decay * (x - ts[-1])) / decay
+        total = ss[-1] / decay
+        for (t0, s0), (t1, s1) in zip(knots, knots[1:]):
+            if x < t1:
+                lo = max(t0, x)
+                s_lo = s0 + (s1 - s0) * (lo - t0) / (t1 - t0)
+                total += 0.5 * (s_lo + s1) * (t1 - lo)
+        return total
+
+    return lambda t: area_above(t) / area_above(0.0)
+
+
+class TestRecursiveOracleExact:
+    @pytest.mark.parametrize("alpha,n", [(0.5, 2), (0.5, 3), (1.0, 3)])
+    @pytest.mark.parametrize("law", ["uniform", "kinked"])
+    def test_piecewise_linear_laws(self, oracle, law, alpha, n):
+        if law == "uniform":
+            X, ramps = uniform(0.0, 1.0), [(1.0, 1.0)]
+        else:
+            X, ramps = numeric(KINKED), [(0.5, 1.0), (0.25, 2.0)]
+        exact = ramp_equilibrium(ramps, alpha, n)
+        ts, values = oracle(X, alpha, n)
+        for t, value in zip(ts, values):
+            assert rel_diff(value, exact(t)) <= 1e-9, (t, value, exact(t))
+
+    def test_benchmark_knot_table(self, oracle):
+        # n alpha = 1: the equilibrium survival is the normalized tail area
+        exact = knot_table_equilibrium(KNOT5)
+        ts, values = oracle(numeric(KNOT5), 0.5, 2)
+        for t, value in zip(ts, values):
+            assert rel_diff(value, exact(t)) <= 1e-9, (t, value, exact(t))
+
+
+COVERAGE = ([(X, alpha, 2) for X in suite._catalog() + [weibull(0.7, 1.0)]
+             for alpha in (0.5, 1.0)]
+            + [(X, 0.5, 3) for X in (weibull(2.0, 1.0), uniform(0.0, 1.0),
+                                     numeric(KINKED))])
+
+
+@pytest.mark.parametrize("X,alpha,n", COVERAGE,
+                         ids=[f"{X.label}-{alpha}-{n}" for X, alpha, n in COVERAGE])
+def test_recursive_oracle_matches_direct_path(oracle, X, alpha, n):
+    # Weibull(0.7, 1) has a density singular at 0; the knot tables and
+    # the uniform law have kinks
+    view = EquilibriumView(X, alpha, n)
+    ts, values = oracle(X, alpha, n)
+    for t, value in zip(ts, values):
+        assert rel_diff(eq_survival(view, t), value) <= 1e-5, t
 
 
 class TestEqMoment:

@@ -168,6 +168,44 @@ class TestSingularPower:
         with pytest.raises(InvalidParameterError):
             integrate_singular_power(lambda x: 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
+    def test_no_breakpoints_is_the_plain_path_bit_for_bit(self, p):
+        f = lambda x: math.exp(-x) * (1.0 + math.sin(3.0 * x) ** 2)
+        t = 0.3
+        if p < 1.0:
+            plain = integrate_semi_infinite(lambda u: f(t + u ** (1.0 / p)) / p, 0.0)
+        elif p == 1.0:
+            plain = integrate_semi_infinite(f, t)
+        else:
+            plain = integrate_semi_infinite(lambda x: (x - t) ** (p - 1.0) * f(x), t)
+        for upper in (None, 2.5):
+            default = integrate_singular_power(f, t, p, upper=upper)
+            empty = integrate_singular_power(f, t, p, upper=upper, breakpoints=())
+            assert default == empty
+        assert integrate_singular_power(f, t, p).value == plain.value
+        # breakpoints at or below t, or at or past the upper limit, are not edges
+        outside = (0.1, t, 2.5, 3.0)
+        assert (integrate_singular_power(f, t, p, upper=2.5, breakpoints=outside)
+                == integrate_singular_power(f, t, p, upper=2.5))
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
+    def test_breakpoints_are_panel_edges(self, p):
+        # a ramp with kinks at 1 and 2: (x - t)^(p-1) (k - x)_+ integrates
+        # to (k - t)^(p+1) / (p (p + 1)) for each ramp
+        t = 0.25
+        f = lambda x: 0.5 * max(1.0 - x, 0.0) + 0.25 * max(2.0 - x, 0.0)
+        exact = sum(c * (k - t) ** (p + 1.0) for c, k in ((0.5, 1.0), (0.25, 2.0)))
+        exact /= p * (p + 1.0)
+        # each panel sees a polynomial, except under the (x - t)^0.5 weight
+        # that p = 1.5 integrates without a substitution
+        tol = 1e-13 if p <= 1.0 else 1e-9
+        res = integrate_singular_power(f, t, p, upper=2.0, breakpoints=(1.0, 2.0))
+        assert res.converged
+        assert abs(res.value - exact) <= tol * exact
+        unbounded = integrate_singular_power(f, t, p, breakpoints=(1.0, 2.0))
+        assert abs(unbounded.value - exact) <= tol * exact
+        assert unbounded.truncation_point > 2.0
+
 
 HONESTY_CASES = [
     (lambda x: math.exp(-x), 0.0, None, 1.0),
