@@ -404,9 +404,12 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
     if edges:
         pieces = [integrate_interval(integrand, lo, hi, cfg)
                   for lo, hi in zip(cuts, cuts[1:])] + [res]
-        res = IntegralResult(math.fsum(r.value for r in pieces),
-                             math.fsum(r.error_estimate for r in pieces),
-                             all(r.converged for r in pieces), res.truncation_point)
+        value = math.fsum(r.value for r in pieces)
+        err = math.fsum(r.error_estimate for r in pieces)
+        # each piece met the tolerance alone; so must their sum
+        converged = (all(r.converged for r in pieces)
+                     and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
+        res = IntegralResult(value, err, converged, res.truncation_point)
     if p >= 1.0:
         return res
     try:

@@ -10,10 +10,10 @@ import pytest
 import fraceq
 from fraceq import numerics
 from fraceq.errors import InvalidParameterError
-from fraceq.numerics import (QuadratureConfig, beta, gamma, geomspace,
-                             integrate_interval, integrate_semi_infinite,
-                             integrate_singular_power, linspace,
-                             reciprocal_gamma)
+from fraceq.numerics import (IntegralResult, QuadratureConfig, beta, gamma,
+                             geomspace, integrate_interval,
+                             integrate_semi_infinite, integrate_singular_power,
+                             linspace, reciprocal_gamma)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -172,17 +172,20 @@ class TestSingularPower:
     def test_no_breakpoints_is_the_plain_path_bit_for_bit(self, p):
         f = lambda x: math.exp(-x) * (1.0 + math.sin(3.0 * x) ** 2)
         t = 0.3
-        if p < 1.0:
-            plain = integrate_semi_infinite(lambda u: f(t + u ** (1.0 / p)) / p, 0.0)
-        elif p == 1.0:
-            plain = integrate_semi_infinite(f, t)
-        else:
-            plain = integrate_semi_infinite(lambda x: (x - t) ** (p - 1.0) * f(x), t)
         for upper in (None, 2.5):
-            default = integrate_singular_power(f, t, p, upper=upper)
-            empty = integrate_singular_power(f, t, p, upper=upper, breakpoints=())
-            assert default == empty
-        assert integrate_singular_power(f, t, p).value == plain.value
+            # the substitution each exponent used before breakpoints existed
+            if p < 1.0:
+                plain = integrate_semi_infinite(
+                    lambda u: f(t + u ** (1.0 / p)) / p, 0.0,
+                    upper=None if upper is None else (upper - t) ** p)
+                plain = IntegralResult(plain.value, plain.error_estimate, plain.converged,
+                                       t + plain.truncation_point ** (1.0 / p))
+            elif p == 1.0:
+                plain = integrate_semi_infinite(f, t, upper=upper)
+            else:
+                plain = integrate_semi_infinite(lambda x: (x - t) ** (p - 1.0) * f(x), t,
+                                                upper=upper)
+            assert integrate_singular_power(f, t, p, upper=upper, breakpoints=()) == plain
         # breakpoints at or below t, or at or past the upper limit, are not edges
         outside = (0.1, t, 2.5, 3.0)
         assert (integrate_singular_power(f, t, p, upper=2.5, breakpoints=outside)
@@ -205,6 +208,22 @@ class TestSingularPower:
         unbounded = integrate_singular_power(f, t, p, breakpoints=(1.0, 2.0))
         assert abs(unbounded.value - exact) <= tol * exact
         assert unbounded.truncation_point > 2.0
+
+    def test_summed_error_of_the_pieces_meets_the_tolerance(self):
+        # sqrt(x - floor(x)) repeats one singular tooth on each of 10 unit
+        # pieces, so every piece carries the same seed error estimate e
+        f = lambda x: math.sqrt(x - math.floor(x))
+        kinks = tuple(float(k) for k in range(1, 10))
+        e = integrate_interval(f, 0.0, 1.0, QuadratureConfig(1.0, 1e-300)).error_estimate
+        loose = integrate_singular_power(f, 0.0, 1.0, QuadratureConfig(20.0 * e, 1e-300),
+                                         upper=10.0, breakpoints=kinks)
+        assert loose.converged
+        assert 9.0 * e < loose.error_estimate < 11.0 * e
+        # each piece meets 2e alone, but the ten together do not
+        tight = integrate_singular_power(f, 0.0, 1.0, QuadratureConfig(2.0 * e, 1e-300),
+                                         upper=10.0, breakpoints=kinks)
+        assert tight.value == loose.value
+        assert not tight.converged
 
 
 HONESTY_CASES = [
