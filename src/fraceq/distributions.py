@@ -20,7 +20,7 @@ from typing import Callable
 from .errors import DivergenceError, InvalidParameterError
 from .numerics import (DEFAULT_CONFIG, QuadratureConfig,
                        integrate_semi_infinite, integrate_singular_power,
-                       weighted_increment_integral)
+                       scaled_upper_gamma, weighted_increment_integral)
 
 __all__ = [
     "DistributionModel",
@@ -47,9 +47,13 @@ class DistributionModel:
     guard of their own.  ``atoms`` lists (location, mass) pairs of the
     discrete part.  ``support_upper`` is sup{x : F(x) < 1} (may be inf).
     ``closed_form_moment`` is set only where no closed partial moment
-    exists, since E[X^s] is the partial moment at t = 0.  ``breakpoints``
-    is the sorted tuple of positive points where the survival function
-    has a kink, for quadrature to split its panels at.
+    exists, since E[X^s] is the partial moment at t = 0.
+    ``negative_partial`` is an exact E[(X-t)_+^s] for s in (-1, 0) only,
+    set by the ``numeric`` kind and forwarded by its wrappers; a model
+    with neither partial form (Weibull and its wrappers) takes negative
+    orders by quadrature.  ``breakpoints`` is the sorted tuple of
+    positive points where the survival function has a kink, for
+    quadrature to split its panels at.
     """
 
     label: str
@@ -58,6 +62,7 @@ class DistributionModel:
     support_upper: float = math.inf
     closed_form_moment: Callable[[float], float] | None = None
     closed_form_partial: Callable[[float, float], float] | None = None
+    negative_partial: Callable[[float, float], float] | None = None
     density_ac: Callable[[float], float] | None = None
     breakpoints: tuple[float, ...] = ()
 
@@ -179,6 +184,7 @@ def zero_inflated(p: float, inner: DistributionModel) -> DistributionModel:
 
     inner_moment = inner.closed_form_moment
     inner_partial = inner.closed_form_partial
+    inner_negative = inner.negative_partial
     inner_density = inner.density_ac
 
     def survival(t: float) -> float:
@@ -188,6 +194,7 @@ def zero_inflated(p: float, inner: DistributionModel) -> DistributionModel:
 
     moment = (lambda s: q * inner_moment(s)) if inner_moment else None
     partial = (lambda t, s: q * inner_partial(t, s)) if inner_partial else None
+    negative = (lambda t, s: q * inner_negative(t, s)) if inner_negative else None
     density = (lambda t: q * inner_density(t)) if inner_density else None
 
     return DistributionModel(
@@ -197,6 +204,7 @@ def zero_inflated(p: float, inner: DistributionModel) -> DistributionModel:
         support_upper=inner.support_upper,
         closed_form_moment=moment,
         closed_form_partial=partial,
+        negative_partial=negative,
         density_ac=density,
         breakpoints=inner.breakpoints,
     )
@@ -211,6 +219,7 @@ def deductible(d: float, inner: DistributionModel) -> DistributionModel:
     atoms += [(loc - d, m) for loc, m in inner.atoms if loc > d]
 
     inner_partial = inner.closed_form_partial
+    inner_negative = inner.negative_partial
     inner_density = inner.density_ac
 
     def survival(t: float) -> float:
@@ -220,6 +229,7 @@ def deductible(d: float, inner: DistributionModel) -> DistributionModel:
 
     # (X_d - t)_+ = (X - (d + t))_+ : partial moments delegate to the inner ones.
     partial = (lambda t, s: inner_partial(d + t, s)) if inner_partial else None
+    negative = (lambda t, s: inner_negative(d + t, s)) if inner_negative else None
     density = (lambda t: inner_density(d + t) if t >= 0.0 else 0.0) if inner_density else None
 
     upper = inner.support_upper - d if math.isfinite(inner.support_upper) else math.inf
@@ -229,6 +239,7 @@ def deductible(d: float, inner: DistributionModel) -> DistributionModel:
         atoms=tuple(atoms),
         support_upper=upper,
         closed_form_partial=partial,
+        negative_partial=negative,
         density_ac=density,
         breakpoints=tuple(x - d for x in inner.breakpoints if x > d),
     )
@@ -276,11 +287,26 @@ def numeric(knots: list[tuple[float, float]]) -> DistributionModel:
             return 0.0
         return s_last * math.exp(-decay * (t - t_last))
 
+    # density of each linear segment [ts[i], ts[i+1]]
+    slopes = [(ss[i] - ss[i + 1]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)]
+
+    def negative_partial(t: float, s: float) -> float:
+        # int (x-t)^s f(x) dx over x > t: one power term per segment, and
+        # Gamma(s+1, x) for the exponential tail; the atom at 0 is never above t
+        p = s + 1.0
+        terms = [c * ((hi - t) ** p - (max(lo, t) - t) ** p) / p
+                 for lo, hi, c in zip(ts, ts[1:], slopes) if hi > t]
+        if s_last > 0.0:
+            terms.append(s_last * decay ** -s * math.exp(-decay * max(t - t_last, 0.0))
+                         * scaled_upper_gamma(p, decay * max(t_last - t, 0.0)))
+        return math.fsum(terms)
+
     return DistributionModel(
         label=f"Numeric({len(ts)} knots)",
         survival=survival,
         atoms=tuple(atoms),
         support_upper=upper,
+        negative_partial=negative_partial,
         breakpoints=tuple(ts[1:]),
     )
 
@@ -345,7 +371,10 @@ def _partial_by_quadrature(X: DistributionModel, t: float, s: float,
     |s| * int_0^inf u^(s-1) [Fbar(t) - Fbar(t+u)] du, split at u = 1 so
     the tail integrand decays with the survival function rather than like
     a power; the cancellation-prone head goes through
-    weighted_increment_integral.
+    weighted_increment_integral.  Neither branch splits at the model's
+    breakpoints.  Since the ``numeric`` kind and its wrappers carry
+    ``negative_partial``, only Weibull and its wrappers reach the s < 0
+    branch.
     """
     b = X.support_upper
     if s > 0.0:
@@ -385,6 +414,8 @@ def upper_partial_moment(X: DistributionModel, t: float, s: float,
                 f"E[(X-t)_+^{s:g}] rejected: atom above t={t:g} at {blocking[0]:g}")
     if X.closed_form_partial is not None:
         return X.closed_form_partial(t, s)
+    if s < 0.0 and X.negative_partial is not None:
+        return X.negative_partial(t, s)
     return _partial_by_quadrature(X, t, s, cfg)
 
 
@@ -400,6 +431,8 @@ def fractional_moment(X: DistributionModel, s: float) -> float:
         return X.closed_form_moment(s)
     if X.closed_form_partial is not None:
         return X.closed_form_partial(0.0, s)
+    if s < 0.0 and X.negative_partial is not None:
+        return X.negative_partial(0.0, s)
     return _partial_by_quadrature(X, 0.0, s, DEFAULT_CONFIG)
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "gamma",
     "reciprocal_gamma",
     "beta",
+    "scaled_upper_gamma",
     "integrate_interval",
     "integrate_semi_infinite",
     "integrate_singular_power",
@@ -103,6 +104,56 @@ def beta(a: float, b: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise InvalidParameterError(f"beta requires positive arguments, got ({a}, {b})")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+_GAMMA_MAX_TERMS = 500  # series terms or continued-fraction levels
+_LENTZ_TINY = 1e-300  # stands in for a zero denominator in Lentz's method
+
+
+def scaled_upper_gamma(a: float, x: float) -> float:
+    """e^x * Gamma(a, x), the scaled upper incomplete gamma, for a > 0, x >= 0.
+
+    For x < a + 1 it is e^x Gamma(a) minus the series
+    x^a sum_k x^k / (a (a+1) ... (a+k)) of the lower function; otherwise
+    x^a times the continued fraction for Gamma(a, x), evaluated by the
+    modified Lentz method (Numerical Recipes 3e, section 6.2).  Both
+    branches keep the e^-x factor out, so the result stays finite far
+    into the tail.
+    """
+    if a <= 0.0 or x < 0.0:
+        raise InvalidParameterError(
+            f"scaled upper gamma needs a > 0 and x >= 0, got ({a}, {x})")
+    if x == 0.0:
+        return math.gamma(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        for _ in range(_GAMMA_MAX_TERMS):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                return math.exp(x) * math.gamma(a) - x ** a * total
+    else:
+        b = x + 1.0 - a
+        c = 1.0 / _LENTZ_TINY
+        d = 1.0 / b
+        h = d
+        for i in range(1, _GAMMA_MAX_TERMS + 1):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < _LENTZ_TINY:
+                d = _LENTZ_TINY
+            c = b + an / c
+            if abs(c) < _LENTZ_TINY:
+                c = _LENTZ_TINY
+            d = 1.0 / d
+            step = d * c
+            h *= step
+            if abs(step - 1.0) <= _EPS:
+                return x ** a * h
+    raise DivergenceError(f"scaled upper gamma at ({a}, {x}) did not converge")
 
 
 # ---------------------------------------------------------------------------

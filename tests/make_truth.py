@@ -1,0 +1,131 @@
+"""Write tests/data/truth.json: 40-digit mpmath references for test_truth.py.
+
+Run from the repository root with mpmath installed:
+
+    python3 tests/make_truth.py
+
+The tests read the committed JSON and never import mpmath.  Each law is
+integrated from its density, split at its kinks, with tanh-sinh
+quadrature, so no reference shares the closed forms under test.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import mpmath as mp
+
+mp.mp.dps = 40
+
+OUT = Path(__file__).resolve().parent / "data" / "truth.json"
+
+EXP_KNOTS = [[t, math.exp(-t)] for t in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)]
+KINKS = [[0.5, 0.9], [1.5, 0.3], [2.5, 0.05]]
+
+
+def numeric(knots):
+    return {"kind": "numeric", "params": {"knots": knots}}
+
+
+# (name, distribution JSON, thresholds t); every case runs at NEGATIVE_ORDERS
+NEGATIVE_CASES = [
+    ("kinks", numeric(KINKS), [0.25, 1.5, 3.0]),
+    ("exp_knots", numeric(EXP_KNOTS), [0.0, 0.25, 0.6, 5.0]),
+    ("bounded", numeric([[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]), [0.0, 0.5, 1.0, 2.5]),
+    ("atom_at_zero", numeric([[0.0, 0.8], [1.0, 0.4], [2.0, 0.1]]), [0.0, 0.5]),
+    ("flat_last_knots", numeric([[0.0, 1.0], [1.0, 0.5], [2.0, 0.5]]), [0.5, 2.0, 3.0]),
+    ("deductible", {"kind": "deductible", "params": {"d": 1.0}, "inner": numeric(KINKS)},
+     [0.0, 0.25, 2.0]),
+    ("zero_inflated", {"kind": "zero_inflated", "params": {"p": 0.3},
+                       "inner": numeric(EXP_KNOTS)}, [0.0, 1.0, 4.5]),
+]
+NEGATIVE_ORDERS = [-0.9, -0.5, -0.1]
+
+GAMMA_POINTS = [  # (a, x): both branches, x = 0, either side of x = a + 1
+    (0.5, 0.0), (2.5, 0.0), (0.1, 1e-3), (0.1, 1.0), (0.1, 1.2), (0.5, 1.49),
+    (0.5, 1.51), (0.9, 0.5), (0.9, 10.0), (2.5, 1.0), (2.5, 3.49), (2.5, 3.51),
+    (2.5, 50.0), (0.5, 1e4),
+]
+
+# eq_survival on a deductible table, s = n * alpha > 0 (quadrature path)
+EQ_SURVIVAL_DIST = {"kind": "deductible", "params": {"d": 1.0}, "inner": numeric(KINKS)}
+EQ_SURVIVAL_ALPHA, EQ_SURVIVAL_N = 0.7, 2
+EQ_SURVIVAL_TS = [0.14, 0.36, 0.96, 1.32]
+
+
+def _law(spec):
+    """(density of the continuous part, sorted kinks, support end) in mpmath."""
+    kind, params = spec["kind"], spec.get("params", {})
+    if kind == "numeric":
+        ts = [mp.mpf(t) for t, _ in params["knots"]]
+        ss = [mp.mpf(s) for _, s in params["knots"]]
+        if ts[0] > 0:
+            ts, ss = [mp.mpf(0)] + ts, [mp.mpf(1)] + ss
+        if ss[-1] == 0:
+            end = ts[ss.index(0)]
+            decay = None
+        else:
+            end = mp.inf
+            decay = mp.log(ss[-2] / ss[-1]) / (ts[-1] - ts[-2]) if ss[-2] > ss[-1] else mp.mpf(1)
+
+        def density(x):
+            # right-continuous: u^(1/p) can vanish below 40 digits, so the
+            # head's integrand is evaluated at t itself, which may be a knot
+            if x >= ts[-1]:
+                return 0 if decay is None else ss[-1] * decay * mp.exp(-decay * (x - ts[-1]))
+            for lo, hi, s_lo, s_hi in zip(ts, ts[1:], ss, ss[1:]):
+                if lo <= x < hi:
+                    return (s_lo - s_hi) / (hi - lo)
+            return 0
+        return density, ts[1:], end
+    inner, kinks, end = _law(spec["inner"])
+    if kind == "deductible":
+        d = mp.mpf(params["d"])
+        return (lambda x: inner(x + d)), [k - d for k in kinks if k > d], end - d
+    if kind == "zero_inflated":
+        q = 1 - mp.mpf(params["p"])
+        return (lambda x: q * inner(x)), kinks, end
+    raise ValueError(kind)
+
+
+def partial_moment(spec, t, s):
+    """E[(X-t)_+^s] of the continuous part; no case has an atom above t."""
+    density, kinks, end = _law(spec)
+    t = mp.mpf(t)
+    if t >= end:
+        return mp.mpf(0)
+    nodes = [k for k in kinks if t < k < end] + [end]
+    # u = (x - t)^(s+1) on the first piece: tanh-sinh alone misses the
+    # x^-0.9 endpoint singularity by 4e-5 relative at 40 digits
+    p = mp.mpf(s) + 1
+    head = mp.quad(lambda u: density(t + u ** (1 / p)) / p, [0, (nodes[0] - t) ** p])
+    return head + mp.quad(lambda x: (x - t) ** s * density(x), nodes)
+
+
+def main():
+    order = EQ_SURVIVAL_N * EQ_SURVIVAL_ALPHA
+    norm = partial_moment(EQ_SURVIVAL_DIST, 0.0, order)
+    truth = {
+        "negative_partial": [
+            {"case": name, "dist": spec, "t": t, "s": s,
+             "truth": float(partial_moment(spec, t, s))}
+            for name, spec, ts in NEGATIVE_CASES for s in NEGATIVE_ORDERS for t in ts],
+        "scaled_upper_gamma": [
+            {"a": a, "x": x, "truth": float(mp.exp(x) * mp.gammainc(a, x))}
+            for a, x in GAMMA_POINTS],
+        "eq_survival": [
+            {"dist": EQ_SURVIVAL_DIST, "alpha": EQ_SURVIVAL_ALPHA, "n": EQ_SURVIVAL_N, "t": t,
+             "truth": float(partial_moment(EQ_SURVIVAL_DIST, t, order) / norm)}
+            for t in EQ_SURVIVAL_TS],
+    }
+    # one entry per line keeps the file short and its diffs readable
+    sections = [f"{json.dumps(key)}: [\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]"
+                for key, entries in truth.items()]
+    OUT.parent.mkdir(exist_ok=True)
+    OUT.write_text("{\n" + ",\n".join(sections) + "\n}\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -12,7 +12,8 @@ from fraceq.errors import DivergenceError, InvalidParameterError
 
 def strip_closed(model):
     """Force the quadrature fallbacks."""
-    return replace(model, closed_form_moment=None, closed_form_partial=None)
+    return replace(model, closed_form_moment=None, closed_form_partial=None,
+                   negative_partial=None)
 
 
 EXP1 = {"kind": "exponential", "params": {"lambda": 1.0}}
