@@ -22,8 +22,8 @@ from .equilibrium import (CharacterizationReport, EquilibriumView,
 from .errors import DivergenceError, FraceqError, InvalidParameterError
 from .fracops import (PowerSum, power_caputo_derivative, power_rl_derivative,
                       weyl_integral)
-from .numerics import (DEFAULT_CONFIG, IntegralResult, QuadratureConfig, beta,
-                       gamma, integrate_interval, integrate_semi_infinite,
+from .numerics import (IntegralResult, QuadratureConfig, beta, gamma,
+                       integrate_interval, integrate_semi_infinite,
                        integrate_singular_power, reciprocal_gamma)
 from .order_mvt import (MeanLocationReport, MvtReport, OrderCheckResult,
                         ZAlphaModel, alpha_survival_transform,

@@ -2,10 +2,10 @@
 
 A model exposes exactly what the rest of the package consumes: the
 survival function, fractional moments E[X^s], upper partial moments
-E[(X-t)_+^s] and an explicit atom list.  Closed forms are attached where
-they exist; everything else falls back to quadrature against the
-survival function, so mixed distributions (atoms) need no special cases
-downstream.  Every survival function returns 1 for negative arguments;
+E[(X-t)_+^s] and the atom at 0, of mass 1 - survival(0).  Closed forms
+are attached where they exist; everything else falls back to quadrature
+against the survival function, so mixed distributions need no special
+cases downstream.  Every survival function returns 1 for negative arguments;
 that contract is the only guard callers rely on for t < 0.  The catalog
 constructors return models; ``build`` reads the command line's JSON form.
 """
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DivergenceError, InvalidParameterError
-from .numerics import (DEFAULT_CONFIG, QuadratureConfig,
-                       integrate_semi_infinite, integrate_singular_power,
+from .numerics import (integrate_semi_infinite, integrate_singular_power,
                        scaled_upper_gamma, weighted_increment_integral)
 
 __all__ = [
@@ -44,8 +43,10 @@ class DistributionModel:
 
     ``survival`` must be nonincreasing, right-continuous, and equal to 1
     for negative arguments; callers evaluate it at negative t without a
-    guard of their own.  ``atoms`` lists (location, mass) pairs of the
-    discrete part.  ``support_upper`` is sup{x : F(x) < 1} (may be inf).
+    guard of their own.  The only atom a model may carry sits at 0, so
+    its mass is 1 - survival(0); every constructor keeps to this.
+    ``support_upper`` is sup{x : F(x) < 1} (may be inf), and every
+    partial moment at or past it is exactly 0.
     ``closed_form_moment`` is set only where no closed partial moment
     exists, since E[X^s] is the partial moment at t = 0.
     ``negative_partial`` is an exact E[(X-t)_+^s] for s in (-1, 0) only,
@@ -58,16 +59,12 @@ class DistributionModel:
 
     label: str
     survival: Callable[[float], float]
-    atoms: tuple[tuple[float, float], ...] = ()
     support_upper: float = math.inf
     closed_form_moment: Callable[[float], float] | None = None
     closed_form_partial: Callable[[float, float], float] | None = None
     negative_partial: Callable[[float, float], float] | None = None
     density_ac: Callable[[float], float] | None = None
     breakpoints: tuple[float, ...] = ()
-
-    def atom_mass_at(self, loc: float) -> float:
-        return sum(m for x, m in self.atoms if abs(x - loc) <= 1e-12)
 
     def __repr__(self) -> str:  # keep reports readable
         return f"DistributionModel({self.label})"
@@ -179,8 +176,6 @@ def hyperexp2(p: float, lam1: float, lam2: float) -> DistributionModel:
 def zero_inflated(p: float, inner: DistributionModel) -> DistributionModel:
     _require(0.0 < p < 1.0, f"zero_inflated: p must lie in (0,1), got {p}")
     q = 1.0 - p
-    atoms = [(0.0, p + q * inner.atom_mass_at(0.0))]
-    atoms += [(loc, q * m) for loc, m in inner.atoms if loc > 0.0]
 
     inner_moment = inner.closed_form_moment
     inner_partial = inner.closed_form_partial
@@ -200,7 +195,6 @@ def zero_inflated(p: float, inner: DistributionModel) -> DistributionModel:
     return DistributionModel(
         label=f"ZeroInflated(p={p:g})[{inner.label}]",
         survival=survival,
-        atoms=tuple(atoms),
         support_upper=inner.support_upper,
         closed_form_moment=moment,
         closed_form_partial=partial,
@@ -214,10 +208,6 @@ def deductible(d: float, inner: DistributionModel) -> DistributionModel:
     _require(d > 0, f"deductible: d must be > 0, got {d}")
     _require(d < inner.support_upper,
              f"deductible: d={d} not below the support upper bound {inner.support_upper}")
-    atom0 = 1.0 - inner.survival(d)
-    atoms = [(0.0, atom0)] if atom0 > 0.0 else []
-    atoms += [(loc - d, m) for loc, m in inner.atoms if loc > d]
-
     inner_partial = inner.closed_form_partial
     inner_negative = inner.negative_partial
     inner_density = inner.density_ac
@@ -232,11 +222,12 @@ def deductible(d: float, inner: DistributionModel) -> DistributionModel:
     negative = (lambda t, s: inner_negative(d + t, s)) if inner_negative else None
     density = (lambda t: inner_density(d + t) if t >= 0.0 else 0.0) if inner_density else None
 
-    upper = inner.support_upper - d if math.isfinite(inner.support_upper) else math.inf
+    upper = inner.support_upper - d
+    while upper + d < inner.support_upper:  # rounded low: d + t must reach the top
+        upper = math.nextafter(upper, math.inf)
     return DistributionModel(
         label=f"Deductible(d={d:g})[{inner.label}]",
         survival=survival,
-        atoms=tuple(atoms),
         support_upper=upper,
         closed_form_partial=partial,
         negative_partial=negative,
@@ -260,7 +251,6 @@ def numeric(knots: list[tuple[float, float]]) -> DistributionModel:
         ss = [1.0] + ss
 
     t_last, s_last = ts[-1], ss[-1]
-    atoms = [(0.0, 1.0 - ss[0])] if ss[0] < 1.0 else []
 
     if s_last == 0.0:
         upper = ts[next(i for i, s in enumerate(ss) if s == 0.0)]
@@ -304,7 +294,6 @@ def numeric(knots: list[tuple[float, float]]) -> DistributionModel:
     return DistributionModel(
         label=f"Numeric({len(ts)} knots)",
         survival=survival,
-        atoms=tuple(atoms),
         support_upper=upper,
         negative_partial=negative_partial,
         breakpoints=tuple(ts[1:]),
@@ -362,8 +351,7 @@ def build(obj: dict) -> DistributionModel:
 # ---------------------------------------------------------------------------
 # moments
 
-def _partial_by_quadrature(X: DistributionModel, t: float, s: float,
-                           cfg: QuadratureConfig) -> float:
+def _partial_by_quadrature(X: DistributionModel, t: float, s: float) -> float:
     """E[(X-t)_+^s] from the survival function alone.
 
     s > 0 uses the layer-cake identity s * int_t^inf (x-t)^(s-1) Fbar(x) dx,
@@ -378,45 +366,38 @@ def _partial_by_quadrature(X: DistributionModel, t: float, s: float,
     """
     b = X.support_upper
     if s > 0.0:
-        res = integrate_singular_power(X.survival, t, s, cfg, upper=b)
+        res = integrate_singular_power(X.survival, t, s, upper=b)
         return s * res.require(f"E[(X-t)_+^{s:g}] for {X.label}")
     sb_t = X.survival(t)
 
     head = weighted_increment_integral(lambda u: sb_t - X.survival(t + u),
-                                       s + 1.0, 1.0, cfg)
+                                       s + 1.0, 1.0)
     tail_upper = b - t if math.isfinite(b) else None
     tail_res = integrate_semi_infinite(lambda u: u ** (s - 1.0) * X.survival(t + u),
-                                       1.0, cfg, upper=tail_upper)
+                                       1.0, upper=tail_upper)
     if not tail_res.converged:
         raise DivergenceError(f"E[(X-t)_+^{s:g}] quadrature failed for {X.label}")
     return -s * head + sb_t + s * tail_res.value
 
 
-def upper_partial_moment(X: DistributionModel, t: float, s: float,
-                         cfg: QuadratureConfig | None = None) -> float:
+def upper_partial_moment(X: DistributionModel, t: float, s: float) -> float:
     """E[(X - t)_+^s] with the convention (x)_+^s = x^s * 1{x > 0}.
 
-    Atoms located at or below t therefore contribute nothing; for
-    s in (-1, 0) an atom strictly above t makes the expectation diverge
-    along the t-path and is rejected.
+    The atom at 0 of mass 1 - survival(0) therefore contributes nothing
+    for t >= 0, and no model has an atom above 0, so every s in (-1, 0)
+    gives a finite value.  At or past ``support_upper`` the value is 0.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if t < 0.0:
         raise InvalidParameterError(f"upper partial moment requires t >= 0, got {t}")
     if s <= -1.0:
         raise DivergenceError(f"E[(X-t)_+^{s:g}] diverges (exponent <= -1)")
     if s == 0.0:
         return X.survival(t)
-    if s < 0.0:
-        blocking = [loc for loc, m in X.atoms if loc > t + 1e-12 and m > 0.0]
-        if blocking:
-            raise DivergenceError(
-                f"E[(X-t)_+^{s:g}] rejected: atom above t={t:g} at {blocking[0]:g}")
     if X.closed_form_partial is not None:
         return X.closed_form_partial(t, s)
     if s < 0.0 and X.negative_partial is not None:
         return X.negative_partial(t, s)
-    return _partial_by_quadrature(X, t, s, cfg)
+    return _partial_by_quadrature(X, t, s)
 
 
 def fractional_moment(X: DistributionModel, s: float) -> float:
@@ -425,15 +406,11 @@ def fractional_moment(X: DistributionModel, s: float) -> float:
         return 1.0
     if s <= -1.0:
         raise DivergenceError(f"E[X^{s:g}] diverges (exponent <= -1)")
-    if s < 0.0 and X.atom_mass_at(0.0) > 0.0:
+    if s < 0.0 and X.survival(0.0) < 1.0:
         raise DivergenceError(f"E[X^{s:g}] diverges: {X.label} has an atom at 0")
     if X.closed_form_moment is not None:
         return X.closed_form_moment(s)
-    if X.closed_form_partial is not None:
-        return X.closed_form_partial(0.0, s)
-    if s < 0.0 and X.negative_partial is not None:
-        return X.negative_partial(0.0, s)
-    return _partial_by_quadrature(X, 0.0, s, DEFAULT_CONFIG)
+    return upper_partial_moment(X, 0.0, s)
 
 
 def quantile(X: DistributionModel, q: float) -> float:

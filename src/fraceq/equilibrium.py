@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 from .distributions import (DistributionModel, fractional_moment, quantile,
                             upper_partial_moment)
 from .errors import DivergenceError, InvalidParameterError
-from .numerics import (QuadratureConfig, beta, gamma, geomspace,
-                       integrate_singular_power)
+from .numerics import beta, gamma, geomspace, integrate_singular_power
 
 __all__ = [
     "EquilibriumView",
@@ -68,22 +67,20 @@ def eq_survival(view: EquilibriumView, t: float) -> float:
     return upper_partial_moment(view.base, t, view.total) / view.norm
 
 
-def eq_density(view: EquilibriumView, t: float,
-               cfg: QuadratureConfig | None = None) -> float:
+def eq_density(view: EquilibriumView, t: float) -> float:
     """Density n alpha E[(X-t)_+^(n alpha - 1)] / E[X^(n alpha)]."""
     na = view.total
-    return na * upper_partial_moment(view.base, t, na - 1.0, cfg) / view.norm
+    return na * upper_partial_moment(view.base, t, na - 1.0) / view.norm
 
 
-def eq_density_fn(view: EquilibriumView,
-                  cfg: QuadratureConfig | None = None) -> Callable[[float], float]:
+def eq_density_fn(view: EquilibriumView) -> Callable[[float], float]:
     """The density as a plain callable, for use as an integrand.
 
     Memoized: the density is a pure function of t, and integrals of it
     against several weights revisit the same nodes (adaptive panels are
     dyadic, so the seed panels of every doubling segment coincide).
     """
-    return functools.cache(lambda t: eq_density(view, t, cfg))
+    return functools.cache(lambda t: eq_density(view, t))
 
 
 def eq_survival_recursive(X: DistributionModel, alpha: float, n: int,

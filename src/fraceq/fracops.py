@@ -15,8 +15,7 @@ from typing import Callable, Iterable
 
 from .distributions import DistributionModel, fractional_moment
 from .errors import DivergenceError, InvalidParameterError
-from .numerics import (DEFAULT_CONFIG, QuadratureConfig, gamma,
-                       integrate_singular_power, reciprocal_gamma)
+from .numerics import gamma, integrate_singular_power, reciprocal_gamma
 
 __all__ = [
     "PowerSum",
@@ -198,8 +197,7 @@ def power_mean(g: PowerSum, X: DistributionModel) -> float:
                      for coef, exp in g.terms)
 
 
-def power_expectation(g: PowerSum, density: Callable[[float], float],
-                      cfg: QuadratureConfig | None = None, *,
+def power_expectation(g: PowerSum, density: Callable[[float], float], *,
                       upper: float | None = None) -> float:
     """E[g(Z)] for Z with the given density.
 
@@ -208,12 +206,11 @@ def power_expectation(g: PowerSum, density: Callable[[float], float],
     certifies E[|g(Z)|] < inf.  ``upper`` declares where the density
     vanishes.
     """
-    cfg = cfg or DEFAULT_CONFIG
     value = 0.0
     for coef, exp in g.terms:
         if exp <= -1.0:
             raise DivergenceError(
                 f"E[g(Z)] diverges: exponent {exp:g} <= -1 in {g.describe()}")
-        res = integrate_singular_power(density, 0.0, exp + 1.0, cfg, upper=upper)
+        res = integrate_singular_power(density, 0.0, exp + 1.0, upper=upper)
         value += coef * res.require(f"E[Z^{exp:g}] against numeric density")
     return value

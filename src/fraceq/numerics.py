@@ -18,7 +18,6 @@ from .errors import DivergenceError, InvalidParameterError
 __all__ = [
     "QuadratureConfig",
     "IntegralResult",
-    "DEFAULT_CONFIG",
     "gamma",
     "reciprocal_gamma",
     "beta",
@@ -42,10 +41,6 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise InvalidParameterError("tolerances must be strictly positive")
-
-    def scaled(self, factor: float) -> "QuadratureConfig":
-        """Config with tolerances tightened by ``factor``."""
-        return QuadratureConfig(self.abs_tol * factor, self.rel_tol * factor)
 
 
 @dataclass(frozen=True)
@@ -377,8 +372,7 @@ _CANCEL_SCALE = 1e-6
 
 
 def weighted_increment_integral(increment: Callable[[float], float], p: float,
-                                upper: float,
-                                cfg: QuadratureConfig | None = None) -> float:
+                                upper: float) -> float:
     """int_0^upper v^(p-2) * increment(v) dv for increment(0) = 0, 0 < p < 1.
 
     ``increment`` is a difference of two nearly equal probabilities, so
@@ -387,7 +381,6 @@ def weighted_increment_integral(increment: Callable[[float], float], p: float,
     teeth of float cancellation; above that scale the w = v^p substitution
     removes the weight singularity and ordinary quadrature takes over.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (0.0 < p < 1.0):
         raise InvalidParameterError(f"weight exponent p must lie in (0, 1), got {p}")
     if upper <= 0.0:
@@ -415,7 +408,7 @@ def weighted_increment_integral(increment: Callable[[float], float], p: float,
         v = w ** inv_p
         return increment(v) / (v * p)
 
-    res = integrate_interval(integrand, v0 ** p, upper ** p, cfg)
+    res = integrate_interval(integrand, v0 ** p, upper ** p)
     return head + res.require("weighted increment integral")
 
 

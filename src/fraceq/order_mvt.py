@@ -15,7 +15,7 @@ from typing import Sequence
 from .distributions import (DistributionModel, _survival_point,
                             fractional_moment, quantile, upper_partial_moment)
 from .equilibrium import EquilibriumView, eq_density
-from .errors import InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError
 from .fracops import (PowerSum, extract_c0, power_expectation, power_mean,
                       power_rl_derivative)
 from .numerics import beta, gamma, geomspace
@@ -43,11 +43,9 @@ _ORDER_SLACK = 1e-10
 
 
 def alpha_survival_transform(X: DistributionModel, alpha: float, t: float) -> float:
-    """E[(X - t)_+^(alpha - 1)] / Gamma(alpha) for t below the support top, else 0."""
+    """E[(X - t)_+^(alpha - 1)] / Gamma(alpha); 0 at or past the support top."""
     if alpha <= 0.0:
         raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
-    if t >= X.support_upper:
-        return 0.0
     return upper_partial_moment(X, t, alpha - 1.0) / gamma(alpha)
 
 
@@ -148,8 +146,8 @@ def z_density(z: ZAlphaModel, t: float) -> float:
     if t < 0.0:
         return 0.0
     a = z.alpha
-    py = upper_partial_moment(z.y, t, a - 1.0) if t < z.y.support_upper else 0.0
-    px = upper_partial_moment(z.x, t, a - 1.0) if t < z.x.support_upper else 0.0
+    py = upper_partial_moment(z.y, t, a - 1.0)
+    px = upper_partial_moment(z.x, t, a - 1.0)
     return a * (py - px) / z.denom
 
 
@@ -270,7 +268,10 @@ def mvt_verify(g: PowerSum, X: DistributionModel, Y: DistributionModel,
     {lambda_a(Y) - lambda_a(X)} E[D^a g(Z_a)], the derivative expectation
     integrated against the Z density by quadrature.
     """
-    c0 = extract_c0(g, alpha)
+    try:
+        c0 = extract_c0(g, alpha)
+    except DivergenceError as exc:  # an exponent below alpha - 1 breaks a hypothesis
+        raise InvalidParameterError(str(exc)) from exc
     z = z_alpha_model(X, Y, alpha, require_order=require_order)
     lhs = power_mean(g, Y) - power_mean(g, X)
     if c0 != 0.0:

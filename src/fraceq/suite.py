@@ -17,8 +17,8 @@ from . import actuarial, distributions, equilibrium, fracops, order_mvt, taylor
 from .distributions import exponential, hyperexp2, uniform, weibull, zero_inflated
 from .errors import DivergenceError
 from .fracops import PowerSum
-from .numerics import (DEFAULT_CONFIG, gamma, integrate_semi_infinite,
-                       integrate_singular_power, linspace)
+from .numerics import (gamma, integrate_semi_infinite, integrate_singular_power,
+                       linspace)
 
 __all__ = ["CheckOutcome", "run_all", "CRITERIA", "outcome", "identity_row",
            "info_row", "direct_vs_recursive"]
@@ -187,17 +187,15 @@ def criterion_4_recursive_equilibrium() -> list[CheckOutcome]:
 def criterion_5_equilibrium_moments() -> list[CheckOutcome]:
     """Closed equilibrium moments against brute-force density integrals."""
     rows = []
-    # the oracle only needs to beat the 1e-5 agreement target
-    oracle_cfg = DEFAULT_CONFIG.scaled(10.0)
     for X in _catalog():
         for alpha, n in ((0.5, 1), (1.0, 1)):
             view = equilibrium.EquilibriumView(X, alpha, n)
-            density = equilibrium.eq_density_fn(view, oracle_cfg)
+            density = equilibrium.eq_density_fn(view)
             worst = 0.0
             for r in (0.5, 1.0, 2.0):
                 closed = equilibrium.eq_moment(view, r)
                 brute = fracops.power_expectation(PowerSum.power(r), density,
-                                                  oracle_cfg, upper=X.support_upper)
+                                                  upper=X.support_upper)
                 worst = max(worst, _rel(closed, brute))
             rows.append(outcome("equilibrium_moment_vs_quadrature",
                                 {"distribution": X.label, "alpha": alpha, "n": n},
@@ -472,7 +470,7 @@ def criterion_13_numerics_quality() -> list[CheckOutcome]:
     rows = []
     for X in _catalog():
         if X.density_ac is not None:
-            expected = 1.0 - sum(m for _, m in X.atoms)
+            expected = X.survival(0.0)
             res = integrate_semi_infinite(X.density_ac, 0.0)
             err = res.error_estimate + 1e-12
             rows.append(CheckOutcome("density_mass",

@@ -15,12 +15,12 @@ from fraceq.order_mvt import normalized_moment, z_density
 class TestDeductibleModel:
     def test_exponential(self):
         X = deductible(1.0, exponential(1.0))
-        assert abs(X.atoms[0][1] - (1.0 - math.exp(-1.0))) < 1e-12
+        assert abs((1.0 - X.survival(0.0)) - (1.0 - math.exp(-1.0))) < 1e-12
         assert abs(X.survival(0.5) - math.exp(-1.5)) < 1e-15
 
     def test_uniform(self):
         X = deductible(0.5, uniform(0.0, 1.0))
-        assert abs(X.atoms[0][1] - 0.5) < 1e-12
+        assert abs((1.0 - X.survival(0.0)) - 0.5) < 1e-12
         assert X.support_upper == 0.5
 
     def test_zero_deductible_rejected(self):

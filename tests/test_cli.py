@@ -277,6 +277,14 @@ class TestRun:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_USAGE
 
+    def test_mvt_g_below_admissible_range_exits_2(self, tmp_path):
+        # x^-0.8 lies below alpha - 1 = -0.5: a hypothesis of the identity
+        # fails, as for the same g under actuarial, not the numerics
+        code = main(["mvt", "--dist-x", '{"kind":"exponential","params":{"lambda":2}}',
+                     "--dist-y", EXP1, "--g", '[{"coef":1,"exp":-0.8}]',
+                     "--alpha", "0.5", "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+
     def test_check_failure_exits_1(self, tmp_path):
         # an impossible tolerance turns a healthy residual into a failure
         out = tmp_path / "fail.json"

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import exp_knots, rel_diff
 from fraceq import distributions as dist
-from fraceq.distributions import (DistributionModel, build, fractional_moment,
-                                  quantile, upper_partial_moment)
+from fraceq.distributions import (build, fractional_moment, quantile,
+                                  upper_partial_moment)
 from fraceq.errors import DivergenceError, InvalidParameterError
 
 
@@ -22,22 +22,20 @@ EXP1 = {"kind": "exponential", "params": {"lambda": 1.0}}
 class TestBuild:
     def test_exponential(self):
         X = dist.exponential(1.0)
-        assert X.atoms == ()
+        assert X.survival(0.0) == 1.0  # no atom at 0
         assert abs(X.survival(1.0) - math.exp(-1.0)) < 1e-15
         assert X.support_upper == math.inf
 
     def test_deductible_over_exponential(self):
         X = dist.deductible(1.0, dist.exponential(1.0))
-        assert len(X.atoms) == 1
-        loc, mass = X.atoms[0]
-        assert loc == 0.0
+        mass = 1.0 - X.survival(0.0)  # the atom at 0
         assert abs(mass - (1.0 - math.exp(-1.0))) < 1e-12  # 0.6321206...
         for t in (0.0, 0.5, 2.0):
             assert abs(X.survival(t) - math.exp(-(1.0 + t))) < 1e-15
 
     def test_zero_inflated(self):
         X = dist.zero_inflated(0.3, dist.exponential(1.0))
-        assert X.atoms == ((0.0, 0.3),)
+        assert abs((1.0 - X.survival(0.0)) - 0.3) < 1e-15
         assert abs(X.survival(1.0) - 0.7 * math.exp(-1.0)) < 1e-15
 
     def test_numeric_interpolation(self):
@@ -52,7 +50,6 @@ class TestBuild:
         # (0, 1) is prepended, so the law has no atom at 0
         X = dist.numeric([(1.0, 0.5), (2.0, 0.25)])
         assert X.label == "Numeric(3 knots)"
-        assert X.atoms == ()
         assert X.survival(0.0) == 1.0
         assert X.survival(0.5) == 0.75
 
@@ -114,7 +111,6 @@ class TestBuild:
     def test_build_matches_constructor(self, obj, model):
         X = build(obj)
         assert X.label == model.label
-        assert X.atoms == model.atoms
         assert X.support_upper == model.support_upper
         for t in (0.0, 0.5, 2.0):
             assert X.survival(t) == model.survival(t)
@@ -172,10 +168,28 @@ class TestFractionalMoment:
         for s in (-0.5, -0.25):
             assert rel_diff(fractional_moment(bare, s), math.gamma(s + 1.0)) < 1e-8
 
-    def test_negative_exponent_with_atom_at_zero_diverges(self):
-        X = dist.zero_inflated(0.3, dist.exponential(1.0))
+    @pytest.mark.parametrize("X,mass", [
+        (dist.zero_inflated(0.3, dist.exponential(1.0)), 0.3),
+        (dist.deductible(1.0, dist.exponential(1.0)), 1.0 - math.exp(-1.0)),
+        (dist.numeric([(0.0, 0.8), (1.0, 0.4), (2.0, 0.1)]), 0.2),
+        (dist.zero_inflated(0.5, dist.deductible(1.0, dist.exponential(1.0))),
+         0.5 + 0.5 * (1.0 - math.exp(-1.0))),
+    ], ids=["zero_inflated", "deductible", "numeric", "zero_inflated_deductible"])
+    def test_negative_exponent_with_atom_at_zero_diverges(self, X, mass):
+        # the atom at 0 is what survival(0) leaves short of 1
+        assert abs((1.0 - X.survival(0.0)) - mass) < 1e-15
         with pytest.raises(DivergenceError):
             fractional_moment(X, -0.5)
+
+    @pytest.mark.parametrize("X", [
+        dist.exponential(1.0), dist.uniform(0.0, 1.0), dist.weibull(2.0, 1.0),
+        dist.hyperexp2(0.4, 1.0, 3.0),
+        dist.numeric([(0.0, 1.0), (1.0, 0.4), (2.0, 0.1)]),
+    ], ids=["exponential", "uniform", "weibull", "hyperexp2", "numeric"])
+    def test_negative_exponent_without_atom_is_finite(self, X):
+        assert X.survival(0.0) == 1.0
+        value = fractional_moment(X, -0.5)
+        assert math.isfinite(value) and value > 0.0
 
     def test_exponent_at_or_below_minus_one_diverges(self, catalog):
         with pytest.raises(DivergenceError):
@@ -260,14 +274,20 @@ class TestUpperPartialMoment:
         got = upper_partial_moment(X, 0.0, -0.5)
         assert abs(got - math.exp(-1.0) * math.gamma(0.5)) < 1e-12
 
-    def test_atom_above_threshold_rejected_for_negative_exponent(self):
-        lumpy = DistributionModel(
-            label="lump at 2",
-            survival=lambda t: 1.0 if t < 2.0 else 0.0,
-            atoms=((2.0, 1.0),),
-            support_upper=2.0)
-        with pytest.raises(DivergenceError):
-            upper_partial_moment(lumpy, 1.0, -0.5)
+    @pytest.mark.parametrize("inner", [
+        dist.uniform(0.0, 6.222267195697184),
+        dist.numeric([(0.0, 1.0), (6.222267195697184, 0.0)]),
+    ], ids=["uniform", "numeric"])
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.5])
+    def test_zero_at_and_past_the_deductible_support_top(self, inner, s):
+        # 6.2222... - 0.5002... rounds low, so adding d back falls short
+        # of the inner top; support_upper is raised until it does not
+        d = 0.5002150188621628
+        X = dist.deductible(d, inner)
+        top = X.support_upper
+        assert top >= inner.support_upper - d and top + d >= inner.support_upper
+        for t in (top, math.nextafter(top, math.inf), top + 1.0):
+            assert upper_partial_moment(X, t, s) == 0.0, t
 
     def test_negative_threshold_rejected(self, catalog):
         with pytest.raises(InvalidParameterError):

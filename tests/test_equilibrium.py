@@ -11,8 +11,7 @@ from fraceq.equilibrium import (EquilibriumView, characterization_check,
                                 first_order_cdf_interpretation)
 from fraceq.errors import InvalidParameterError
 from fraceq.fracops import PowerSum, power_expectation
-from fraceq.numerics import (DEFAULT_CONFIG, beta, geomspace,
-                             integrate_semi_infinite, linspace)
+from fraceq.numerics import beta, geomspace, integrate_semi_infinite, linspace
 
 
 class TestEquilibriumView:
@@ -97,25 +96,24 @@ class TestEqDensity:
     def test_density_fn_evaluates_each_node_once(self, catalog, monkeypatch):
         # criterion 5's oracle for the knot table at alpha=1, n=1: three
         # powers integrated against one density revisit the same nodes
-        # (1,200 evaluations of 660 distinct nodes without the memo)
+        # (1,260 evaluations of 720 distinct nodes without the memo)
         model = catalog["numeric"]
         view = EquilibriumView(model, 1.0, 1)
-        cfg = DEFAULT_CONFIG.scaled(10.0)
         nodes = []
 
-        def counted(v, t, c=None):
+        def counted(v, t):
             nodes.append(t)
-            return eq_density(v, t, c)
+            return eq_density(v, t)
 
         monkeypatch.setattr(equilibrium, "eq_density", counted)
-        density = eq_density_fn(view, cfg)
+        density = eq_density_fn(view)
         for r in (0.5, 1.0, 2.0):
-            power_expectation(PowerSum.power(r), density, cfg,
+            power_expectation(PowerSum.power(r), density,
                               upper=model.support_upper)
-        assert len(nodes) == len(set(nodes)) == 660
+        assert len(nodes) == len(set(nodes)) == 720
         monkeypatch.undo()
         for t in nodes[::37]:
-            assert density(t) == eq_density(view, t, cfg)
+            assert density(t) == eq_density(view, t)
 
 class TestRecursiveOracle:
     def test_single_level_is_plain_equilibrium(self):

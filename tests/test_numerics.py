@@ -249,7 +249,7 @@ def test_catalog_density_mass(catalog):
     for model in catalog.values():
         if model.density_ac is None:
             continue
-        expected = 1.0 - sum(m for _, m in model.atoms)
+        expected = model.survival(0.0)  # the mass above the atom at 0
         res = integrate_semi_infinite(model.density_ac, 0.0)
         assert res.converged, model.label
         assert abs(res.value - expected) <= res.error_estimate + 1e-12, model.label

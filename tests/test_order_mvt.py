@@ -264,6 +264,7 @@ class TestMvt:
         assert checked >= 14
 
     def test_g_below_admissible_range_rejected(self):
-        with pytest.raises(DivergenceError):
+        # an exponent below alpha - 1 breaks a hypothesis of the identity
+        with pytest.raises(InvalidParameterError):
             mvt_verify(PowerSum.power(-0.8), exp_mean(1.0), exp_mean(2.0), 0.5,
                        require_order=False)

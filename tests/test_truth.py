@@ -27,7 +27,7 @@ def test_negative_partial_moment(entry):
     assert X.negative_partial is not None
     got = upper_partial_moment(X, t, s)
     assert rel_diff(got, truth) <= BOUND, (got, truth)
-    if t == 0.0 and X.atom_mass_at(0.0) == 0.0:
+    if t == 0.0 and X.survival(0.0) == 1.0:  # no atom at 0
         assert rel_diff(fractional_moment(X, s), truth) <= BOUND
 
 
