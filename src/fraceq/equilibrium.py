@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .distributions import (DistributionModel, fractional_moment, quantile,
                             upper_partial_moment)
 from .errors import DivergenceError, InvalidParameterError
+from .fracops import weyl_table
 from .numerics import beta, gamma, geomspace, integrate_singular_power
 
 __all__ = [
@@ -89,12 +89,9 @@ def eq_survival_recursive(X: DistributionModel, alpha: float, n: int,
 
     Level k is the order-alpha Weyl integral of level k-1, normalized to
     1 at 0; level 0 is the survival function of X.  Levels 1 to n-1 are
-    tabulated once each, one quadrature of the level below per node, as
-    piecewise Chebyshev interpolants on [0, T] that vanish beyond T; only
-    level n is integrated at ts.  T is the support's upper bound, or
-    where the level-1 integral at 0 of an unbounded law truncates.
-    Exists solely as an independent oracle for eq_survival; depth is
-    capped at n = 3.
+    tabulated once each on [0, T] by fracops.weyl_table; only level n is
+    integrated at ts.  Exists solely as an independent oracle for
+    eq_survival; depth is capped at n = 3.
     """
     if alpha <= 0.0 or n < 1:
         raise InvalidParameterError(
@@ -102,113 +99,20 @@ def eq_survival_recursive(X: DistributionModel, alpha: float, n: int,
     if n > _MAX_RECURSION_ORDER:
         raise InvalidParameterError(
             f"recursive oracle capped at n = {_MAX_RECURSION_ORDER}, got {n}")
+    coefs = [gamma(k * alpha + 1.0) / gamma((k - 1) * alpha + 1.0)
+             * fractional_moment(X, (k - 1) * alpha)
+             / fractional_moment(X, k * alpha) for k in range(1, n + 1)]
+    # at n = 1, one quadrature of the survival function per point, unsplit:
+    # the same integral as the direct path's for a law without closed forms
+    prev, T, kinks = X.survival, X.support_upper, ()
+    if n > 1:
+        prev, T = weyl_table(X, alpha, coefs[:-1])
+        kinks = X.breakpoints
     g_alpha = gamma(alpha)
-    b = X.support_upper
-
-    def weyl(prev: Callable[[float], float], k: int, upper: float,
-             kinks: tuple[float, ...] = ()) -> Callable[[float], float]:
-        coef = (gamma(k * alpha + 1.0) / gamma((k - 1) * alpha + 1.0)
-                * fractional_moment(X, (k - 1) * alpha)
-                / fractional_moment(X, k * alpha))
-
-        def surv(u: float) -> float:
-            res = integrate_singular_power(prev, u, alpha, upper=upper,
-                                           breakpoints=kinks)
-            return coef * res.require(f"I_-^{alpha:g} at level {k}") / g_alpha
-
-        return surv
-
-    if n == 1:
-        # one quadrature of the survival function per point, unsplit: the
-        # same integral as the direct path's for a law without closed forms
-        return [weyl(X.survival, 1, b)(t) for t in ts]
-    reach = None  # T bounds the support
-    if math.isfinite(b):
-        T = b
-    else:
-        res = integrate_singular_power(X.survival, 0.0, alpha)
-        res.require(f"I_-^{alpha:g} of {X.label} at 0")
-        # the doubling in u = x^alpha overshoots the law's own scale by
-        # up to 2^(1/alpha); tail panels follow where the survival is spent
-        T = res.truncation_point
-        reach = min(T, quantile(X, 1.0 - _TAIL_LEVEL))
-    edges = _panel_edges(X.breakpoints, T, reach)
-    level = weyl(X.survival, 1, T, X.breakpoints)
-    for k in range(2, n + 1):
-        level = weyl(_tabulate(level, edges), k, T, X.breakpoints)
-    return [level(t) for t in ts]
-
-
-_CHEB_DEGREE = 24  # per table panel, at Chebyshev points of the second kind
-_GRADING = 0.2  # width ratio of successive table panels toward a kink
-_GRADED_PANELS = 7  # table panels graded toward each kink
-_TAIL_DOUBLINGS = 5  # panels of doubling width between the last kink and reach
-_TAIL_LEVEL = 1e-15  # survival probability at which an unbounded law is spent
-
-
-def _panel_edges(kinks: Sequence[float], T: float,
-                 reach: float | None) -> list[float]:
-    """Table panel edges on [0, T]: 0, the kinks below T and T.
-
-    A level at u depends on the level below on [u, inf) only, so a kink
-    makes every higher level singular on its left side alone: panels
-    shrink geometrically toward each kink from the left, and toward 0,
-    where the law itself may be singular (Weibull with shape below 1).
-    When T bounds the support (reach is None) it is a kink too;
-    otherwise panel widths double past the last kink, _TAIL_DOUBLINGS of
-    them up to reach, where the survival function is spent, and on up
-    to T.
-    """
-    edges = {0.0, T}
-    lo = 0.0
-    for b in [x for x in kinks if x < T] + ([T] if reach is None else []):
-        half = 0.5 * (b - lo)
-        edges.update(b - half * _GRADING ** j for j in range(_GRADED_PANELS))
-        edges.add(b)
-        lo = b
-    if reach is not None:
-        width = ((reach if reach > lo else T) - lo) * 0.5 ** _TAIL_DOUBLINGS
-        while lo + width < T:
-            edges.add(lo + width)
-            width *= 2.0
-    first = min(edges - {0.0})
-    edges.update(first * _GRADING ** j for j in range(1, _GRADED_PANELS))
-    return sorted(edges)
-
-
-def _tabulate(f: Callable[[float], float],
-              edges: Sequence[float]) -> Callable[[float], float]:
-    """Piecewise Chebyshev interpolant of f on [edges[0], edges[-1]], 0 beyond.
-
-    Each panel holds f at its degree-24 Chebyshev points of the second
-    kind and is evaluated in barycentric form (Berrut & Trefethen, SIAM
-    Review 46:501, 2004): weights (-1)^j, halved at both ends.
-    """
-    m = _CHEB_DEGREE
-    cosines = [math.cos(math.pi * j / m) for j in range(m + 1)]
-    weights = [(0.5 if j in (0, m) else 1.0) * (-1.0) ** j for j in range(m + 1)]
-    panels = []
-    for a, b in zip(edges, edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xs = [a] + [mid - half * c for c in cosines[1:m]] + [b]
-        panels.append([(x, f(x), w) for x, w in zip(xs, weights)])
-    top = edges[-1]
-
-    def table(x: float) -> float:
-        if x > top:
-            return 0.0
-        panel = panels[bisect_right(edges, x, 1, len(panels)) - 1]
-        num = den = 0.0
-        for xj, fj, w in panel:
-            d = x - xj
-            if d == 0.0:
-                return fj
-            r = w / d
-            num += r * fj
-            den += r
-        return num / den
-
-    return table
+    level_n = (integrate_singular_power(prev, t, alpha, upper=T, breakpoints=kinks)
+               for t in ts)
+    return [coefs[-1] * res.require(f"I_-^{alpha:g} at level {n}") / g_alpha
+            for res in level_n]
 
 
 def eq_moment(view: EquilibriumView, r: float) -> float:

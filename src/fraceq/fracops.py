@@ -10,10 +10,11 @@ term by term, through fractional moments or against a density.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .distributions import DistributionModel, fractional_moment
+from .distributions import DistributionModel, fractional_moment, quantile
 from .errors import DivergenceError, InvalidParameterError
 from .numerics import gamma, integrate_singular_power, reciprocal_gamma
 
@@ -21,6 +22,7 @@ __all__ = [
     "PowerSum",
     "weyl_integral",
     "weyl_of_function",
+    "weyl_table",
     "power_rl_derivative",
     "power_caputo_derivative",
     "extract_c0",
@@ -179,13 +181,119 @@ def weyl_of_function(h: Callable[[float], float], order: float, t: float, *,
     """I_-^order h(t) for an arbitrary integrable callable.
 
     weyl_integral applies it to a survival function; nested transforms
-    (semigroup checks) apply it to another Weyl integral.  ``upper``
-    declares where h vanishes for good.
+    (the semigroup check) apply it to a weyl_table, the inner transform
+    tabulated once.  ``upper`` declares where h vanishes for good.
     """
     if order <= 0.0:
         raise InvalidParameterError(f"Weyl integral order must be > 0, got {order}")
     res = integrate_singular_power(h, t, order, upper=upper)
     return res.require(f"Weyl integral of order {order:g}") / gamma(order)
+
+
+def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.0,)
+               ) -> tuple[Callable[[float], float], float]:
+    """I_-^order Fbar as a table on [0, T] that is 0 beyond T: (table, T).
+
+    T bounds the support, or is where I_-^order Fbar(0) truncates.  Each
+    node is one quadrature, split at X's breakpoints.  With several
+    ``scales`` the table nests: level k is scales[k-1] times I_-^order of
+    level k-1's table, level 0 is Fbar; the last level is returned.
+    """
+    T = X.support_upper
+    reach = None  # T bounds the support
+    if not math.isfinite(T):
+        res = integrate_singular_power(X.survival, 0.0, order)
+        res.require(f"I_-^{order:g} of {X.label} at 0")
+        # the doubling in u = x^order overshoots the law's own scale by
+        # up to 2^(1/order); tail panels follow where the survival is spent
+        T = res.truncation_point
+        reach = min(T, quantile(X, 1.0 - _TAIL_LEVEL))
+    edges = _panel_edges(X.breakpoints, T, reach)
+    g = gamma(order)
+    level = X.survival
+    for k, scale in enumerate(scales, 1):
+        def weyl(u: float, prev=level, scale=scale, k=k) -> float:
+            res = integrate_singular_power(prev, u, order, upper=T,
+                                           breakpoints=X.breakpoints)
+            return scale * res.require(f"I_-^{order:g} at level {k}") / g
+        level = _tabulate(weyl, edges)
+    return level, T
+
+
+_CHEB_DEGREE = 24  # per table panel, at Chebyshev points of the second kind
+_GRADING = 0.2  # width ratio of successive table panels toward a kink
+_GRADED_PANELS = 7  # table panels graded toward each kink
+_TAIL_DOUBLINGS = 5  # panels of doubling width between the last kink and reach
+_TAIL_LEVEL = 1e-15  # survival probability at which an unbounded law is spent
+
+
+def _panel_edges(kinks: Sequence[float], T: float,
+                 reach: float | None) -> list[float]:
+    """Table panel edges on [0, T]: 0, the kinks below T and T.
+
+    A Weyl integral at u depends on its integrand on [u, inf) only, so a
+    kink makes every nested level singular on its left side alone: panels
+    shrink geometrically toward each kink from the left, and toward 0,
+    where the law itself may be singular (Weibull with shape below 1).
+    When T bounds the support (reach is None) it is a kink too;
+    otherwise panel widths double past the last kink, _TAIL_DOUBLINGS of
+    them up to reach, where the survival function is spent, and on up
+    to T.
+    """
+    edges = {0.0, T}
+    lo = 0.0
+    for b in [x for x in kinks if x < T] + ([T] if reach is None else []):
+        half = 0.5 * (b - lo)
+        edges.update(b - half * _GRADING ** j for j in range(_GRADED_PANELS))
+        edges.add(b)
+        lo = b
+    if reach is not None:
+        width = ((reach if reach > lo else T) - lo) * 0.5 ** _TAIL_DOUBLINGS
+        while lo + width < T:
+            edges.add(lo + width)
+            width *= 2.0
+    first = min(edges - {0.0})
+    edges.update(first * _GRADING ** j for j in range(1, _GRADED_PANELS))
+    return sorted(edges)
+
+
+def _tabulate(f: Callable[[float], float],
+              edges: Sequence[float]) -> Callable[[float], float]:
+    """Piecewise Chebyshev interpolant of f on [edges[0], edges[-1]], 0 beyond.
+
+    Each panel holds f at its degree-24 Chebyshev points of the second
+    kind and is evaluated in barycentric form (Berrut & Trefethen, SIAM
+    Review 46:501, 2004): weights (-1)^j, halved at both ends.  A shared
+    panel edge is evaluated once.
+    """
+    m = _CHEB_DEGREE
+    cosines = [math.cos(math.pi * j / m) for j in range(m + 1)]
+    weights = [(0.5 if j in (0, m) else 1.0) * (-1.0) ** j for j in range(m + 1)]
+    panels = []
+    last = f(edges[0])
+    for a, b in zip(edges, edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        xs = [a] + [mid - half * c for c in cosines[1:m]] + [b]
+        fs = [last] + [f(x) for x in xs[1:]]
+        last = fs[-1]
+        panels.append(list(zip(xs, fs, weights)))
+    top = edges[-1]
+
+    def table(x: float) -> float:
+        if x > top:
+            return 0.0
+        panel = panels[bisect_right(edges, x, 1, len(panels)) - 1]
+        num = den = 0.0
+        for xj, fj, w in panel:
+            d = x - xj
+            if d == 0.0:
+                return fj
+            r = w / d
+            num += r * fj
+            den += r
+        return num / den
+
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ import math
 import pytest
 
 from conftest import rel_diff
+from fraceq import numerics, suite
 from fraceq.distributions import exponential, uniform, upper_partial_moment
 from fraceq.errors import DivergenceError, InvalidParameterError
 from fraceq.fracops import (PowerSum, power_caputo_derivative,
                             power_expectation, power_rl_derivative,
-                            weyl_integral, weyl_of_function)
-from fraceq.numerics import integrate_singular_power
+                            weyl_integral, weyl_of_function, weyl_table)
+from fraceq.numerics import integrate_singular_power, linspace
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -154,6 +155,37 @@ class TestWeylIntegral:
         nested = weyl_of_function(inner, a, 1.0, upper=X.support_upper)
         direct = weyl_integral(X, a + b, 1.0)
         assert rel_diff(nested, direct) < 1e-5
+
+    @pytest.mark.parametrize("b", [0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("law", ["uniform", "exponential"])
+    def test_table_matches_exact_transform(self, law, b):
+        # I^b[(1-x)_+](t) = (1-t)_+^(1+b) / Gamma(2+b) and I^b e^-x = e^-t
+        if law == "uniform":
+            X = uniform(0.0, 1.0)
+            exact = lambda t: (1.0 - t) ** (1.0 + b) / math.gamma(2.0 + b)
+        else:
+            X = exponential(1.0)
+            exact = lambda t: math.exp(-t)
+        table, T = weyl_table(X, b)
+        worst = max(abs(table(t) - exact(t)) for t in linspace(0.0, T, 4001))
+        assert worst <= 1e-9
+        for t in (math.nextafter(T, math.inf), 1.5 * T, 1e300):
+            assert table(t) == 0.0
+
+    def test_semigroup_criterion_panel_budget(self, monkeypatch):
+        # one table of I^b Fbar per (law, b); nesting a quadrature at every
+        # outer node took 71,132 Gauss-Kronrod panels
+        panels = []
+        gk15 = numerics._gk15
+
+        def counted(f, a, b):
+            panels.append(1)
+            return gk15(f, a, b)
+
+        monkeypatch.setattr(numerics, "_gk15", counted)
+        rows = suite.criterion_3_semigroup()
+        assert all(row.passed for row in rows)
+        assert len(panels) <= 25_000
 
     def test_divergent_tail_raises(self):
         from fraceq.distributions import DistributionModel, fractional_moment
