@@ -195,7 +195,9 @@ def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.
     """I_-^order Fbar as a table on [0, T] that is 0 beyond T: (table, T).
 
     T bounds the support, or is where I_-^order Fbar(0) truncates.  Each
-    node is one quadrature, split at X's breakpoints.  With several
+    level is a Chebyshev interpolant of degree 6, 12 or 24 per panel
+    (see _tabulate); each of its nodes is one quadrature, split at X's
+    breakpoints.  With several
     ``scales`` the table nests: level k is scales[k-1] times I_-^order of
     level k-1's table, level 0 is Fbar; the last level is returned.
     """
@@ -220,7 +222,8 @@ def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.
     return level, T
 
 
-_CHEB_DEGREE = 24  # per table panel, at Chebyshev points of the second kind
+_DEGREES = (6, 12, 24)  # Chebyshev degrees a table panel may keep, on nested points
+_CHOP = 1e-13  # trailing coefficients this small, relative to the table, are noise
 _GRADING = 0.2  # width ratio of successive table panels toward a kink
 _GRADED_PANELS = 7  # table panels graded toward each kink
 _TAIL_DOUBLINGS = 5  # panels of doubling width between the last kink and reach
@@ -261,22 +264,45 @@ def _tabulate(f: Callable[[float], float],
               edges: Sequence[float]) -> Callable[[float], float]:
     """Piecewise Chebyshev interpolant of f on [edges[0], edges[-1]], 0 beyond.
 
-    Each panel holds f at its degree-24 Chebyshev points of the second
-    kind and is evaluated in barycentric form (Berrut & Trefethen, SIAM
-    Review 46:501, 2004): weights (-1)^j, halved at both ends.  A shared
-    panel edge is evaluated once.
+    Each panel holds f at the Chebyshev points of the second kind of
+    degree 6, 12 or 24: the first of _DEGREES whose last three Chebyshev
+    coefficients are at most _CHOP times the largest |f| the table has
+    seen (the chopping rule of Aurentz & Trefethen, ACM TOMS 43:33,
+    2017), or 24.  The point sets are nested, so a higher degree reuses
+    every value taken, and a shared panel edge is evaluated once: f is
+    called once per distinct node.  A panel is evaluated in barycentric
+    form (Berrut & Trefethen, SIAM Review 46:501, 2004): weights (-1)^j,
+    halved at both ends.
     """
-    m = _CHEB_DEGREE
-    cosines = [math.cos(math.pi * j / m) for j in range(m + 1)]
-    weights = [(0.5 if j in (0, m) else 1.0) * (-1.0) ** j for j in range(m + 1)]
+    m_max = _DEGREES[-1]
+    cosines = [math.cos(math.pi * i / m_max) for i in range(m_max + 1)]
+    # coefficients m-2, m-1 and m of the degree-m interpolant, as weights
+    # on its values (a type-I discrete cosine transform, ends halved)
+    trailing = {m: [[(1.0 if 0 < j < m else 0.5) * (1.0 if k < m else 0.5) * 2.0 / m
+                     * math.cos(math.pi * j * k / m) for j in range(m + 1)]
+                    for k in (m - 2, m - 1, m)]
+                for m in _DEGREES}
     panels = []
     last = f(edges[0])
+    scale = abs(last)
     for a, b in zip(edges, edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xs = [a] + [mid - half * c for c in cosines[1:m]] + [b]
-        fs = [last] + [f(x) for x in xs[1:]]
+        # node i of degree m_max; degree m keeps every (m_max // m)-th one
+        xs = [a] + [mid - half * c for c in cosines[1:m_max]] + [b]
+        values = {0: last, m_max: f(b)}
+        for m in _DEGREES:
+            ids = range(0, m_max + 1, m_max // m)
+            for i in ids:
+                if i not in values:
+                    values[i] = f(xs[i])
+            fs = [values[i] for i in ids]
+            scale = max(scale, max(map(abs, fs)))
+            if m == m_max or all(abs(math.fsum(w * v for w, v in zip(row, fs)))
+                               <= _CHOP * scale for row in trailing[m]):
+                break
         last = fs[-1]
-        panels.append(list(zip(xs, fs, weights)))
+        panels.append([(xs[i], fj, (1.0 if 0 < j < m else 0.5) * (-1.0) ** j)
+                       for j, (i, fj) in enumerate(zip(ids, fs))])
     top = edges[-1]
 
     def table(x: float) -> float:

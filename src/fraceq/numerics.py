@@ -69,6 +69,7 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 _EPS = 2.220446049250313e-16
 _MAX_DEPTH = 60  # bisections of one panel before integrate_interval gives up
+_MIN_PANEL_ULPS = 1024  # a panel this few ulps of its midpoint wide is not bisected
 _TAIL_EPSILON = 1e-14  # relative size of the doubling increment that ends a tail
 
 # ---------------------------------------------------------------------------
@@ -269,11 +270,14 @@ def integrate_interval(f: Callable[[float], float], a: float, b: float,
     """Adaptive Gauss-Kronrod integration of f over the finite [a, b].
 
     Bisects the panel with the largest error estimate until the summed
-    estimate meets max(abs_tol, rel_tol * |value|) or a panel would exceed
-    _MAX_DEPTH bisections.  Ties in the error estimate go to the panel
-    with the lowest index, where a bisected panel's left half keeps its
-    index and its right half takes the next free one; the bisection
-    order, hence the result, is therefore fixed bit for bit.
+    estimate meets max(abs_tol, rel_tol * |value|).  It stops unconverged
+    when that panel has had _MAX_DEPTH bisections or is at most
+    _MIN_PANEL_ULPS ulps of its midpoint wide, where floats no longer
+    resolve it and its nodes crowd onto any singular point inside.  Ties
+    in the error estimate go to the panel with the lowest index, where a
+    bisected panel's left half keeps its index and its right half takes
+    the next free one; the bisection order, hence the result, is
+    therefore fixed bit for bit.
     """
     cfg = cfg or DEFAULT_CONFIG
     if a == b:
@@ -300,10 +304,10 @@ def integrate_interval(f: Callable[[float], float], a: float, b: float,
     converged = True
     while True:
         _, i, lo, hi, depth = heap[0]
-        if depth >= _MAX_DEPTH:
+        mid = 0.5 * (lo + hi)
+        if depth >= _MAX_DEPTH or hi - lo <= _MIN_PANEL_ULPS * math.ulp(mid):
             converged = False
             break
-        mid = 0.5 * (lo + hi)
         lv, le = _gk15(f, lo, mid)
         rv, re = _gk15(f, mid, hi)
         j = len(values)

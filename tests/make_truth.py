@@ -54,6 +54,17 @@ EQ_SURVIVAL_DIST = {"kind": "deductible", "params": {"d": 1.0}, "inner": numeric
 EQ_SURVIVAL_ALPHA, EQ_SURVIVAL_N = 0.7, 2
 EQ_SURVIVAL_TS = [0.14, 0.36, 0.96, 1.32]
 
+# eq_survival_recursive, the tabulated oracle: (name, distribution, alpha, n)
+# at RECURSIVE_TS below the support's end; the first table is the
+# benchmark's unjittered 5-knot Exp(1) table
+RECURSIVE_CASES = [
+    ("exp_5_knots", numeric([[0.0, 1.0], [0.5, 0.6065], [1.0, 0.3679], [2.0, 0.1353],
+                             [4.0, 0.0183]]), 0.5, 2),
+    ("kinks", numeric(KINKS), 0.5, 3),
+    ("bounded", numeric([[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]), 0.5, 3),
+]
+RECURSIVE_TS = [0.0, 0.1, 0.45, 0.9, 1.3, 1.9, 2.6, 3.9]
+
 
 def _law(spec):
     """(density of the continuous part, sorted kinks, support end) in mpmath."""
@@ -104,9 +115,12 @@ def partial_moment(spec, t, s):
     return head + mp.quad(lambda x: (x - t) ** s * density(x), nodes)
 
 
+def eq_survival(spec, alpha, n, t):
+    """P(X_alpha^(n) > t) = E[(X-t)_+^(n alpha)] / E[X^(n alpha)]."""
+    return partial_moment(spec, t, n * alpha) / partial_moment(spec, 0.0, n * alpha)
+
+
 def main():
-    order = EQ_SURVIVAL_N * EQ_SURVIVAL_ALPHA
-    norm = partial_moment(EQ_SURVIVAL_DIST, 0.0, order)
     truth = {
         "negative_partial": [
             {"case": name, "dist": spec, "t": t, "s": s,
@@ -117,8 +131,13 @@ def main():
             for a, x in GAMMA_POINTS],
         "eq_survival": [
             {"dist": EQ_SURVIVAL_DIST, "alpha": EQ_SURVIVAL_ALPHA, "n": EQ_SURVIVAL_N, "t": t,
-             "truth": float(partial_moment(EQ_SURVIVAL_DIST, t, order) / norm)}
+             "truth": float(eq_survival(EQ_SURVIVAL_DIST, EQ_SURVIVAL_ALPHA, EQ_SURVIVAL_N, t))}
             for t in EQ_SURVIVAL_TS],
+        "eq_survival_recursive": [
+            {"case": name, "dist": spec, "alpha": alpha, "n": n, "t": t,
+             "truth": float(eq_survival(spec, alpha, n, t))}
+            for name, spec, alpha, n in RECURSIVE_CASES for t in RECURSIVE_TS
+            if t < _law(spec)[2]],
     }
     # one entry per line keeps the file short and its diffs readable
     sections = [f"{json.dumps(key)}: [\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]"

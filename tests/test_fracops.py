@@ -3,8 +3,9 @@ import math
 import pytest
 
 from conftest import rel_diff
-from fraceq import numerics, suite
-from fraceq.distributions import exponential, uniform, upper_partial_moment
+from fraceq import fracops, numerics, suite
+from fraceq.distributions import (exponential, uniform, upper_partial_moment,
+                                  weibull)
 from fraceq.errors import DivergenceError, InvalidParameterError
 from fraceq.fracops import (PowerSum, power_caputo_derivative,
                             power_expectation, power_rl_derivative,
@@ -185,7 +186,20 @@ class TestWeylIntegral:
         monkeypatch.setattr(numerics, "_gk15", counted)
         rows = suite.criterion_3_semigroup()
         assert all(row.passed for row in rows)
-        assert len(panels) <= 25_000
+        assert len(panels) <= 10_000
+
+    def test_nested_table_node_budget(self, monkeypatch):
+        # two levels of Weibull(2,1) at order 0.5 took 770 node quadratures
+        # with degree 24 on every panel
+        nodes = []
+        tabulate = fracops._tabulate
+
+        def counted(f, edges):
+            return tabulate(lambda x: nodes.append(x) or f(x), edges)
+
+        monkeypatch.setattr(fracops, "_tabulate", counted)
+        weyl_table(weibull(2.0, 1.0), 0.5, (1.0, 1.0))
+        assert len(nodes) <= 450
 
     def test_divergent_tail_raises(self):
         from fraceq.distributions import DistributionModel, fractional_moment
@@ -196,6 +210,51 @@ class TestWeylIntegral:
             weyl_integral(heavy, 0.5, 0.0)
         with pytest.raises(DivergenceError):
             fractional_moment(heavy, 1.0)
+
+
+def _tabulate_traced(f, edges):
+    """(table, per-panel degrees, calls) of fracops._tabulate on f."""
+    calls = []
+    table = fracops._tabulate(lambda x: calls.append(x) or f(x), edges)
+    degrees = [sum(a < x < b for x in calls) + 1 for a, b in zip(edges, edges[1:])]
+    return table, degrees, calls
+
+
+class TestTabulate:
+    def test_each_distinct_node_is_one_call(self):
+        # singular on the first panel, constant past it
+        edges = [0.0, 0.01, 0.1, 1.0, 2.0]
+        _, degrees, calls = _tabulate_traced(lambda x: math.sqrt(min(x, 0.01)), edges)
+        assert degrees == [24, 6, 6, 6]
+        # a raised degree reuses the nodes it has, a shared edge is one node
+        assert len(calls) == len(set(calls)) == len(edges) + sum(m - 1 for m in degrees)
+        assert set(edges) <= set(calls)
+
+    @pytest.mark.parametrize("coefs,degree", [
+        ((1.0, -2.0, 0.5, -0.3), 6),
+        ((1.0, -2.0, 0.5, -0.3, 0.1, -0.02, 0.003), 12)])
+    def test_polynomial_is_reproduced_to_rounding(self, coefs, degree):
+        # a cubic leaves the last three coefficients of degree 6 at
+        # rounding and keeps 7 nodes; a degree-6 polynomial does not, since
+        # its coefficient 6 is no noise, and settles at degree 12
+        p = lambda x: sum(c * x ** k for k, c in enumerate(coefs))
+        edges = [0.0, 0.5, 1.5, 3.0]
+        table, degrees, _ = _tabulate_traced(p, edges)
+        assert degrees == [degree] * 3
+        xs = linspace(0.0, 3.0, 997)
+        scale = max(abs(p(x)) for x in xs)
+        assert max(abs(table(x) - p(x)) for x in xs) <= 1e-14 * scale
+
+    def test_panels_graded_toward_a_support_end_keep_degree_24(self):
+        # I^0.5[(1-x)_+](t) = (1-t)_+^1.5 / Gamma(2.5) is singular at 1
+        X = uniform(0.0, 1.0)
+        edges = fracops._panel_edges(X.breakpoints, X.support_upper, None)
+        exact = lambda t: (1.0 - t) ** 1.5 / math.gamma(2.5)
+        table, degrees, _ = _tabulate_traced(exact, edges)
+        graded = [m for a, m in zip(edges, degrees) if a >= 0.5]
+        assert len(graded) == 7 and set(graded) == {24}
+        assert min(degrees) == 6  # the panels graded toward 0 are smooth
+        assert max(abs(table(t) - exact(t)) for t in linspace(0.0, 1.0, 4001)) <= 1e-9
 
 
 def test_power_expectation_against_exponential_moments():

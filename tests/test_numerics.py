@@ -9,7 +9,7 @@ import pytest
 
 import fraceq
 from fraceq import numerics
-from fraceq.errors import InvalidParameterError
+from fraceq.errors import DivergenceError, InvalidParameterError
 from fraceq.numerics import (IntegralResult, QuadratureConfig, beta, gamma,
                              geomspace, integrate_interval,
                              integrate_semi_infinite, integrate_singular_power,
@@ -310,10 +310,11 @@ def _reference_integrate_interval(f, a, b, cfg):
             break
         worst = max(range(len(panels)), key=lambda i: panels[i][0])
         _, lo, hi, depth, _ = panels[worst]
-        if depth >= numerics._MAX_DEPTH:
+        mid = 0.5 * (lo + hi)
+        if (depth >= numerics._MAX_DEPTH
+                or hi - lo <= numerics._MIN_PANEL_ULPS * math.ulp(mid)):
             converged = False
             break
-        mid = 0.5 * (lo + hi)
         lv, le = _reference_gk15(f, lo, mid)
         rv, re = _reference_gk15(f, mid, hi)
         panels[worst] = (le, lo, mid, depth + 1, lv)
@@ -374,6 +375,23 @@ def test_integrate_interval_matches_reference_loop():
         nonconverged += not res.converged
         labels.add(label)
     assert nonconverged > 0 and len(labels) == 10
+
+
+def test_bisection_stops_where_floats_run_out():
+    # the singular point 0.3 is not dyadic: bisection toward it reaches
+    # panels a few ulps wide, and at depth 49 a Kronrod node hit 0.3 itself
+    f = lambda x: abs(x - 0.3) ** -0.3
+    cfg = QuadratureConfig(1e-12, 1e-10)
+    calls = []
+    res = integrate_interval(lambda x: calls.append(x) or f(x), -2.0, 2.0, cfg)
+    assert not res.converged
+    assert 0.3 not in calls
+    assert (res.value, res.error_estimate, res.converged) == \
+        _reference_integrate_interval(f, -2.0, 2.0, cfg)
+    with pytest.raises(DivergenceError):
+        res.require()
+    # the default tolerances converge before the panels get that narrow
+    assert integrate_interval(f, -2.0, 2.0).converged
 
 
 def test_config_validation():

@@ -1,4 +1,4 @@
-"""Closed forms against committed 40-digit references.
+"""Closed forms and the tabulated oracle against 40-digit references.
 
 tests/data/truth.json is written by tests/make_truth.py with mpmath; these
 tests only read it, so they need no mpmath.
@@ -12,7 +12,8 @@ import pytest
 from conftest import exp_knots, rel_diff
 from fraceq.distributions import (build, fractional_moment,
                                   upper_partial_moment)
-from fraceq.equilibrium import EquilibriumView, eq_survival
+from fraceq.equilibrium import (EquilibriumView, eq_survival,
+                                eq_survival_recursive)
 from fraceq.numerics import scaled_upper_gamma
 
 TRUTH = json.loads((Path(__file__).parent / "data" / "truth.json").read_text())
@@ -53,4 +54,16 @@ def test_eq_survival_on_a_deductible_table():
     spec, alpha, n = entries[0]["dist"], entries[0]["alpha"], entries[0]["n"]
     view = EquilibriumView(build(spec), alpha, n)
     errors = [rel_diff(eq_survival(view, e["t"]), e["truth"]) for e in entries]
+    assert max(errors) <= 1e-10, errors
+
+
+RECURSIVE = TRUTH["eq_survival_recursive"]
+
+
+@pytest.mark.parametrize("case", list(dict.fromkeys(e["case"] for e in RECURSIVE)))
+def test_tabulated_recursive_oracle(case):
+    entries = [e for e in RECURSIVE if e["case"] == case]
+    spec, alpha, n = entries[0]["dist"], entries[0]["alpha"], entries[0]["n"]
+    got = eq_survival_recursive(build(spec), alpha, n, [e["t"] for e in entries])
+    errors = [rel_diff(g, e["truth"]) for g, e in zip(got, entries)]
     assert max(errors) <= 1e-10, errors
