@@ -439,8 +439,14 @@ def _survival_point(X: DistributionModel, target: float) -> float:
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # once mid rounds onto the end it would replace, that end is fixed
+        # for every later step: stop with the same result
         if X.survival(mid) > target:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return 0.5 * (lo + hi)

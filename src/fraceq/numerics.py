@@ -2,14 +2,17 @@
 
 Everything else in the package integrates through this module: a 7/15
 Gauss-Kronrod pair refined by interval bisection, a semi-infinite driver
-that truncates by geometric doubling, and a change of variables that
-removes power-law endpoint singularities.  All operations are pure.
+that truncates by geometric doubling, and two treatments of a power-law
+weight (x - t)^(p-1) at an endpoint: a change of variables that removes
+it for p < 1, and for non-integer p > 1 a Clenshaw-Curtis panel built on
+the weight's modified Chebyshev moments.  All operations are pure.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -416,6 +419,90 @@ def weighted_increment_integral(increment: Callable[[float], float], p: float,
     return head + res.require("weighted increment integral")
 
 
+# Clenshaw-Curtis head panel for the weight (x - t)^(p-1) (QUADPACK's
+# dqc25s).  f is sampled at the 25 points cos(j pi / 24) of [-1, 1]; the
+# degree-12 rule uses every other one.  Entry [j][k] of _CC_TRANSFORM[n]
+# takes sample j to the coefficient of T_k in the degree-n Chebyshev
+# interpolant (a discrete cosine transform), so row j dotted with the
+# moments of the weight is the weight of point j in the degree-n rule.
+_CC_POINTS = tuple(math.cos(j * math.pi / 24.0) for j in range(25))
+
+
+def _cosine_transform(n: int) -> tuple[tuple[float, ...], ...]:
+    half = lambda i: 0.5 if i in (0, n) else 1.0
+    return tuple(tuple(2.0 / n * half(j) * half(k) * math.cos(j * k * math.pi / n)
+                       for k in range(n + 1)) for j in range(n + 1))
+
+
+_CC_TRANSFORM = {24: _cosine_transform(24), 12: _cosine_transform(12)}
+_CC_TAIL = tuple(zip(*_CC_TRANSFORM[24]))[22:]  # samples -> coefficients of T_22..T_24
+
+
+def _chebyshev_moments(p: float) -> list[float]:
+    """ri_k = int_{-1}^{1} (1+y)^(p-1) T_k(y) dy for k = 0, ..., 24.
+
+    QUADPACK's dqmomo forward recurrence (Piessens, de Doncker-Kapenga,
+    Ueberhuber & Kahaner, QUADPACK, 1983, section 2.2; Piessens &
+    Branders, BIT 13:443, 1973).
+    """
+    two_p = 2.0 ** p
+    ri = [two_p / p, two_p / p * (p - 1.0) / (p + 1.0)]
+    for k in range(2, 25):
+        ri.append(-(two_p + k * (k - p - 1.0) * ri[k - 1]) / ((k - 1) * (k + p)))
+    return ri
+
+
+def _head_weights(p: float) -> tuple[list[float], list[float]]:
+    """Clenshaw-Curtis weights on 25 and on 13 nested points for (1+y)^(p-1)."""
+    ri = _chebyshev_moments(p)
+    return tuple([math.fsum(map(operator.mul, row, ri)) for row in _CC_TRANSFORM[n]]
+                 for n in (24, 12))
+
+
+def _singular_head(f: Callable[[float], float], integrand: Callable[[float], float],
+                   t: float, b: float, p: float,
+                   cfg: QuadratureConfig) -> list[IntegralResult]:
+    """Pieces of int_t^b (x - t)^(p-1) f(x) dx for a non-integer p > 1.
+
+    The panel at t is the Clenshaw-Curtis rule of degree 24 for the
+    weight.  Its error estimate is |I_24 - I_12|, but at least twice the
+    weight's mass times the summed size of f's last three Chebyshev
+    coefficients, and at least the rounding floor of _gk15.  A kink
+    inside the panel keeps those coefficients large while I_12 and I_24
+    can agree: on e^-x plus (a - x)_+, (a - x)_+^1.5 or |x - a| over
+    [0, 1], with a = k/200 and p from 1.2 to 3.5, |I_24 - I_12| fell
+    below the true error by up to 115-fold, the coefficient term never
+    below 1.6 times it.  While the estimate misses the tolerance the
+    panel is halved and its right half goes to integrate_interval with
+    ``integrand``, the weighted f; it stops unconverged after _MAX_DEPTH
+    halvings or at a panel at most _MIN_PANEL_ULPS ulps of its midpoint
+    wide.  f is sampled at t itself, so it must be finite there.
+    """
+    w24, w12 = _head_weights(p)
+    mass = 2.0 ** p / p  # int_{-1}^{1} (1+y)^(p-1) dy
+    pieces = []
+    for depth in range(_MAX_DEPTH + 1):
+        half = 0.5 * (b - t)
+        fx = [f(t + half * (1.0 + y)) for y in _CC_POINTS]
+        scale = half ** p
+        value = scale * math.fsum(map(operator.mul, w24, fx))
+        gap = abs(value - scale * math.fsum(map(operator.mul, w12, fx[::2])))
+        tail = 2.0 * mass * sum(abs(math.fsum(map(operator.mul, row, fx)))
+                                for row in _CC_TAIL)
+        rounding = 50.0 * _EPS * math.fsum(abs(w * v) for w, v in zip(w24, fx))
+        err = max(gap, scale * max(tail, rounding))
+        if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            converged = True
+            break
+        mid = t + half
+        converged = False
+        if depth == _MAX_DEPTH or b - t <= _MIN_PANEL_ULPS * math.ulp(mid):
+            break
+        pieces.append(integrate_interval(integrand, mid, b, cfg))
+        b = mid
+    return pieces + [IntegralResult(value, err, converged)]
+
+
 def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
                              cfg: QuadratureConfig | None = None, *,
                              upper: float | None = None,
@@ -423,18 +510,26 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
     """Integral of (x - t)^(p-1) * f(x) over [t, +inf), p > 0.
 
     For p < 1 the endpoint singularity is removed with u = (x - t)^p,
-    which turns the integrand into f(t + u^(1/p)) / p on [0, +inf); for
-    p >= 1 the weight is integrated directly.  ``upper`` is forwarded as
-    in integrate_semi_infinite.  Each of the sorted ``breakpoints`` (kinks
+    which turns the integrand into f(t + u^(1/p)) / p on [0, +inf).  For
+    integer p the weight is a polynomial and is integrated directly.  For
+    any other p > 1 a head panel [t, t + h], with h = min(1, first
+    breakpoint - t, upper - t), is integrated by a Clenshaw-Curtis rule
+    for the weight (see _singular_head), and the weight is integrated
+    directly beyond it; that rule samples f at t itself, so f must be
+    finite there.  ``upper`` is forwarded as in
+    integrate_semi_infinite.  Each of the sorted ``breakpoints`` (kinks
     of f) strictly between t and ``upper`` becomes a panel edge, mapped
     into u when p < 1; past the last one the integral runs as it would
-    from t.
+    from t.  Split integrals converge only if every piece does and their
+    summed error meets the tolerance.
     """
     cfg = cfg or DEFAULT_CONFIG
     if p <= 0.0:
         raise InvalidParameterError(f"singular power requires p > 0, got {p}")
     finite = upper is not None and math.isfinite(upper)
     edges = [x for x in breakpoints if x > t and not (finite and x >= upper)]
+    start = t
+    head = []
     if p < 1.0:
         inv_p = 1.0 / p
         integrand = lambda u: f(t + u ** inv_p) / p
@@ -446,12 +541,18 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
         q = p - 1.0
         integrand = lambda x: (x - t) ** q * f(x)
         to_var = lambda x: x
-    cuts = [to_var(x) for x in [t] + edges]
+        if p != math.floor(p):
+            b = min([t + 1.0] + edges[:1] + ([upper] if finite else []))
+            if b > t:
+                head = _singular_head(f, integrand, t, b, p, cfg)
+                start = b
+                edges = [x for x in edges if x > b]
+    cuts = [to_var(x) for x in [start] + edges]
     res = integrate_semi_infinite(integrand, cuts[-1], cfg,
                                   upper=to_var(upper) if finite else None)
-    if edges:
-        pieces = [integrate_interval(integrand, lo, hi, cfg)
-                  for lo, hi in zip(cuts, cuts[1:])] + [res]
+    if edges or head:
+        pieces = head + [integrate_interval(integrand, lo, hi, cfg)
+                         for lo, hi in zip(cuts, cuts[1:])] + [res]
         value = math.fsum(r.value for r in pieces)
         err = math.fsum(r.error_estimate for r in pieces)
         # each piece met the tolerance alone; so must their sum

@@ -65,6 +65,18 @@ RECURSIVE_CASES = [
 ]
 RECURSIVE_TS = [0.0, 0.1, 0.45, 0.9, 1.3, 1.9, 2.6, 3.9]
 
+# integrate_singular_power's moment-based head: int_t^inf (x-t)^(p-1) f(x) dx
+# for three f the tests build from the catalog, and the Chebyshev moments
+# int_{-1}^{1} (1+y)^(p-1) T_k(y) dy behind its rule
+SINGULAR_POWER_FS = {
+    "exp": lambda x: mp.exp(-x),
+    "weibull21_survival": lambda x: mp.exp(-x * x),
+    "hyperexp2_density": lambda x: mp.mpf("0.4") * mp.exp(-x) + mp.mpf("0.6") * 3 * mp.exp(-3 * x),
+}
+SINGULAR_POWER_PS = [1.3, 1.5, 1.7, 2.5]
+SINGULAR_POWER_TS = [0.0, 0.3]
+MOMENT_KS = [0, 1, 5, 24]
+
 
 def _law(spec):
     """(density of the continuous part, sorted kinks, support end) in mpmath."""
@@ -120,6 +132,20 @@ def eq_survival(spec, alpha, n, t):
     return partial_moment(spec, t, n * alpha) / partial_moment(spec, 0.0, n * alpha)
 
 
+def singular_power(f, t, p):
+    """int_t^inf (x-t)^(p-1) f(x) dx; u = (x - t)^p on [t, t + 1]."""
+    t, p = mp.mpf(t), mp.mpf(p)
+    head = mp.quad(lambda u: f(t + u ** (1 / p)) / p, [0, 1])
+    return head + mp.quad(lambda x: (x - t) ** (p - 1) * f(x), [t + 1, t + 4, mp.inf])
+
+
+def chebyshev_moment(p, k):
+    """int_{-1}^{1} (1+y)^(p-1) T_k(y) dy with y = cos(theta)."""
+    p = mp.mpf(p)
+    return mp.quad(lambda th: (1 + mp.cos(th)) ** (p - 1) * mp.cos(k * th) * mp.sin(th),
+                   mp.linspace(0, mp.pi, k + 2))
+
+
 def main():
     truth = {
         "negative_partial": [
@@ -138,6 +164,13 @@ def main():
              "truth": float(eq_survival(spec, alpha, n, t))}
             for name, spec, alpha, n in RECURSIVE_CASES for t in RECURSIVE_TS
             if t < _law(spec)[2]],
+        "singular_power": [
+            {"f": name, "p": p, "t": t, "truth": float(singular_power(f, t, p))}
+            for name, f in SINGULAR_POWER_FS.items()
+            for p in SINGULAR_POWER_PS for t in SINGULAR_POWER_TS],
+        "chebyshev_moments": [
+            {"p": p, "k": k, "truth": float(chebyshev_moment(p, k))}
+            for p in SINGULAR_POWER_PS for k in MOMENT_KS],
     }
     # one entry per line keeps the file short and its diffs readable
     sections = [f"{json.dumps(key)}: [\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]"

@@ -340,6 +340,27 @@ def test_quantile():
         quantile(dist.weibull(0.001, 1.0), 0.999)
 
 
+def test_quantile_stops_at_the_fixed_point_of_the_full_bisection(catalog):
+    # 200 bisection steps, run to the end, give the same float
+    def full(X, target):
+        lo = 0.0
+        hi = X.support_upper if math.isfinite(X.support_upper) else 1.0
+        while X.survival(hi) > target:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if X.survival(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    for X in catalog.values():
+        for q in (1e-6, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-12):
+            if X.survival(0.0) > 1.0 - q:
+                assert quantile(X, q) == full(X, 1.0 - q), (X.label, q)
+
+
 def test_numeric_moments_near_exponential(catalog):
     # the knot table samples Exp(1); chords of a convex survival overshoot
     # slightly, so the piecewise-linear moments land close but above

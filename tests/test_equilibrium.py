@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import rel_diff
-from fraceq import equilibrium, suite
+from fraceq import equilibrium, numerics, suite
 from fraceq.distributions import exponential, numeric, quantile, uniform, weibull
 from fraceq.equilibrium import (EquilibriumView, characterization_check,
                                 eq_density, eq_density_fn, eq_moment,
@@ -96,7 +96,7 @@ class TestEqDensity:
     def test_density_fn_evaluates_each_node_once(self, catalog, monkeypatch):
         # criterion 5's oracle for the knot table at alpha=1, n=1: three
         # powers integrated against one density revisit the same nodes
-        # (1,260 evaluations of 720 distinct nodes without the memo)
+        # (915 evaluations of 592 distinct nodes without the memo)
         model = catalog["numeric"]
         view = EquilibriumView(model, 1.0, 1)
         nodes = []
@@ -110,7 +110,7 @@ class TestEqDensity:
         for r in (0.5, 1.0, 2.0):
             power_expectation(PowerSum.power(r), density,
                               upper=model.support_upper)
-        assert len(nodes) == len(set(nodes)) == 720
+        assert len(nodes) == len(set(nodes)) == 592
         monkeypatch.undo()
         for t in nodes[::37]:
             assert density(t) == eq_density(view, t)
@@ -264,6 +264,23 @@ class TestEqMoment:
                                  * fractional_moment(model, n + r)
                                  / fractional_moment(model, float(n)))
                     assert eq_moment(view, r) == pytest.approx(classical, abs=0.0)
+
+
+    def test_moment_criterion_panel_budget(self, monkeypatch):
+        # the moment-based head panel at 0 integrates E[Z^r] for r = 0.5
+        # and 2 without bisecting toward the weight's derivative
+        # singularity, which took 8,634 Gauss-Kronrod panels
+        panels = []
+        gk15 = numerics._gk15
+
+        def counted(f, a, b):
+            panels.append(1)
+            return gk15(f, a, b)
+
+        monkeypatch.setattr(numerics, "_gk15", counted)
+        rows = suite.criterion_5_equilibrium_moments()
+        assert all(row.passed for row in rows)
+        assert len(panels) <= 4_000
 
 
 class TestFirstOrderCdf:

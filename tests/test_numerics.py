@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import subprocess
@@ -164,6 +165,45 @@ class TestSingularPower:
                                        upper=1.0)
         assert abs(res.value - 0.5) < 1e-12
 
+    def test_head_rules_integrate_chebyshev_polynomials(self):
+        # the degree-24 rule on 25 points is exact for T_0..T_24 against
+        # (1+y)^(p-1), and the degree-12 rule on every other point for T_0..T_12
+        for p in (1.3, 2.5):
+            ri = numerics._chebyshev_moments(p)
+            w24, w12 = numerics._head_weights(p)
+            for k in range(25):
+                tk = [math.cos(k * j * math.pi / 24.0) for j in range(25)]
+                assert (math.fsum(map(operator.mul, w24, tk))
+                        == pytest.approx(ri[k], abs=1e-14))
+                if k <= 12:
+                    assert (math.fsum(map(operator.mul, w12, tk[::2]))
+                            == pytest.approx(ri[k], abs=1e-14))
+
+    @pytest.mark.parametrize("p", [1.3, 1.5, 2.5])
+    def test_head_is_exact_on_polynomials(self, p):
+        # (x - t)^(p-1) (1 + (x - t) + (x - t)^2) on [t, t + 1]
+        t = 0.3
+        res = integrate_singular_power(lambda x: 1.0 + (x - t) + (x - t) ** 2, t, p,
+                                       upper=t + 1.0)
+        exact = 1.0 / p + 1.0 / (p + 1.0) + 1.0 / (p + 2.0)
+        assert res.converged
+        assert abs(res.value - exact) <= 1e-15 * exact
+
+    def test_head_error_estimate_sees_a_kink(self):
+        # e^-x + (a - x)_+ on [0, 1] at p = 1.5: for 7 of these 39 kinks
+        # |I_24 - I_12| alone falls below the head's true error
+        p = 1.5
+        w = lambda x: math.sqrt(x)
+        for k in range(1, 40):
+            a = k / 40.0
+            f = lambda x: math.exp(-x) + max(a - x, 0.0)
+            (head,) = numerics._singular_head(f, lambda x: w(x) * f(x), 0.0, 1.0, p,
+                                              QuadratureConfig(1.0, 1.0))
+            exact = (math.gamma(p) * (1.0 - numerics.scaled_upper_gamma(p, 1.0)
+                                      * math.exp(-1.0) / math.gamma(p))
+                     + a ** (p + 1.0) / (p * (p + 1.0)))
+            assert abs(head.value - exact) <= head.error_estimate, a
+
     def test_invalid_exponent(self):
         with pytest.raises(InvalidParameterError):
             integrate_singular_power(lambda x: 0.0, 0.0, 0.0)
@@ -183,8 +223,18 @@ class TestSingularPower:
             elif p == 1.0:
                 plain = integrate_semi_infinite(f, t, upper=upper)
             else:
-                plain = integrate_semi_infinite(lambda x: (x - t) ** (p - 1.0) * f(x), t,
-                                                upper=upper)
+                # the moment-based head panel on [t, t + 1], or on [t, upper],
+                # then the weight integrated directly beyond it
+                weighted = lambda x: (x - t) ** (p - 1.0) * f(x)
+                b = t + 1.0 if upper is None else min(t + 1.0, upper)
+                tail = integrate_semi_infinite(weighted, b, upper=upper)
+                pieces = numerics._singular_head(f, weighted, t, b, p,
+                                                 numerics.DEFAULT_CONFIG) + [tail]
+                value = math.fsum(r.value for r in pieces)
+                err = math.fsum(r.error_estimate for r in pieces)
+                converged = (all(r.converged for r in pieces)
+                             and err <= max(1e-10, 1e-8 * abs(value)))
+                plain = IntegralResult(value, err, converged, tail.truncation_point)
             assert integrate_singular_power(f, t, p, upper=upper, breakpoints=()) == plain
         # breakpoints at or below t, or at or past the upper limit, are not edges
         outside = (0.1, t, 2.5, 3.0)
@@ -199,9 +249,9 @@ class TestSingularPower:
         f = lambda x: 0.5 * max(1.0 - x, 0.0) + 0.25 * max(2.0 - x, 0.0)
         exact = sum(c * (k - t) ** (p + 1.0) for c, k in ((0.5, 1.0), (0.25, 2.0)))
         exact /= p * (p + 1.0)
-        # each panel sees a polynomial, except under the (x - t)^0.5 weight
-        # that p = 1.5 integrates without a substitution
-        tol = 1e-13 if p <= 1.0 else 1e-9
+        # each panel sees a polynomial, and at p = 1.5 the head panel's rule
+        # is built for the (x - t)^0.5 weight
+        tol = 1e-13
         res = integrate_singular_power(f, t, p, upper=2.0, breakpoints=(1.0, 2.0))
         assert res.converged
         assert abs(res.value - exact) <= tol * exact

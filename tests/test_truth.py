@@ -5,16 +5,18 @@ tests only read it, so they need no mpmath.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from conftest import exp_knots, rel_diff
-from fraceq.distributions import (build, fractional_moment,
-                                  upper_partial_moment)
+from fraceq import numerics
+from fraceq.distributions import (build, fractional_moment, hyperexp2,
+                                  upper_partial_moment, weibull)
 from fraceq.equilibrium import (EquilibriumView, eq_survival,
                                 eq_survival_recursive)
-from fraceq.numerics import scaled_upper_gamma
+from fraceq.numerics import integrate_singular_power, scaled_upper_gamma
 
 TRUTH = json.loads((Path(__file__).parent / "data" / "truth.json").read_text())
 BOUND = 1e-13  # relative
@@ -67,3 +69,27 @@ def test_tabulated_recursive_oracle(case):
     got = eq_survival_recursive(build(spec), alpha, n, [e["t"] for e in entries])
     errors = [rel_diff(g, e["truth"]) for g, e in zip(got, entries)]
     assert max(errors) <= 1e-10, errors
+
+
+SINGULAR_POWER_FS = {
+    "exp": lambda x: math.exp(-x),
+    "weibull21_survival": weibull(2.0, 1.0).survival,
+    "hyperexp2_density": hyperexp2(0.4, 1.0, 3.0).density_ac,
+}
+
+
+@pytest.mark.parametrize("entry", TRUTH["singular_power"],
+                         ids=lambda e: f"{e['f']}-p{e['p']:g}-t{e['t']:g}")
+def test_singular_power_head(entry):
+    res = integrate_singular_power(SINGULAR_POWER_FS[entry["f"]], entry["t"], entry["p"])
+    error = abs(res.value - entry["truth"])
+    assert res.converged
+    assert error <= BOUND * abs(entry["truth"]), (res.value, entry["truth"])
+    assert res.error_estimate >= error, (res.error_estimate, error)
+
+
+@pytest.mark.parametrize("entry", TRUTH["chebyshev_moments"],
+                         ids=lambda e: f"p{e['p']:g}-k{e['k']}")
+def test_chebyshev_moments(entry):
+    got = numerics._chebyshev_moments(entry["p"])[entry["k"]]
+    assert rel_diff(got, entry["truth"]) <= BOUND, (got, entry["truth"])
