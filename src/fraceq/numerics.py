@@ -476,7 +476,8 @@ def _singular_head(f: Callable[[float], float], integrand: Callable[[float], flo
     panel is halved and its right half goes to integrate_interval with
     ``integrand``, the weighted f; it stops unconverged after _MAX_DEPTH
     halvings or at a panel at most _MIN_PANEL_ULPS ulps of its midpoint
-    wide.  f is sampled at t itself, so it must be finite there.
+    wide.  f is sampled at t itself; where f(t) is not finite there are
+    no pieces, and the caller integrates the weight directly.
     """
     w24, w12 = _head_weights(p)
     mass = 2.0 ** p / p  # int_{-1}^{1} (1+y)^(p-1) dy
@@ -484,6 +485,8 @@ def _singular_head(f: Callable[[float], float], integrand: Callable[[float], flo
     for depth in range(_MAX_DEPTH + 1):
         half = 0.5 * (b - t)
         fx = [f(t + half * (1.0 + y)) for y in _CC_POINTS]
+        if not math.isfinite(fx[-1]):  # f(t): a singular f needs rules that avoid t
+            return []
         scale = half ** p
         value = scale * math.fsum(map(operator.mul, w24, fx))
         gap = abs(value - scale * math.fsum(map(operator.mul, w12, fx[::2])))
@@ -515,13 +518,13 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
     any other p > 1 a head panel [t, t + h], with h = min(1, first
     breakpoint - t, upper - t), is integrated by a Clenshaw-Curtis rule
     for the weight (see _singular_head), and the weight is integrated
-    directly beyond it; that rule samples f at t itself, so f must be
-    finite there.  ``upper`` is forwarded as in
-    integrate_semi_infinite.  Each of the sorted ``breakpoints`` (kinks
-    of f) strictly between t and ``upper`` becomes a panel edge, mapped
-    into u when p < 1; past the last one the integral runs as it would
-    from t.  Split integrals converge only if every piece does and their
-    summed error meets the tolerance.
+    directly beyond it; that rule samples f at t itself, and where f(t)
+    is not finite the weight is integrated directly from t.  ``upper``
+    is forwarded as in integrate_semi_infinite.  Each of the sorted
+    ``breakpoints`` (kinks of f) strictly between t and ``upper`` becomes
+    a panel edge, mapped into u when p < 1; past the last one the
+    integral runs as it would from t.  Split integrals converge only if
+    every piece does and their summed error meets the tolerance.
     """
     cfg = cfg or DEFAULT_CONFIG
     if p <= 0.0:
@@ -543,8 +546,8 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
         to_var = lambda x: x
         if p != math.floor(p):
             b = min([t + 1.0] + edges[:1] + ([upper] if finite else []))
-            if b > t:
-                head = _singular_head(f, integrand, t, b, p, cfg)
+            head = _singular_head(f, integrand, t, b, p, cfg) if b > t else []
+            if head:
                 start = b
                 edges = [x for x in edges if x > b]
     cuts = [to_var(x) for x in [start] + edges]

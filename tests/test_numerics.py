@@ -189,19 +189,27 @@ class TestSingularPower:
         assert res.converged
         assert abs(res.value - exact) <= 1e-15 * exact
 
+    def test_infinite_integrand_at_t_skips_the_head(self):
+        # the head samples f at t; x^-0.5 e^-x is infinite there, so the
+        # weight x^0.5 is integrated directly and x^0.5 x^-0.5 e^-x gives 1
+        f = lambda x: math.inf if x == 0.0 else math.exp(-x) / math.sqrt(x)
+        res = integrate_singular_power(f, 0.0, 1.5)
+        direct = integrate_semi_infinite(lambda x: x ** 0.5 * f(x), 0.0)
+        assert res == direct
+        assert res.converged and abs(res.value - 1.0) < 1e-9
+
     def test_head_error_estimate_sees_a_kink(self):
         # e^-x + (a - x)_+ on [0, 1] at p = 1.5: for 7 of these 39 kinks
         # |I_24 - I_12| alone falls below the head's true error
         p = 1.5
-        w = lambda x: math.sqrt(x)
+        lower_gamma = math.gamma(p) - math.exp(-1.0) * numerics.scaled_upper_gamma(p, 1.0)
         for k in range(1, 40):
             a = k / 40.0
             f = lambda x: math.exp(-x) + max(a - x, 0.0)
-            (head,) = numerics._singular_head(f, lambda x: w(x) * f(x), 0.0, 1.0, p,
-                                              QuadratureConfig(1.0, 1.0))
-            exact = (math.gamma(p) * (1.0 - numerics.scaled_upper_gamma(p, 1.0)
-                                      * math.exp(-1.0) / math.gamma(p))
-                     + a ** (p + 1.0) / (p * (p + 1.0)))
+            # a tolerance of 1 accepts the first panel, [0, 1] itself
+            (head,) = numerics._singular_head(f, lambda x: math.sqrt(x) * f(x), 0.0, 1.0,
+                                              p, QuadratureConfig(1.0, 1.0))
+            exact = lower_gamma + a ** (p + 1.0) / (p * (p + 1.0))
             assert abs(head.value - exact) <= head.error_estimate, a
 
     def test_invalid_exponent(self):
