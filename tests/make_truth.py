@@ -71,7 +71,8 @@ RECURSIVE_TS = [0.0, 0.1, 0.45, 0.9, 1.3, 1.9, 2.6, 3.9]
 SINGULAR_POWER_FS = {
     "exp": lambda x: mp.exp(-x),
     "weibull21_survival": lambda x: mp.exp(-x * x),
-    "hyperexp2_density": lambda x: mp.mpf("0.4") * mp.exp(-x) + mp.mpf("0.6") * 3 * mp.exp(-3 * x),
+    "hyperexp2_density": lambda x: (mp.mpf("0.4") * mp.exp(-x)
+                                    + mp.mpf("0.6") * 3 * mp.exp(-3 * x)),
 }
 SINGULAR_POWER_PS = [1.3, 1.5, 1.7, 2.5]
 SINGULAR_POWER_TS = [0.0, 0.3]

@@ -265,11 +265,10 @@ class TestEqMoment:
                                  / fractional_moment(model, float(n)))
                     assert eq_moment(view, r) == pytest.approx(classical, abs=0.0)
 
-
     def test_moment_criterion_panel_budget(self, monkeypatch):
-        # the moment-based head panel at 0 integrates E[Z^r] for r = 0.5
-        # and 2 without bisecting toward the weight's derivative
-        # singularity, which took 8,634 Gauss-Kronrod panels
+        # E[Z^0.5] carries the weight z^0.5: the moment-based head panel at
+        # 0 integrates it without Gauss-Kronrod bisecting toward the
+        # weight's derivative singularity, which took 8,634 panels in all
         panels = []
         gk15 = numerics._gk15
 
