@@ -3,11 +3,12 @@
 A model exposes exactly what the rest of the package consumes: the
 survival function, fractional moments E[X^s], upper partial moments
 E[(X-t)_+^s] and the atom at 0, of mass 1 - survival(0).  Closed forms
-are attached where they exist; everything else falls back to quadrature
-against the survival function, so mixed distributions need no special
-cases downstream.  Every survival function returns 1 for negative arguments;
-that contract is the only guard callers rely on for t < 0.  The catalog
-constructors return models; ``build`` reads the command line's JSON form.
+are attached where they exist; otherwise positive orders integrate the
+survival function and negative orders the density, so mixed
+distributions need no special cases downstream.  Every survival function
+returns 1 for negative arguments; that contract is the only guard
+callers rely on for t < 0.  The catalog constructors return models;
+``build`` reads the command line's JSON form.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DivergenceError, InvalidParameterError
-from .numerics import (integrate_semi_infinite, integrate_singular_power,
-                       scaled_upper_gamma, weighted_increment_integral)
+from .numerics import integrate_singular_power, scaled_upper_gamma
 
 __all__ = [
     "DistributionModel",
@@ -50,11 +50,11 @@ class DistributionModel:
     ``closed_form_moment`` is set only where no closed partial moment
     exists, since E[X^s] is the partial moment at t = 0.
     ``negative_partial`` is an exact E[(X-t)_+^s] for s in (-1, 0) only,
-    set by the ``numeric`` kind and forwarded by its wrappers; a model
-    with neither partial form (Weibull and its wrappers) takes negative
-    orders by quadrature.  ``breakpoints`` is the sorted tuple of
-    positive points where the survival function has a kink, for
-    quadrature to split its panels at.
+    set by the ``numeric`` kind and forwarded by its wrappers.  A model
+    with neither partial form (Weibull and its wrappers) must carry
+    ``density_ac``: its negative orders integrate (x-t)^s against it.
+    ``breakpoints`` is the sorted tuple of positive points where the
+    survival function has a kink, for quadrature to split its panels at.
     """
 
     label: str
@@ -351,33 +351,34 @@ def build(obj: dict) -> DistributionModel:
 # ---------------------------------------------------------------------------
 # moments
 
+_ROUNDING = 2.0 ** -52  # a share of the mass that quadrature cannot see
+
+
 def _partial_by_quadrature(X: DistributionModel, t: float, s: float) -> float:
-    """E[(X-t)_+^s] from the survival function alone.
+    """E[(X-t)_+^s] of a model with neither partial form, by quadrature.
 
     s > 0 uses the layer-cake identity s * int_t^inf (x-t)^(s-1) Fbar(x) dx,
-    valid for mixed distributions.  s in (-1, 0) uses
-    |s| * int_0^inf u^(s-1) [Fbar(t) - Fbar(t+u)] du, split at u = 1 so
-    the tail integrand decays with the survival function rather than like
-    a power; the cancellation-prone head goes through
-    weighted_increment_integral.  Neither branch splits at the model's
-    breakpoints.  Since the ``numeric`` kind and its wrappers carry
-    ``negative_partial``, only Weibull and its wrappers reach the s < 0
-    branch.
+    valid for mixed distributions.  s in (-1, 0) integrates the density,
+    int_t^inf (x-t)^s f(x) dx, in x = t + h y with h halved from 1 until
+    Fbar(t + h) > _ROUNDING * Fbar(t): the nodes of the quadrature's unit
+    first panel would miss a law of scale 1e-10.  At t = 0, where the
+    density may be infinite (Weibull with k < 1), it is the closed E[X^s]
+    when the model has one.  Neither branch splits at the model's
+    breakpoints.  Only Weibull and its wrappers come here.
     """
-    b = X.support_upper
+    what = f"E[(X-t)_+^{s:g}] for {X.label}"
     if s > 0.0:
-        res = integrate_singular_power(X.survival, t, s, upper=b)
-        return s * res.require(f"E[(X-t)_+^{s:g}] for {X.label}")
-    sb_t = X.survival(t)
-
-    head = weighted_increment_integral(lambda u: sb_t - X.survival(t + u),
-                                       s + 1.0, 1.0)
-    tail_upper = b - t if math.isfinite(b) else None
-    tail_res = integrate_semi_infinite(lambda u: u ** (s - 1.0) * X.survival(t + u),
-                                       1.0, upper=tail_upper)
-    if not tail_res.converged:
-        raise DivergenceError(f"E[(X-t)_+^{s:g}] quadrature failed for {X.label}")
-    return -s * head + sb_t + s * tail_res.value
+        return s * integrate_singular_power(X.survival, t, s,
+                                            upper=X.support_upper).require(what)
+    if t == 0.0 and X.closed_form_moment is not None:
+        return X.closed_form_moment(s)
+    mass, h = X.survival(t), 1.0
+    while mass > 0.0 and X.survival(t + h) <= _ROUNDING * mass:
+        h *= 0.5
+    density = X.density_ac
+    res = integrate_singular_power(lambda y: density(t + h * y), 0.0, s + 1.0,
+                                   upper=(X.support_upper - t) / h)
+    return h ** (s + 1.0) * res.require(what)
 
 
 def upper_partial_moment(X: DistributionModel, t: float, s: float) -> float:
@@ -385,7 +386,8 @@ def upper_partial_moment(X: DistributionModel, t: float, s: float) -> float:
 
     The atom at 0 of mass 1 - survival(0) therefore contributes nothing
     for t >= 0, and no model has an atom above 0, so every s in (-1, 0)
-    gives a finite value.  At or past ``support_upper`` the value is 0.
+    gives a finite value for t > 0; at t = 0 it can diverge (Weibull for
+    s <= -k).  At or past ``support_upper`` the value is 0.
     """
     if t < 0.0:
         raise InvalidParameterError(f"upper partial moment requires t >= 0, got {t}")

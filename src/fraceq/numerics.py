@@ -28,7 +28,6 @@ __all__ = [
     "integrate_interval",
     "integrate_semi_infinite",
     "integrate_singular_power",
-    "weighted_increment_integral",
     "linspace",
     "geomspace",
 ]
@@ -333,9 +332,10 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
     """Integral of f over [a, +inf).
 
     Truncates at T found by geometric doubling from T0 = a + 1: doubling
-    stops once the last increment falls below _TAIL_EPSILON * (1 + |value|),
-    or, unconverged, when the next T would overflow.  The final T is
-    reported as ``truncation_point``.
+    stops once the last increment falls below _TAIL_EPSILON * |value|, a
+    test that means the same at every scale, or once the increment and
+    the value are both exactly 0; unconverged, it stops when the next T
+    would overflow.  The final T is reported as ``truncation_point``.
 
     ``upper`` declares that f vanishes identically beyond that point
     (e.g. a bounded support); the integral is then computed on [a, upper]
@@ -366,57 +366,13 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
         err += seg.error_estimate
         converged = converged and seg.converged
         t_hi = t_next
-        if abs(seg.value) <= _TAIL_EPSILON * (1.0 + abs(value)):
+        if abs(seg.value) <= _TAIL_EPSILON * abs(value) or seg.value == value == 0.0:
             break
     else:
         converged = False  # the tail never stabilized
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
         converged = False
     return IntegralResult(value, err, converged, truncation_point=t_hi)
-
-
-_CANCEL_SCALE = 1e-6
-
-
-def weighted_increment_integral(increment: Callable[[float], float], p: float,
-                                upper: float) -> float:
-    """int_0^upper v^(p-2) * increment(v) dv for increment(0) = 0, 0 < p < 1.
-
-    ``increment`` is a difference of two nearly equal probabilities, so
-    below a fixed scale it is modeled by the quadratic through its values
-    at v0/2 and v0 (relative error O(v0^2)) rather than evaluated in the
-    teeth of float cancellation; above that scale the w = v^p substitution
-    removes the weight singularity and ordinary quadrature takes over.
-    """
-    if not (0.0 < p < 1.0):
-        raise InvalidParameterError(f"weight exponent p must lie in (0, 1), got {p}")
-    if upper <= 0.0:
-        return 0.0
-    v0 = min(_CANCEL_SCALE, upper)
-    for _ in range(4):
-        g1 = increment(v0)
-        g2 = increment(0.5 * v0)
-        a = (4.0 * g2 - g1) / v0
-        b = (2.0 * g1 - 4.0 * g2) / (v0 * v0)
-        # a kink inside the model region (e.g. a support edge right next
-        # to the threshold) breaks the fit; the quadratic must predict a
-        # third sample before it is trusted
-        g3 = increment(0.25 * v0)
-        predicted = 0.25 * a * v0 + 0.0625 * b * v0 * v0
-        if g1 == 0.0 or abs(predicted - g3) <= 1e-6 * abs(g3) + 1e-300:
-            break
-        v0 /= 64.0
-    head = a * v0 ** p / p + b * v0 ** (p + 1.0) / (p + 1.0)
-    if v0 >= upper:
-        return head
-    inv_p = 1.0 / p
-
-    def integrand(w: float) -> float:
-        v = w ** inv_p
-        return increment(v) / (v * p)
-
-    res = integrate_interval(integrand, v0 ** p, upper ** p)
-    return head + res.require("weighted increment integral")
 
 
 # Clenshaw-Curtis head panel for the weight (x - t)^(p-1) (QUADPACK's

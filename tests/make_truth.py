@@ -6,7 +6,9 @@ Run from the repository root with mpmath installed:
 
 The tests read the committed JSON and never import mpmath.  Each law is
 integrated from its density, split at its kinks, with tanh-sinh
-quadrature, so no reference shares the closed forms under test.
+quadrature, so no reference shares the closed forms under test.  The
+one exception is a Weibull moment E[X^s] = lam^s Gamma(1 + s/k), the
+reference at t = 0 where the density may be infinite.
 """
 
 from __future__ import annotations
@@ -42,6 +44,22 @@ NEGATIVE_CASES = [
                        "inner": numeric(EXP_KNOTS)}, [0.0, 1.0, 4.5]),
 ]
 NEGATIVE_ORDERS = [-0.9, -0.5, -0.1]
+
+
+def weibull(k, lam=1):
+    return {"kind": "weibull", "params": {"k": k, "lambda": lam}}
+
+
+# upper_partial_moment of laws with neither partial form, which integrate
+# their density: (name, distribution JSON, t, s), each law at t in
+# {0, 0.3, 2} and NEGATIVE_ORDERS, then one heavy-tail point
+SMOOTH_POINTS = [(name, spec, t, s) for name, spec in [
+    ("weibull07", weibull(0.7)),
+    ("weibull2", weibull(2)),
+    ("deductible", {"kind": "deductible", "params": {"d": 1}, "inner": weibull(0.7)}),
+    ("zero_inflated", {"kind": "zero_inflated", "params": {"p": 0.3}, "inner": weibull(0.7)}),
+] for s in NEGATIVE_ORDERS for t in [0.0, 0.3, 2.0]] + [
+    ("weibull005", weibull(0.05), 1.2e17, -0.5)]
 
 GAMMA_POINTS = [  # (a, x): both branches, x = 0, either side of x = a + 1
     (0.5, 0.0), (2.5, 0.0), (0.1, 1e-3), (0.1, 1.0), (0.1, 1.2), (0.5, 1.49),
@@ -104,6 +122,9 @@ def _law(spec):
                     return (s_lo - s_hi) / (hi - lo)
             return 0
         return density, ts[1:], end
+    if kind == "weibull":
+        k, lam = mp.mpf(params["k"]), mp.mpf(params["lambda"])
+        return (lambda x: k / lam * (x / lam) ** (k - 1) * mp.exp(-(x / lam) ** k)), [], mp.inf
     inner, kinks, end = _law(spec["inner"])
     if kind == "deductible":
         d = mp.mpf(params["d"])
@@ -128,6 +149,26 @@ def partial_moment(spec, t, s):
     return head + mp.quad(lambda x: (x - t) ** s * density(x), nodes)
 
 
+def smooth_partial_moment(spec, t, s):
+    """E[(X-t)_+^s] of a Weibull law or a wrapper of one, None if it diverges.
+
+    At t = 0 a Weibull moment is lam^s Gamma(1 + s/k), finite only for
+    s > -k.  Otherwise the whole integral runs in u = (x - t)^(s+1), cut
+    at x - t = (1 + t) 10^j, since the density's scale grows with t on a
+    heavy tail.
+    """
+    kind, params = spec["kind"], spec["params"]
+    if t == 0 and kind in ("weibull", "zero_inflated"):
+        q = 1 - mp.mpf(params["p"]) if kind == "zero_inflated" else 1
+        law = spec.get("inner", spec)["params"]
+        k, lam = mp.mpf(law["k"]), mp.mpf(law["lambda"])
+        return None if s <= -k else q * lam ** s * mp.gamma(1 + s / k)
+    density = _law(spec)[0]
+    t, p = mp.mpf(t), mp.mpf(s) + 1
+    cuts = [0] + [((1 + t) * mp.mpf(10) ** j) ** p for j in range(-3, 4)] + [mp.inf]
+    return mp.quad(lambda u: density(t + u ** (1 / p)) / p, cuts)
+
+
 def eq_survival(spec, alpha, n, t):
     """P(X_alpha^(n) > t) = E[(X-t)_+^(n alpha)] / E[X^(n alpha)]."""
     return partial_moment(spec, t, n * alpha) / partial_moment(spec, 0.0, n * alpha)
@@ -147,12 +188,20 @@ def chebyshev_moment(p, k):
                    mp.linspace(0, mp.pi, k + 2))
 
 
+def _float_or_none(x):
+    return None if x is None else float(x)
+
+
 def main():
     truth = {
         "negative_partial": [
             {"case": name, "dist": spec, "t": t, "s": s,
              "truth": float(partial_moment(spec, t, s))}
             for name, spec, ts in NEGATIVE_CASES for s in NEGATIVE_ORDERS for t in ts],
+        "upper_partial_moment": [
+            {"case": name, "dist": spec, "t": t, "s": s,
+             "truth": _float_or_none(smooth_partial_moment(spec, t, s))}
+            for name, spec, t, s in SMOOTH_POINTS],
         "scaled_upper_gamma": [
             {"a": a, "x": x, "truth": float(mp.exp(x) * mp.gammainc(a, x))}
             for a, x in GAMMA_POINTS],

@@ -434,12 +434,19 @@ class TestRun:
         assert report_of(out)["results"][0]["params"]["holds"] is False
 
     def test_order_heavy_tail_fractional(self, tmp_path):
-        # E[(X-t)_+^-0.5] at t ~ 1e17 needs more than 64 tail doublings
+        # E[(X-t)_+^-0.03] at t ~ 1e17 needs more than 64 tail doublings
         out = tmp_path / "order.json"
         code = main(["order", "--dist-x", '{"kind":"weibull","params":{"k":0.05,"lambda":1}}',
-                     "--dist-y", EXP1, "--alpha", "0.5", "--out", str(out)])
+                     "--dist-y", EXP1, "--alpha", "0.97", "--out", str(out)])
         assert code == EXIT_OK
         assert report_of(out)["results"][0]["params"]["holds"] is False
+
+    def test_order_divergent_alpha_transform(self, capsys):
+        # the alpha = 0.5 transform needs E[X^-0.5], which diverges for k = 0.05
+        code = main(["order", "--dist-x", '{"kind":"weibull","params":{"k":0.05,"lambda":1}}',
+                     "--dist-y", EXP1, "--alpha", "0.5"])
+        assert code == EXIT_NUMERICAL
+        assert "diverges" in capsys.readouterr().err
 
     def test_stdout_when_no_out(self, capsys):
         code = main(["order", "--dist-x", EXP1, "--dist-y", EXP_MEAN2,

@@ -253,13 +253,31 @@ class TestUpperPartialMoment:
             assert rel_diff(closed, quad) < 1e-10, t
 
     def test_deeply_negative_exponents_stay_accurate(self):
-        # the survival increment cancels catastrophically near u = 0; the
-        # secant model keeps the weighted head integral well-conditioned
+        # the density route has no cancellation: (x-t)^s f(x) with the
+        # weight removed by the u = (x-t)^(s+1) substitution
         bare = strip_closed(dist.exponential(1.0))
         for s in (-0.7, -0.9, -0.99):
             got = upper_partial_moment(bare, 0.5, s)
             exact = math.gamma(s + 1.0) * math.exp(-0.5)
             assert rel_diff(got, exact) < 1e-9, s
+
+    def test_weibull_negative_order_at_zero_is_its_moment(self):
+        # the density of Weibull(0.3) is infinite at 0, and E[X^s] diverges for s <= -k
+        X = dist.weibull(0.3, 1.0)
+        assert rel_diff(upper_partial_moment(X, 0.0, -0.2), math.gamma(1.0 / 3.0)) < 1e-15
+        with pytest.raises(DivergenceError):
+            upper_partial_moment(X, 0.0, -0.5)
+        got = upper_partial_moment(dist.weibull(0.05, 1.0), 0.0, -0.03)
+        assert rel_diff(got, math.gamma(0.4)) < 1e-15
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e-30, 1e30])
+    @pytest.mark.parametrize("k", [0.7, 2.0])
+    def test_negative_order_at_every_scale(self, k, scale):
+        # E[(X-t)_+^s] of scale * Y is scale^s E[(Y - t/scale)_+^s]; at
+        # scale 1e-10 the unit first panel alone sees none of the mass
+        got = upper_partial_moment(dist.weibull(k, scale), 0.5 * scale, -0.5)
+        unit = upper_partial_moment(dist.weibull(k, 1.0), 0.5, -0.5)
+        assert rel_diff(got, scale ** -0.5 * unit) < 1e-13
 
     def test_negative_exponent_uniform_closed_form(self):
         X = dist.uniform(0.0, 1.0)

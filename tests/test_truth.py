@@ -1,4 +1,4 @@
-"""Closed forms and the tabulated oracle against 40-digit references.
+"""Closed forms, quadratures and the tabulated oracle against 40-digit references.
 
 tests/data/truth.json is written by tests/make_truth.py with mpmath; these
 tests only read it, so they need no mpmath.
@@ -16,6 +16,7 @@ from fraceq.distributions import (build, fractional_moment, hyperexp2,
                                   upper_partial_moment, weibull)
 from fraceq.equilibrium import (EquilibriumView, eq_survival,
                                 eq_survival_recursive)
+from fraceq.errors import DivergenceError
 from fraceq.numerics import integrate_singular_power, scaled_upper_gamma
 
 TRUTH = json.loads((Path(__file__).parent / "data" / "truth.json").read_text())
@@ -32,6 +33,33 @@ def test_negative_partial_moment(entry):
     assert rel_diff(got, truth) <= BOUND, (got, truth)
     if t == 0.0 and X.survival(0.0) == 1.0:  # no atom at 0
         assert rel_diff(fractional_moment(X, s), truth) <= BOUND
+
+
+# u = (x - t)^0.9 leaves a u^(1/0.9 - 1) factor in the integrand's derivative
+ORDER_0_9_SUBSTITUTION = pytest.mark.xfail(strict=True, reason=(
+    "s = -0.1 integrates the density in u = (x-t)^0.9, whose integrand is not "
+    "smooth at u = 0, so the value is only as good as the default tolerance, "
+    "about 5e-12 (ROADMAP item 9, the p < 1 step)"))
+
+
+def _by_the_density(entry):
+    return entry["t"] > 0.0 or build(entry["dist"]).closed_form_moment is None
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(e, marks=ORDER_0_9_SUBSTITUTION)
+    if e["s"] == -0.1 and _by_the_density(e) else e
+    for e in TRUTH["upper_partial_moment"]],
+    ids=lambda e: f"{e['case']}-t{e['t']:g}-s{e['s']:g}")
+def test_upper_partial_moment_without_partial_forms(entry):
+    X = build(entry["dist"])
+    t, s, truth = entry["t"], entry["s"], entry["truth"]
+    if truth is None:  # E[X^s] of a Weibull law diverges for s <= -k
+        with pytest.raises(DivergenceError):
+            upper_partial_moment(X, t, s)
+        return
+    got = upper_partial_moment(X, t, s)
+    assert rel_diff(got, truth) <= BOUND, (got, truth)
 
 
 def test_truth_table_uses_the_shared_knot_table():
