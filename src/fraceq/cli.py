@@ -51,6 +51,8 @@ def _json_argument(raw: str):
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise argparse.ArgumentTypeError("JSON nested too deeply to parse") from exc
 
 
 def _powersum_argument(raw: str) -> PowerSum:

@@ -50,11 +50,13 @@ class DistributionModel:
     ``closed_form_moment`` is set only where no closed partial moment
     exists, since E[X^s] is the partial moment at t = 0.
     ``negative_partial`` is an exact E[(X-t)_+^s] for s in (-1, 0) only,
-    set by the ``numeric`` kind and forwarded by its wrappers.  A model
-    with neither partial form (Weibull and its wrappers) must carry
-    ``density_ac``: its negative orders integrate (x-t)^s against it.
-    ``breakpoints`` is the sorted tuple of positive points where the
-    survival function has a kink, for quadrature to split its panels at.
+    set by the ``numeric`` kind.  A model with neither partial form
+    (Weibull and its wrappers) must carry ``density_ac``: its negative
+    orders integrate (x-t)^s against it.  ``breakpoints`` is the sorted
+    tuple of positive points where the survival function has a kink, for
+    quadrature to split its panels at.  ``zero_inflated`` and
+    ``deductible`` derive all of these from their inner law by one rule,
+    ``_lifted``.
     """
 
     label: str
@@ -173,67 +175,50 @@ def hyperexp2(p: float, lam1: float, lam2: float) -> DistributionModel:
     )
 
 
+def _lifted(label: str, inner: DistributionModel, shift: float, scale: float,
+             moment: Callable[[float], float] | None = None) -> DistributionModel:
+    """The law with survival scale * Fbar(shift + t) for t >= 0, and 1 below 0.
+
+    Fbar is ``inner``'s survival, and every field that depends on t
+    follows from it: each partial moment f becomes scale * f(shift + t, s),
+    the density likewise for t >= 0, and the support and breakpoints move
+    down by ``shift``.  A field ``inner`` lacks stays unset.
+    ``zero_inflated`` is (0, 1 - p) and ``deductible`` is (d, 1); both are
+    exact, since 0.0 + t is t and 1.0 * v is v.
+    """
+    def lift(f):  # (X' - t)_+ = (X - (shift + t))_+ with probability scale
+        return None if f is None else (lambda t, s: scale * f(shift + t, s))
+
+    density = inner.density_ac
+    upper = inner.support_upper - shift
+    while upper + shift < inner.support_upper:  # rounded low: shift + t must reach the top
+        upper = math.nextafter(upper, math.inf)
+    return DistributionModel(
+        label=label,
+        survival=lambda t: 1.0 if t < 0.0 else scale * inner.survival(shift + t),
+        support_upper=upper,
+        closed_form_moment=moment,
+        closed_form_partial=lift(inner.closed_form_partial),
+        negative_partial=lift(inner.negative_partial),
+        density_ac=None if density is None else (
+            lambda t: scale * density(shift + t) if t >= 0.0 else 0.0),
+        breakpoints=tuple(x - shift for x in inner.breakpoints if x > shift),
+    )
+
+
 def zero_inflated(p: float, inner: DistributionModel) -> DistributionModel:
     _require(0.0 < p < 1.0, f"zero_inflated: p must lie in (0,1), got {p}")
     q = 1.0 - p
-
-    inner_moment = inner.closed_form_moment
-    inner_partial = inner.closed_form_partial
-    inner_negative = inner.negative_partial
-    inner_density = inner.density_ac
-
-    def survival(t: float) -> float:
-        if t < 0.0:
-            return 1.0
-        return q * inner.survival(t)
-
-    moment = (lambda s: q * inner_moment(s)) if inner_moment else None
-    partial = (lambda t, s: q * inner_partial(t, s)) if inner_partial else None
-    negative = (lambda t, s: q * inner_negative(t, s)) if inner_negative else None
-    density = (lambda t: q * inner_density(t)) if inner_density else None
-
-    return DistributionModel(
-        label=f"ZeroInflated(p={p:g})[{inner.label}]",
-        survival=survival,
-        support_upper=inner.support_upper,
-        closed_form_moment=moment,
-        closed_form_partial=partial,
-        negative_partial=negative,
-        density_ac=density,
-        breakpoints=inner.breakpoints,
-    )
+    moment = inner.closed_form_moment
+    return _lifted(f"ZeroInflated(p={p:g})[{inner.label}]", inner, 0.0, q,
+                   moment=None if moment is None else (lambda s: q * moment(s)))
 
 
 def deductible(d: float, inner: DistributionModel) -> DistributionModel:
     _require(d > 0, f"deductible: d must be > 0, got {d}")
     _require(d < inner.support_upper,
              f"deductible: d={d} not below the support upper bound {inner.support_upper}")
-    inner_partial = inner.closed_form_partial
-    inner_negative = inner.negative_partial
-    inner_density = inner.density_ac
-
-    def survival(t: float) -> float:
-        if t < 0.0:
-            return 1.0
-        return inner.survival(d + t)
-
-    # (X_d - t)_+ = (X - (d + t))_+ : partial moments delegate to the inner ones.
-    partial = (lambda t, s: inner_partial(d + t, s)) if inner_partial else None
-    negative = (lambda t, s: inner_negative(d + t, s)) if inner_negative else None
-    density = (lambda t: inner_density(d + t) if t >= 0.0 else 0.0) if inner_density else None
-
-    upper = inner.support_upper - d
-    while upper + d < inner.support_upper:  # rounded low: d + t must reach the top
-        upper = math.nextafter(upper, math.inf)
-    return DistributionModel(
-        label=f"Deductible(d={d:g})[{inner.label}]",
-        survival=survival,
-        support_upper=upper,
-        closed_form_partial=partial,
-        negative_partial=negative,
-        density_ac=density,
-        breakpoints=tuple(x - d for x in inner.breakpoints if x > d),
-    )
+    return _lifted(f"Deductible(d={d:g})[{inner.label}]", inner, d, 1.0)
 
 
 def numeric(knots: list[tuple[float, float]]) -> DistributionModel:
@@ -312,21 +297,34 @@ _KINDS = {
 }
 
 
+# the deepest chain of "inner" specs ``build`` accepts: every wrapper level
+# adds a call frame to each survival, density and partial-moment evaluation
+_MAX_NESTING = 32
+
+
 def _finite_numbers(value) -> bool:
     """True unless a boolean, NaN or infinity sits anywhere in ``value``."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return all(_finite_numbers(v) for v in value)
-    # bool is an int subclass, so JSON true would otherwise run as 1
-    return not isinstance(value, bool) and not (
-        isinstance(value, float) and not math.isfinite(value))
+    stack = [value]  # not recursive, so no nesting depth can overflow it
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (dict, list)):
+            stack.extend(value.values() if isinstance(value, dict) else value)
+        # bool is an int subclass, so JSON true would otherwise run as 1
+        elif isinstance(value, bool) or (isinstance(value, float)
+                                         and not math.isfinite(value)):
+            return False
+    return True
 
 
 def build(obj: dict) -> DistributionModel:
     """The model described by parsed JSON {"kind", "params", "inner"?}."""
     _require(isinstance(obj, dict) and isinstance(obj.get("kind"), str),
              "distribution JSON needs a string 'kind' field")
+    depth, spec = 0, obj
+    while isinstance(spec, dict) and spec.get("inner") is not None:
+        depth, spec = depth + 1, spec["inner"]
+    _require(depth <= _MAX_NESTING,
+             f"distribution JSON nests {depth} 'inner' specs; at most {_MAX_NESTING} are allowed")
     kind = obj["kind"]
     _require(kind in _KINDS, f"unknown distribution kind '{kind}'")
     params = obj.get("params", {})
@@ -364,7 +362,9 @@ def _partial_by_quadrature(X: DistributionModel, t: float, s: float) -> float:
     first panel would miss a law of scale 1e-10.  At t = 0, where the
     density may be infinite (Weibull with k < 1), it is the closed E[X^s]
     when the model has one.  Neither branch splits at the model's
-    breakpoints.  Only Weibull and its wrappers come here.
+    breakpoints.  Weibull and its wrappers take both branches; ``numeric``
+    and its wrappers take only the s > 0 one, as their ``negative_partial``
+    answers s < 0.
     """
     what = f"E[(X-t)_+^{s:g}] for {X.label}"
     if s > 0.0:

@@ -85,11 +85,13 @@ class PowerSum:
 
     @classmethod
     def from_json(cls, obj: list) -> "PowerSum":
+        message = "power sum JSON must be a list of {'coef':…, 'exp':…}"
+        if not isinstance(obj, list):  # "" or {} would otherwise run as the zero function
+            raise InvalidParameterError(message)
         try:
             terms = [(float(t["coef"]), float(t["exp"])) for t in obj]
         except (TypeError, KeyError) as exc:
-            raise InvalidParameterError(
-                "power sum JSON must be a list of {'coef':…, 'exp':…}") from exc
+            raise InvalidParameterError(message) from exc
         if not all(math.isfinite(v) for term in terms for v in term):
             raise InvalidParameterError(f"power sum terms must be finite, got {terms}")
         return cls.from_terms(terms)

@@ -51,14 +51,16 @@ def weibull(k, lam=1):
 
 
 # upper_partial_moment of laws with neither partial form, which integrate
-# their density: (name, distribution JSON, t, s), each law at t in
-# {0, 0.3, 2} and NEGATIVE_ORDERS, then one heavy-tail point
+# their density at s < 0 and their survival function at s > 0:
+# (name, distribution JSON, t, s), each law at t in {0, 0.3, 2} and
+# SMOOTH_ORDERS, then one heavy-tail point
+SMOOTH_ORDERS = NEGATIVE_ORDERS + [0.5, 1.5]
 SMOOTH_POINTS = [(name, spec, t, s) for name, spec in [
     ("weibull07", weibull(0.7)),
     ("weibull2", weibull(2)),
     ("deductible", {"kind": "deductible", "params": {"d": 1}, "inner": weibull(0.7)}),
     ("zero_inflated", {"kind": "zero_inflated", "params": {"p": 0.3}, "inner": weibull(0.7)}),
-] for s in NEGATIVE_ORDERS for t in [0.0, 0.3, 2.0]] + [
+] for s in SMOOTH_ORDERS for t in [0.0, 0.3, 2.0]] + [
     ("weibull005", weibull(0.05), 1.2e17, -0.5)]
 
 GAMMA_POINTS = [  # (a, x): both branches, x = 0, either side of x = a + 1

@@ -339,6 +339,33 @@ class TestRun:
             main(argv + ["--out", str(tmp_path / "x.json")])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("g", ['""', "{}"])
+    def test_non_list_g_exits_2(self, tmp_path, g):
+        # a string or an object once ran as the zero function and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["taylor", "--dist", EXP1, "--g", g, "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "x.json").exists()
+
+    def test_nesting_past_the_cap_exits_2(self, tmp_path):
+        # 400 levels once ended in RecursionError, an exit 1
+        spec = EXP1
+        for _ in range(400):
+            spec = '{"kind":"zero_inflated","params":{"p":0.01},"inner":' + spec + "}"
+        path = tmp_path / "deep.json"
+        path.write_text(spec)
+        code = main(["characterize", "--dist", "@" + str(path),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x.json").exists()
+
+    def test_json_too_deep_to_parse_exits_2(self, tmp_path):
+        deep = '{"kind":"exponential","params":{"lambda":' + "[" * 100_000 + "1" \
+            + "]" * 100_000 + "}}"
+        with pytest.raises(SystemExit) as exc:
+            main(["eqdist", "--dist", deep, "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == EXIT_USAGE
+
     def test_overflow_exits_3(self, tmp_path):
         huge = '{"kind":"uniform","params":{"a":0,"b":1e300}}'
         code = main(["eqdist", "--dist", huge, "--grid", "8",

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -99,6 +99,26 @@ class TestBuild:
         with pytest.raises(InvalidParameterError):
             build(spec)
 
+    @staticmethod
+    def nested(levels):
+        spec = EXP1
+        for _ in range(levels):
+            spec = {"kind": "zero_inflated", "params": {"p": 0.01}, "inner": spec}
+        return spec
+
+    def test_nesting_up_to_the_cap(self):
+        X = build(self.nested(dist._MAX_NESTING))
+        assert rel_diff(X.survival(1.0), 0.99 ** dist._MAX_NESTING * math.exp(-1.0)) < 1e-14
+        with pytest.raises(InvalidParameterError, match="nests"):
+            build(self.nested(dist._MAX_NESTING + 1))
+
+    def test_deeply_nested_parameter_is_rejected_without_recursion(self):
+        deep = 1.0
+        for _ in range(5000):  # far past the interpreter's recursion limit
+            deep = [deep]
+        with pytest.raises(InvalidParameterError):
+            build({"kind": "exponential", "params": {"lambda": deep}})
+
     @pytest.mark.parametrize("obj,model", [
         (EXP1, dist.exponential(1.0)),
         ({"kind": "deductible", "params": {"d": 1.0},
@@ -145,6 +165,79 @@ class TestBreakpoints:
         assert dist.deductible(1.0, inner).breakpoints == (0.5, 1.5)
         assert dist.deductible(0.5, inner).breakpoints == (1.0, 2.0)
         assert dist.deductible(1.0, dist.exponential(1.0)).breakpoints == ()
+
+
+KINKS = [(0.5, 0.9), (1.5, 0.3), (2.5, 0.05)]
+# every callable field of a model, and a law that carries it; a field added
+# without an entry here, and so without a tested lifting rule, fails
+CALLABLE_FIELDS = [f.name for f in fields(dist.DistributionModel) if "Callable" in f.type]
+CARRIERS = {
+    "survival": dist.weibull(0.7, 1.0),
+    "closed_form_moment": dist.weibull(0.7, 1.0),
+    "closed_form_partial": dist.hyperexp2(0.4, 1.0, 3.0),
+    "negative_partial": dist.numeric(KINKS),
+    "density_ac": dist.weibull(0.7, 1.0),
+}
+
+
+def wrappers_of(inner):
+    """(model, shift, scale): both wrappers, as survival scale * Fbar(shift + t)."""
+    return [(dist.zero_inflated(0.3, inner), 0.0, 1.0 - 0.3),
+            (dist.deductible(0.5, inner), 0.5, 1.0)]
+
+
+class TestLiftingRule:
+    @pytest.mark.parametrize("name", CALLABLE_FIELDS)
+    def test_both_wrappers_lift_the_field(self, name):
+        assert name in CARRIERS, f"no lifting rule under test for {name}"
+        inner = CARRIERS[name]
+        f = getattr(inner, name)
+        assert f is not None
+        args = (-0.5,) if "partial" in name else ()
+        for X, shift, scale in wrappers_of(inner):
+            lifted = getattr(X, name)
+            if name == "closed_form_moment":
+                # E[(X-d)_+^s] is no moment of X: only the zero-inflated law keeps it
+                assert (lifted is None) == (shift > 0.0), X.label
+                if lifted is not None:
+                    assert all(lifted(s) == scale * f(s) for s in (-0.5, 0.5, 1.5))
+                continue
+            assert lifted is not None, X.label
+            for t in (0.0, 0.3, 2.0):
+                assert lifted(t, *args) == scale * f(shift + t, *args), (X.label, t)
+        if name in ("survival", "density_ac"):
+            below = 1.0 if name == "survival" else 0.0
+            assert all(getattr(X, name)(-0.25) == below for X, _, _ in wrappers_of(inner))
+
+    @pytest.mark.parametrize("inner", list(CARRIERS.values()) + [dist.uniform(0.25, 2.0)],
+                             ids=lambda X: X.label)
+    def test_a_field_the_inner_law_lacks_stays_unset(self, inner):
+        for X, shift, _ in wrappers_of(inner):
+            for name in CALLABLE_FIELDS:
+                lacks = getattr(inner, name) is None
+                if name == "closed_form_moment" and shift > 0.0:
+                    lacks = True
+                assert (getattr(X, name) is None) == lacks, (X.label, name)
+
+    def test_zero_inflated_around_a_deductible_table(self):
+        N = dist.numeric(KINKS)
+        X = dist.zero_inflated(0.3, dist.deductible(1.0, N))
+        for t in (0.0, 0.3, 2.0):
+            assert X.survival(t) == 0.7 * N.survival(1.0 + t)
+            assert X.negative_partial(t, -0.5) == 0.7 * N.negative_partial(1.0 + t, -0.5)
+        assert X.breakpoints == (0.5, 1.5)
+        assert X.closed_form_partial is X.density_ac is X.closed_form_moment is None
+
+    def test_deductible_around_a_zero_inflated_weibull(self):
+        W = dist.weibull(0.7, 1.0)
+        X = dist.deductible(0.5, dist.zero_inflated(0.3, W))
+        for t in (0.0, 0.3, 2.0):
+            assert X.survival(t) == 0.7 * W.survival(0.5 + t)
+            assert X.density_ac(t) == 0.7 * W.density_ac(0.5 + t)
+            for s in (-0.5, 1.5):
+                assert rel_diff(upper_partial_moment(X, t, s),
+                                0.7 * upper_partial_moment(W, 0.5 + t, s)) < 1e-12
+        assert X.closed_form_moment is None and X.support_upper == math.inf
 
 
 class TestFractionalMoment:
