@@ -10,11 +10,13 @@ term by term, through fractional moments or against a density.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .distributions import DistributionModel, fractional_moment, quantile
+from .distributions import (DistributionModel, _survival_point, fractional_moment,
+                            quantile)
 from .errors import DivergenceError, InvalidParameterError
 from .numerics import gamma, integrate_singular_power, reciprocal_gamma
 
@@ -89,11 +91,15 @@ class PowerSum:
         if not isinstance(obj, list):  # "" or {} would otherwise run as the zero function
             raise InvalidParameterError(message)
         try:
-            terms = [(float(t["coef"]), float(t["exp"])) for t in obj]
+            terms = [(t["coef"], t["exp"]) for t in obj]
         except (TypeError, KeyError) as exc:
             raise InvalidParameterError(message) from exc
-        if not all(math.isfinite(v) for term in terms for v in term):
-            raise InvalidParameterError(f"power sum terms must be finite, got {terms}")
+        # bool is an int subclass, so JSON true would otherwise run as 1; the
+        # comparison also rejects NaN and an int too large for a float
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and abs(v) <= sys.float_info.max for term in terms for v in term):
+            raise InvalidParameterError(
+                f"power sum terms must be finite numbers, got {terms}")
         return cls.from_terms(terms)
 
     def describe(self) -> str:
@@ -199,25 +205,31 @@ def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.
     T bounds the support, or is where I_-^order Fbar(0) truncates.  Each
     level is a Chebyshev interpolant of degree 6, 12 or 24 per panel
     (see _tabulate); each of its nodes is one quadrature, split at X's
-    breakpoints.  With several
+    breakpoints.  For an unbounded law a node integrates up to the first
+    x with Fbar(x) <= _SPENT_LEVEL, or T if that comes first or is never
+    reached: T, the doubling truncation in u = x^order, can lie up to
+    2^(1/order) times farther out.  With several
     ``scales`` the table nests: level k is scales[k-1] times I_-^order of
     level k-1's table, level 0 is Fbar; the last level is returned.
     """
-    T = X.support_upper
+    T = cut = X.support_upper
     reach = None  # T bounds the support
     if not math.isfinite(T):
         res = integrate_singular_power(X.survival, 0.0, order)
         res.require(f"I_-^{order:g} of {X.label} at 0")
-        # the doubling in u = x^order overshoots the law's own scale by
-        # up to 2^(1/order); tail panels follow where the survival is spent
-        T = res.truncation_point
+        # tail panels follow where the survival is spent
+        T = cut = res.truncation_point
         reach = min(T, quantile(X, 1.0 - _TAIL_LEVEL))
+        try:
+            cut = min(T, _survival_point(X, _SPENT_LEVEL))
+        except DivergenceError:  # the level is not reached at any finite x
+            pass
     edges = _panel_edges(X.breakpoints, T, reach)
     g = gamma(order)
     level = X.survival
     for k, scale in enumerate(scales, 1):
         def weyl(u: float, prev=level, scale=scale, k=k) -> float:
-            res = integrate_singular_power(prev, u, order, upper=T,
+            res = integrate_singular_power(prev, u, order, upper=cut,
                                            breakpoints=X.breakpoints)
             return scale * res.require(f"I_-^{order:g} at level {k}") / g
         level = _tabulate(weyl, edges)
@@ -230,6 +242,7 @@ _GRADING = 0.2  # width ratio of successive table panels toward a kink
 _GRADED_PANELS = 7  # table panels graded toward each kink
 _TAIL_DOUBLINGS = 5  # panels of doubling width between the last kink and reach
 _TAIL_LEVEL = 1e-15  # survival probability at which an unbounded law is spent
+_SPENT_LEVEL = 2.0 ** -60  # survival beyond which a table node integrates nothing
 
 
 def _panel_edges(kinks: Sequence[float], T: float,

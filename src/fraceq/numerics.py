@@ -305,25 +305,101 @@ def integrate_interval(f: Callable[[float], float], a: float, b: float,
     heapq.heapify(heap)
     converged = True
     while True:
-        _, i, lo, hi, depth = heap[0]
-        mid = 0.5 * (lo + hi)
-        if depth >= _MAX_DEPTH or hi - lo <= _MIN_PANEL_ULPS * math.ulp(mid):
+        if _bisect(f, heap, values, errs) is None:
             converged = False
             break
-        lv, le = _gk15(f, lo, mid)
-        rv, re = _gk15(f, mid, hi)
-        j = len(values)
-        values[i] = lv
-        errs[i] = le
-        values.append(rv)
-        errs.append(re)
-        heapq.heapreplace(heap, (-le, i, lo, mid, depth + 1))
-        heapq.heappush(heap, (-re, j, mid, hi, depth + 1))
         total_value = math.fsum(values)
         total_err = math.fsum(errs)
         if total_err <= max(abs_tol, rel_tol * abs(total_value)):
             break
     return IntegralResult(total_value, total_err, converged)
+
+
+def _bisect(f: Callable[[float], float], heap: list, values: list[float],
+            errs: list[float]) -> tuple[float, float] | None:
+    """Bisect the worst panel of ``heap``: the change in value and in error.
+
+    ``heap`` holds (-error, index, left, right, depth) entries whose index
+    points into ``values`` and ``errs``; the left half keeps the index and
+    the right half takes the next free one.  Returns None, bisecting
+    nothing, when the panel has had _MAX_DEPTH bisections or is at most
+    _MIN_PANEL_ULPS ulps of its midpoint wide.
+    """
+    _, i, lo, hi, depth = heap[0]
+    mid = 0.5 * (lo + hi)
+    if depth >= _MAX_DEPTH or hi - lo <= _MIN_PANEL_ULPS * math.ulp(mid):
+        return None
+    lv, le = _gk15(f, lo, mid)
+    rv, re = _gk15(f, mid, hi)
+    change = (lv + rv - values[i], le + re - errs[i])
+    values[i] = lv
+    errs[i] = le
+    heapq.heapreplace(heap, (-le, i, lo, mid, depth + 1))
+    heapq.heappush(heap, (-re, len(values), mid, hi, depth + 1))
+    values.append(rv)
+    errs.append(re)
+    return change
+
+
+def _refine_pieces(f: Callable[[float], float], pieces: list[list[float]],
+                   outside: list[IntegralResult],
+                   cfg: QuadratureConfig) -> IntegralResult:
+    """Sum of the integrals of f over ``pieces`` and of the ``outside`` results.
+
+    Each piece is given by the edges of its seed panels: one panel, or
+    two halves as integrate_interval seeds.  The pieces are refined in
+    one adaptive pass, as QUADPACK's dqagp does (Piessens et al., 1983):
+    while a piece misses max(abs_tol, rel_tol * |piece|), the rule
+    integrate_interval applies to a whole interval, its worst panel is
+    bisected.  Then, while the summed error of every piece, the
+    ``outside`` ones (integrated elsewhere) included, misses the
+    tolerance of the summed value, the worst panel of any piece is
+    bisected, at most once per panel the pass held when this step began.
+    A panel at _bisect's limits ends the pass unconverged.  The sums
+    that steer the pass are running sums; the result is summed afresh.
+    """
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    values: list[float] = []
+    errs: list[float] = []
+    heap = []
+    converged = all(r.converged for r in outside)
+    value = math.fsum(r.value for r in outside)
+    out_err = err = math.fsum(r.error_estimate for r in outside)
+    for edges in pieces:
+        piece = []
+        for a, b in zip(edges, edges[1:]):
+            pv, pe = _gk15(f, a, b)
+            piece.append((-pe, len(values), a, b, len(edges) - 2))
+            values.append(pv)
+            errs.append(pe)
+        v = math.fsum(values[-len(piece):])
+        e = math.fsum(errs[-len(piece):])
+        heapq.heapify(piece)
+        while e > max(abs_tol, rel_tol * abs(v)):
+            change = _bisect(f, piece, values, errs)
+            if change is None:
+                converged = False
+                break
+            v += change[0]
+            e += change[1]
+        heap += piece
+        value += v
+        err += e
+    heapq.heapify(heap)
+    # the pass cannot make up for outside pieces that miss the tolerance alone
+    budget = len(values) if out_err < max(abs_tol, rel_tol * abs(value)) else 0
+    while converged and budget and err > max(abs_tol, rel_tol * abs(value)):
+        change = _bisect(f, heap, values, errs)
+        if change is None:
+            converged = False
+            break
+        value += change[0]
+        err += change[1]
+        budget -= 1
+    value = math.fsum(values + [r.value for r in outside])
+    err = math.fsum(errs + [r.error_estimate for r in outside])
+    converged = converged and err <= max(abs_tol, rel_tol * abs(value))
+    return IntegralResult(value, err, converged)
 
 
 def integrate_semi_infinite(f: Callable[[float], float], a: float,
@@ -478,9 +554,12 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
     is not finite the weight is integrated directly from t.  ``upper``
     is forwarded as in integrate_semi_infinite.  Each of the sorted
     ``breakpoints`` (kinks of f) strictly between t and ``upper`` becomes
-    a panel edge, mapped into u when p < 1; past the last one the
-    integral runs as it would from t.  Split integrals converge only if
-    every piece does and their summed error meets the tolerance.
+    a cut, mapped into u when p < 1.  The pieces between cuts, and the
+    piece from the last cut to a finite ``upper``, are refined in one
+    pass (see _refine_pieces); past the last cut an unbounded integral
+    runs as it would from t.  Split integrals converge only if every
+    piece does and their summed error meets the tolerance.  Beyond the
+    head, an integral with no breakpoint is integrate_semi_infinite's.
     """
     cfg = cfg or DEFAULT_CONFIG
     if p <= 0.0:
@@ -507,17 +586,23 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
                 start = b
                 edges = [x for x in edges if x > b]
     cuts = [to_var(x) for x in [start] + edges]
-    res = integrate_semi_infinite(integrand, cuts[-1], cfg,
-                                  upper=to_var(upper) if finite else None)
+    pieces = [[a, b] for a, b in zip(cuts, cuts[1:])]
+    if edges and finite:
+        # the finite tail joins the pass, seeded with two halves as
+        # integrate_interval seeds it: f decays there, and one panel
+        # rarely holds a decay
+        lo, hi = cuts[-1], to_var(upper)
+        pieces.append([lo, 0.5 * (lo + hi), hi])
+        tail, trunc = [], hi
+    else:
+        tail = [integrate_semi_infinite(integrand, cuts[-1], cfg,
+                                        upper=to_var(upper) if finite else None)]
+        trunc = tail[0].truncation_point
     if edges or head:
-        pieces = head + [integrate_interval(integrand, lo, hi, cfg)
-                         for lo, hi in zip(cuts, cuts[1:])] + [res]
-        value = math.fsum(r.value for r in pieces)
-        err = math.fsum(r.error_estimate for r in pieces)
-        # each piece met the tolerance alone; so must their sum
-        converged = (all(r.converged for r in pieces)
-                     and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
-        res = IntegralResult(value, err, converged, res.truncation_point)
+        res = _refine_pieces(integrand, pieces, head + tail, cfg)
+        res = IntegralResult(res.value, res.error_estimate, res.converged, trunc)
+    else:
+        res = tail[0]
     if p >= 1.0:
         return res
     try:

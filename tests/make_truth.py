@@ -74,16 +74,22 @@ EQ_SURVIVAL_DIST = {"kind": "deductible", "params": {"d": 1.0}, "inner": numeric
 EQ_SURVIVAL_ALPHA, EQ_SURVIVAL_N = 0.7, 2
 EQ_SURVIVAL_TS = [0.14, 0.36, 0.96, 1.32]
 
-# eq_survival_recursive, the tabulated oracle: (name, distribution, alpha, n)
-# at RECURSIVE_TS below the support's end; the first table is the
-# benchmark's unjittered 5-knot Exp(1) table
+# eq_survival_recursive, the tabulated oracle: (name, distribution, alpha,
+# n, ts), each t below the support's end; the first table is the
+# benchmark's unjittered 5-knot Exp(1) table, and Weibull(2,1) at n = 3 is
+# the benchmark's fixed Weibull case, kept to t <= 2.6 where its
+# survival is still above 1e-5
+RECURSIVE_TS = [0.0, 0.1, 0.45, 0.9, 1.3, 1.9, 2.6, 3.9]
 RECURSIVE_CASES = [
     ("exp_5_knots", numeric([[0.0, 1.0], [0.5, 0.6065], [1.0, 0.3679], [2.0, 0.1353],
-                             [4.0, 0.0183]]), 0.5, 2),
-    ("kinks", numeric(KINKS), 0.5, 3),
-    ("bounded", numeric([[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]), 0.5, 3),
+                             [4.0, 0.0183]]), 0.5, 2, RECURSIVE_TS),
+    ("kinks", numeric(KINKS), 0.5, 3, RECURSIVE_TS),
+    ("bounded", numeric([[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]), 0.5, 3, RECURSIVE_TS),
+    ("weibull2", weibull(2), 0.5, 3, RECURSIVE_TS[:-1]),
+    ("weibull05_a0.5", weibull(0.5), 0.5, 2, RECURSIVE_TS),
+    ("weibull05_a1", weibull(0.5), 1.0, 2, RECURSIVE_TS),
+    ("weibull03", weibull(0.3), 0.5, 2, RECURSIVE_TS),
 ]
-RECURSIVE_TS = [0.0, 0.1, 0.45, 0.9, 1.3, 1.9, 2.6, 3.9]
 
 # integrate_singular_power's moment-based head: int_t^inf (x-t)^(p-1) f(x) dx
 # for three f the tests build from the catalog, and the Chebyshev moments
@@ -173,7 +179,8 @@ def smooth_partial_moment(spec, t, s):
 
 def eq_survival(spec, alpha, n, t):
     """P(X_alpha^(n) > t) = E[(X-t)_+^(n alpha)] / E[X^(n alpha)]."""
-    return partial_moment(spec, t, n * alpha) / partial_moment(spec, 0.0, n * alpha)
+    moment = smooth_partial_moment if spec["kind"] == "weibull" else partial_moment
+    return moment(spec, t, n * alpha) / moment(spec, 0.0, n * alpha)
 
 
 def singular_power(f, t, p):
@@ -214,7 +221,7 @@ def main():
         "eq_survival_recursive": [
             {"case": name, "dist": spec, "alpha": alpha, "n": n, "t": t,
              "truth": float(eq_survival(spec, alpha, n, t))}
-            for name, spec, alpha, n in RECURSIVE_CASES for t in RECURSIVE_TS
+            for name, spec, alpha, n, ts in RECURSIVE_CASES for t in ts
             if t < _law(spec)[2]],
         "singular_power": [
             {"f": name, "p": p, "t": t, "truth": float(singular_power(f, t, p))}

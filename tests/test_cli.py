@@ -339,6 +339,16 @@ class TestRun:
             main(argv + ["--out", str(tmp_path / "x.json")])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("g", ['[{"coef":"2","exp":1}]', '[{"coef":2,"exp":true}]'],
+                             ids=["string", "boolean"])
+    def test_non_number_g_term_exits_2(self, tmp_path, g):
+        # float() once read "2" as 2 and true as 1, and the case exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["taylor", "--dist", EXP1, "--g", g, "--alpha", "0.5", "--n", "1",
+                  "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("g", ['""', "{}"])
     def test_non_list_g_exits_2(self, tmp_path, g):
         # a string or an object once ran as the zero function and exited 0

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import rel_diff
 from fraceq import fracops, numerics, suite
-from fraceq.distributions import (exponential, uniform, upper_partial_moment,
-                                  weibull)
+from fraceq.distributions import (exponential, numeric, uniform,
+                                  upper_partial_moment, weibull)
 from fraceq.errors import DivergenceError, InvalidParameterError
 from fraceq.fracops import (PowerSum, power_caputo_derivative,
                             power_expectation, power_rl_derivative,
@@ -200,6 +200,43 @@ class TestWeylIntegral:
         monkeypatch.setattr(fracops, "_tabulate", counted)
         weyl_table(weibull(2.0, 1.0), 0.5, (1.0, 1.0))
         assert len(nodes) <= 450
+
+    # the benchmark's unjittered 5-knot Exp(1) table and its fixed Weibull law;
+    # c is where the survival falls to 2^-60: 4 + ln(0.0183 2^60) / decay
+    # on the table's exponential tail, and sqrt(60 ln 2) for Weibull(2,1)
+    KNOT_TABLE = [(0.0, 1.0), (0.5, 0.6065), (1.0, 0.3679), (2.0, 0.1353), (4.0, 0.0183)]
+    SPENT_CASES = [
+        ("knot table", lambda: numeric(TestWeylIntegral.KNOT_TABLE),
+         4.0 + math.log(0.0183 * 2.0 ** 60) / (math.log(0.1353 / 0.0183) / 2.0), 5394),
+        ("Weibull(2,1)", lambda: weibull(2.0, 1.0), math.sqrt(60.0 * math.log(2.0)), 860),
+    ]
+
+    @pytest.mark.parametrize("make,cut,budget", [case[1:] for case in SPENT_CASES],
+                             ids=[case[0] for case in SPENT_CASES])
+    def test_table_nodes_stop_where_the_law_is_spent(self, monkeypatch, make, cut, budget):
+        # each node integrated out to the truncation point T of I^0.5 Fbar(0),
+        # 256 and 64 here, in 9,452 and 1,206 panels; the counts are exact on
+        # any machine
+        panels = []
+        gk15 = numerics._gk15
+        monkeypatch.setattr(numerics, "_gk15",
+                            lambda f, a, b: panels.append(1) or gk15(f, a, b))
+        nodes = []  # (upper, the largest x its integrand was sampled at)
+
+        def traced(f, t, p, cfg=None, *, upper=None, breakpoints=()):
+            seen = []
+            res = integrate_singular_power(lambda x: seen.append(x) or f(x), t, p, cfg,
+                                           upper=upper, breakpoints=breakpoints)
+            if upper is not None:  # the call without one sets T
+                nodes.append((upper, max(seen, default=-math.inf)))
+            return res
+
+        monkeypatch.setattr(fracops, "integrate_singular_power", traced)
+        _, T = weyl_table(make(), 0.5)
+        assert len(panels) <= budget
+        c = nodes[0][0]
+        assert c < T and rel_diff(c, cut) <= 1e-12
+        assert all(upper == c and seen <= c for upper, seen in nodes)
 
     def test_divergent_tail_raises(self):
         from fraceq.distributions import DistributionModel, fractional_moment
