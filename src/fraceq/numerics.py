@@ -1,11 +1,13 @@
 """Special functions and adaptive quadrature.
 
 Everything else in the package integrates through this module: a 7/15
-Gauss-Kronrod pair refined by interval bisection, a semi-infinite driver
-that truncates by geometric doubling, and two treatments of a power-law
-weight (x - t)^(p-1) at an endpoint: a change of variables that removes
-it for p < 1, and for non-integer p > 1 a Clenshaw-Curtis panel built on
-the weight's modified Chebyshev moments.  All operations are pure.
+Gauss-Kronrod pair refined by interval bisection in one adaptive pass
+(_refine_pieces) that serves a single interval and every finite piece of
+a split integral alike, a semi-infinite driver that truncates by
+geometric doubling, and two treatments of a power-law weight
+(x - t)^(p-1) at an endpoint: a change of variables that removes it for
+p < 1, and for non-integer p > 1 a Clenshaw-Curtis panel built on the
+weight's modified Chebyshev moments.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class IntegralResult:
 DEFAULT_CONFIG = QuadratureConfig()
 
 _EPS = 2.220446049250313e-16
-_MAX_DEPTH = 60  # bisections of one panel before integrate_interval gives up
+_MAX_DEPTH = 60  # bisections of one panel before _refine_pieces gives up
 _MIN_PANEL_ULPS = 1024  # a panel this few ulps of its midpoint wide is not bisected
 _TAIL_EPSILON = 1e-14  # relative size of the doubling increment that ends a tail
 
@@ -267,19 +269,27 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return value, err
 
 
+_Panel = tuple[float, float, float, float]  # evaluated: (left, right, value, error)
+
+
+def _seed(f: Callable[[float], float], a: float, b: float) -> list[_Panel]:
+    """integrate_interval's seed on [a, b]: its two halves, evaluated.
+
+    Two panels give the refinement an error signal even when a feature
+    hides between the nodes of a single panel.
+    """
+    mid = 0.5 * (a + b)
+    return [(a, mid, *_gk15(f, a, mid)), (mid, b, *_gk15(f, mid, b))]
+
+
 def integrate_interval(f: Callable[[float], float], a: float, b: float,
                        cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Adaptive Gauss-Kronrod integration of f over the finite [a, b].
 
-    Bisects the panel with the largest error estimate until the summed
-    estimate meets max(abs_tol, rel_tol * |value|).  It stops unconverged
-    when that panel has had _MAX_DEPTH bisections or is at most
-    _MIN_PANEL_ULPS ulps of its midpoint wide, where floats no longer
-    resolve it and its nodes crowd onto any singular point inside.  Ties
-    in the error estimate go to the panel with the lowest index, where a
-    bisected panel's left half keeps its index and its right half takes
-    the next free one; the bisection order, hence the result, is
-    therefore fixed bit for bit.
+    Seeds [a, b] with its two halves and returns them when their summed
+    estimate meets max(abs_tol, rel_tol * |value|); otherwise the two
+    panels are refined as one piece by _refine_pieces, whose bisection
+    order, and hence the result, is fixed bit for bit.
     """
     cfg = cfg or DEFAULT_CONFIG
     if a == b:
@@ -287,32 +297,13 @@ def integrate_interval(f: Callable[[float], float], a: float, b: float,
     if b < a:
         res = integrate_interval(f, b, a, cfg)
         return IntegralResult(-res.value, res.error_estimate, res.converged)
-
-    # seed with two panels so the refinement loop has an error signal even
-    # when a feature hides between the nodes of a single panel
-    mid = 0.5 * (a + b)
-    lv, le = _gk15(f, a, mid)
-    rv, re = _gk15(f, mid, b)
-    values = [lv, rv]
-    errs = [le, re]
-    total_value = math.fsum(values)
-    total_err = math.fsum(errs)
-    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    if total_err <= max(abs_tol, rel_tol * abs(total_value)):
-        return IntegralResult(total_value, total_err, True)
-    # (-error, index, left, right, depth): the heap top is the worst panel
-    heap = [(-le, 0, a, mid, 1), (-re, 1, mid, b, 1)]
-    heapq.heapify(heap)
-    converged = True
-    while True:
-        if _bisect(f, heap, values, errs) is None:
-            converged = False
-            break
-        total_value = math.fsum(values)
-        total_err = math.fsum(errs)
-        if total_err <= max(abs_tol, rel_tol * abs(total_value)):
-            break
-    return IntegralResult(total_value, total_err, converged)
+    seed = _seed(f, a, b)
+    (_, _, lv, le), (_, _, rv, re) = seed
+    value = math.fsum((lv, rv))
+    err = math.fsum((le, re))
+    if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        return IntegralResult(value, err, True)
+    return _refine_pieces(f, [seed], [], cfg)
 
 
 def _bisect(f: Callable[[float], float], heap: list, values: list[float],
@@ -341,63 +332,72 @@ def _bisect(f: Callable[[float], float], heap: list, values: list[float],
     return change
 
 
-def _refine_pieces(f: Callable[[float], float], pieces: list[list[float]],
+def _refine_pieces(f: Callable[[float], float], pieces: list[list[_Panel]],
                    outside: list[IntegralResult],
                    cfg: QuadratureConfig) -> IntegralResult:
     """Sum of the integrals of f over ``pieces`` and of the ``outside`` results.
 
-    Each piece is given by the edges of its seed panels: one panel, or
-    two halves as integrate_interval seeds.  The pieces are refined in
-    one adaptive pass, as QUADPACK's dqagp does (Piessens et al., 1983):
-    while a piece misses max(abs_tol, rel_tol * |piece|), the rule
-    integrate_interval applies to a whole interval, its worst panel is
-    bisected.  Then, while the summed error of every piece, the
-    ``outside`` ones (integrated elsewhere) included, misses the
-    tolerance of the summed value, the worst panel of any piece is
-    bisected, at most once per panel the pass held when this step began.
-    A panel at _bisect's limits ends the pass unconverged.  The sums
-    that steer the pass are running sums; the result is summed afresh.
+    The one loop that bisects Gauss-Kronrod panels, in QUADPACK dqagp's
+    order (Piessens et al., 1983).  Each piece is a list of panels
+    (left, right, value, error) the caller has already evaluated: one
+    panel, or the two halves of _seed.  First, while a piece misses
+    max(abs_tol, rel_tol * |piece|), its worst panel is bisected; a piece
+    that meets it at its seed is left as it is.  Then the panels and the
+    ``outside`` results (pieces integrated elsewhere) are summed once,
+    and while that sum misses its tolerance the worst panel of any piece
+    is bisected, at most once per panel held when this step began, and
+    not at all when the ``outside`` errors alone miss it.
+
+    The worst panel is the one with the largest error estimate.  Ties go
+    to the lowest index: the seed panels are numbered in order, and a
+    bisected panel's left half keeps its index while its right half
+    takes the next free one, so the bisection order, hence the result, is
+    fixed bit for bit.  A panel is not bisected after _MAX_DEPTH
+    bisections, a seed half counting one, nor when it is at most
+    _MIN_PANEL_ULPS ulps of its midpoint wide, where floats no longer
+    resolve it and its nodes crowd onto any singular point inside; its
+    piece then stops, unconverged, and the summed step is skipped.
+    Running sums steer the pass; the result is summed afresh.
     """
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     values: list[float] = []
     errs: list[float] = []
     heap = []
     converged = all(r.converged for r in outside)
-    value = math.fsum(r.value for r in outside)
-    out_err = err = math.fsum(r.error_estimate for r in outside)
-    for edges in pieces:
-        piece = []
-        for a, b in zip(edges, edges[1:]):
-            pv, pe = _gk15(f, a, b)
-            piece.append((-pe, len(values), a, b, len(edges) - 2))
-            values.append(pv)
-            errs.append(pe)
+    for piece in pieces:
+        panels = [(-e, len(values) + k, a, b, len(piece) - 1)
+                  for k, (a, b, _, e) in enumerate(piece)]
+        values += [v for _, _, v, _ in piece]
+        errs += [e for _, _, _, e in piece]
         v = math.fsum(values[-len(piece):])
         e = math.fsum(errs[-len(piece):])
-        heapq.heapify(piece)
-        while e > max(abs_tol, rel_tol * abs(v)):
-            change = _bisect(f, piece, values, errs)
+        if e > max(abs_tol, rel_tol * abs(v)):
+            heapq.heapify(panels)
+            while e > max(abs_tol, rel_tol * abs(v)):
+                change = _bisect(f, panels, values, errs)
+                if change is None:
+                    converged = False
+                    break
+                v += change[0]
+                e += change[1]
+        heap += panels
+    value = math.fsum(values + [r.value for r in outside])
+    err = math.fsum(errs + [r.error_estimate for r in outside])
+    if converged and err > max(abs_tol, rel_tol * abs(value)):
+        # the pass cannot make up for outside pieces that miss the tolerance alone
+        out_err = math.fsum(r.error_estimate for r in outside)
+        budget = len(values) if out_err < max(abs_tol, rel_tol * abs(value)) else 0
+        heapq.heapify(heap)
+        while budget and err > max(abs_tol, rel_tol * abs(value)):
+            change = _bisect(f, heap, values, errs)
             if change is None:
                 converged = False
                 break
-            v += change[0]
-            e += change[1]
-        heap += piece
-        value += v
-        err += e
-    heapq.heapify(heap)
-    # the pass cannot make up for outside pieces that miss the tolerance alone
-    budget = len(values) if out_err < max(abs_tol, rel_tol * abs(value)) else 0
-    while converged and budget and err > max(abs_tol, rel_tol * abs(value)):
-        change = _bisect(f, heap, values, errs)
-        if change is None:
-            converged = False
-            break
-        value += change[0]
-        err += change[1]
-        budget -= 1
-    value = math.fsum(values + [r.value for r in outside])
-    err = math.fsum(errs + [r.error_estimate for r in outside])
+            value += change[0]
+            err += change[1]
+            budget -= 1
+        value = math.fsum(values + [r.value for r in outside])
+        err = math.fsum(errs + [r.error_estimate for r in outside])
     converged = converged and err <= max(abs_tol, rel_tol * abs(value))
     return IntegralResult(value, err, converged)
 
@@ -492,9 +492,9 @@ def _head_weights(p: float) -> tuple[list[float], list[float]]:
 
 
 def _singular_head(f: Callable[[float], float], integrand: Callable[[float], float],
-                   t: float, b: float, p: float,
-                   cfg: QuadratureConfig) -> list[IntegralResult]:
-    """Pieces of int_t^b (x - t)^(p-1) f(x) dx for a non-integer p > 1.
+                   t: float, b: float, p: float, cfg: QuadratureConfig
+                   ) -> tuple[IntegralResult, list[list[_Panel]]] | None:
+    """Head panel of int_t^b (x - t)^(p-1) f(x) dx for a non-integer p > 1.
 
     The panel at t is the Clenshaw-Curtis rule of degree 24 for the
     weight.  Its error estimate is |I_24 - I_12|, but at least twice the
@@ -505,20 +505,22 @@ def _singular_head(f: Callable[[float], float], integrand: Callable[[float], flo
     [0, 1], with a = k/200 and p from 1.2 to 3.5, |I_24 - I_12| fell
     below the true error by up to 115-fold, the coefficient term never
     below 1.6 times it.  While the estimate misses the tolerance the
-    panel is halved and its right half goes to integrate_interval with
-    ``integrand``, the weighted f; it stops unconverged after _MAX_DEPTH
-    halvings or at a panel at most _MIN_PANEL_ULPS ulps of its midpoint
-    wide.  f is sampled at t itself; where f(t) is not finite there are
-    no pieces, and the caller integrates the weight directly.
+    panel is halved and its right half is split off, seeded by _seed on
+    ``integrand``, the weighted f, for the caller's _refine_pieces; it
+    stops unconverged after _MAX_DEPTH halvings or at a panel at most
+    _MIN_PANEL_ULPS ulps of its midpoint wide.  Returns the head's
+    result and the seeded halves.  f is sampled at t itself; where f(t)
+    is not finite it returns None, and the caller integrates the weight
+    directly.
     """
     w24, w12 = _head_weights(p)
     mass = 2.0 ** p / p  # int_{-1}^{1} (1+y)^(p-1) dy
-    pieces = []
+    halves = []
     for depth in range(_MAX_DEPTH + 1):
         half = 0.5 * (b - t)
         fx = [f(t + half * (1.0 + y)) for y in _CC_POINTS]
         if not math.isfinite(fx[-1]):  # f(t): a singular f needs rules that avoid t
-            return []
+            return None
         scale = half ** p
         value = scale * math.fsum(map(operator.mul, w24, fx))
         gap = abs(value - scale * math.fsum(map(operator.mul, w12, fx[::2])))
@@ -533,9 +535,9 @@ def _singular_head(f: Callable[[float], float], integrand: Callable[[float], flo
         converged = False
         if depth == _MAX_DEPTH or b - t <= _MIN_PANEL_ULPS * math.ulp(mid):
             break
-        pieces.append(integrate_interval(integrand, mid, b, cfg))
+        halves.append(_seed(integrand, mid, b))
         b = mid
-    return pieces + [IntegralResult(value, err, converged)]
+    return IntegralResult(value, err, converged), halves
 
 
 def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
@@ -554,12 +556,17 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
     is not finite the weight is integrated directly from t.  ``upper``
     is forwarded as in integrate_semi_infinite.  Each of the sorted
     ``breakpoints`` (kinks of f) strictly between t and ``upper`` becomes
-    a cut, mapped into u when p < 1.  The pieces between cuts, and the
-    piece from the last cut to a finite ``upper``, are refined in one
-    pass (see _refine_pieces); past the last cut an unbounded integral
-    runs as it would from t.  Split integrals converge only if every
-    piece does and their summed error meets the tolerance.  Beyond the
-    head, an integral with no breakpoint is integrate_semi_infinite's.
+    a cut, mapped into u when p < 1.
+
+    An integral with a cut or a head panel is split, and every finite
+    piece of it is refined in one pass (see _refine_pieces): the halves
+    the head splits off and the piece between each pair of cuts, seeded
+    with one panel, and the piece from the last cut to a finite
+    ``upper``, seeded with two halves as integrate_interval seeds it.
+    Only the head panel itself and, past the last cut, an unbounded
+    tail, which runs as it would from t, stay outside the pass.  A split
+    integral converges only if every piece does and their summed error
+    meets the tolerance.  An unsplit integral is integrate_semi_infinite's.
     """
     cfg = cfg or DEFAULT_CONFIG
     if p <= 0.0:
@@ -567,7 +574,7 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
     finite = upper is not None and math.isfinite(upper)
     edges = [x for x in breakpoints if x > t and not (finite and x >= upper)]
     start = t
-    head = []
+    outside, pieces = [], []
     if p < 1.0:
         inv_p = 1.0 / p
         integrand = lambda u: f(t + u ** inv_p) / p
@@ -581,28 +588,29 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
         to_var = lambda x: x
         if p != math.floor(p):
             b = min([t + 1.0] + edges[:1] + ([upper] if finite else []))
-            head = _singular_head(f, integrand, t, b, p, cfg) if b > t else []
-            if head:
+            split = _singular_head(f, integrand, t, b, p, cfg) if b > t else None
+            if split:
+                head, pieces = split
+                outside = [head]
                 start = b
                 edges = [x for x in edges if x > b]
     cuts = [to_var(x) for x in [start] + edges]
-    pieces = [[a, b] for a, b in zip(cuts, cuts[1:])]
-    if edges and finite:
-        # the finite tail joins the pass, seeded with two halves as
-        # integrate_interval seeds it: f decays there, and one panel
-        # rarely holds a decay
-        lo, hi = cuts[-1], to_var(upper)
-        pieces.append([lo, 0.5 * (lo + hi), hi])
-        tail, trunc = [], hi
+    lo = cuts[-1]
+    if not (edges or outside):
+        res = integrate_semi_infinite(integrand, lo, cfg,
+                                      upper=to_var(upper) if finite else None)
     else:
-        tail = [integrate_semi_infinite(integrand, cuts[-1], cfg,
-                                        upper=to_var(upper) if finite else None)]
-        trunc = tail[0].truncation_point
-    if edges or head:
-        res = _refine_pieces(integrand, pieces, head + tail, cfg)
+        pieces += [[(a, b, *_gk15(integrand, a, b))] for a, b in zip(cuts, cuts[1:])]
+        if finite:
+            # seeded with two halves: f decays there, and one panel rarely holds a decay
+            trunc = to_var(upper)
+            if trunc > lo:
+                pieces.append(_seed(integrand, lo, trunc))
+        else:
+            outside.append(integrate_semi_infinite(integrand, lo, cfg))
+            trunc = outside[-1].truncation_point
+        res = _refine_pieces(integrand, pieces, outside, cfg)
         res = IntegralResult(res.value, res.error_estimate, res.converged, trunc)
-    else:
-        res = tail[0]
     if p >= 1.0:
         return res
     try:

@@ -3,12 +3,13 @@
 Each criterion delegates to the suite module (the same code behind the
 CLI 'suite' command) and asserts every row at its stated tolerance.  The
 rows come from the session-wide ``criterion_rows`` fixture, which runs
-each criterion once and shares it with the CLI suite test.
+each criterion once and shares it with the CLI suite test.  A last test
+bounds the Gauss-Kronrod panels the whole battery runs.
 """
 
 import pytest
 
-from fraceq import suite
+from fraceq import numerics, suite
 
 CRITERION_TITLES = {
     1: "exponential fixed point, sup gap <= 1e-7",
@@ -38,3 +39,19 @@ def test_criterion(number, criterion_rows):
         print(f"     failed: {row.check} {row.params} "
               f"residual={row.residual:.3g} tol={row.tolerance:.3g}")
     assert not failed, f"criterion {number} failed {len(failed)} of {len(rows)} checks"
+
+
+def test_battery_panel_count(monkeypatch):
+    # Gauss-Kronrod panels are an exact count, the same on any machine;
+    # 15,264 is one run_all's count when this guard was set
+    panels = 0
+    gk15 = numerics._gk15
+
+    def counted(f, a, b):
+        nonlocal panels
+        panels += 1
+        return gk15(f, a, b)
+
+    monkeypatch.setattr(numerics, "_gk15", counted)
+    suite.run_all()
+    assert panels <= 15_264

@@ -209,8 +209,9 @@ class TestSingularPower:
             a = k / 40.0
             f = lambda x: math.exp(-x) + max(a - x, 0.0)
             # a tolerance of 1 accepts the first panel, [0, 1] itself
-            (head,) = numerics._singular_head(f, lambda x: math.sqrt(x) * f(x), 0.0, 1.0,
-                                              p, QuadratureConfig(1.0, 1.0))
+            head, halves = numerics._singular_head(f, lambda x: math.sqrt(x) * f(x), 0.0,
+                                                   1.0, p, QuadratureConfig(1.0, 1.0))
+            assert halves == []
             exact = lower_gamma + a ** (p + 1.0) / (p * (p + 1.0))
             assert abs(head.value - exact) <= head.error_estimate, a
 
@@ -233,18 +234,22 @@ class TestSingularPower:
             elif p == 1.0:
                 plain = integrate_semi_infinite(f, t, upper=upper)
             else:
-                # the moment-based head panel on [t, t + 1], or on [t, upper],
-                # then the weight integrated directly beyond it
+                # the moment-based head panel on [t, t + 1], or on [t, upper];
+                # its halves and a finite tail refined in one pass, an
+                # unbounded tail integrated directly outside it
                 weighted = lambda x: (x - t) ** (p - 1.0) * f(x)
                 b = t + 1.0 if upper is None else min(t + 1.0, upper)
-                tail = integrate_semi_infinite(weighted, b, upper=upper)
-                pieces = numerics._singular_head(f, weighted, t, b, p,
-                                                 numerics.DEFAULT_CONFIG) + [tail]
-                value = math.fsum(r.value for r in pieces)
-                err = math.fsum(r.error_estimate for r in pieces)
-                converged = (all(r.converged for r in pieces)
-                             and err <= max(1e-10, 1e-8 * abs(value)))
-                plain = IntegralResult(value, err, converged, tail.truncation_point)
+                head, pieces = numerics._singular_head(f, weighted, t, b, p,
+                                                       numerics.DEFAULT_CONFIG)
+                if upper is None:
+                    tail = integrate_semi_infinite(weighted, b)
+                    outside, trunc = [head, tail], tail.truncation_point
+                else:
+                    pieces = pieces + [_reference_seed(weighted, b, upper)]
+                    outside, trunc = [head], upper
+                value, err, converged, _ = _reference_refine(weighted, pieces, outside,
+                                                             numerics.DEFAULT_CONFIG)
+                plain = IntegralResult(value, err, converged, trunc)
             assert integrate_singular_power(f, t, p, upper=upper, breakpoints=()) == plain
         # breakpoints at or below t, or at or past the upper limit, are not edges
         outside = (0.1, t, 2.5, 3.0)
@@ -286,6 +291,18 @@ class TestSingularPower:
         assert tight.error_estimate <= 2.0 * e
         assert abs(tight.value - 20.0 / 3.0) <= abs(loose.value - 20.0 / 3.0)
 
+    def test_head_and_finite_tail_meet_the_summed_tolerance_together(self):
+        # the head panel's halves and the finite tail [1, 10], whose teeth
+        # are not cuts, are refined in one pass: each meets its own
+        # tolerance, and the summed step brings their sum within 1e-10
+        f = lambda x: math.sqrt(x - math.floor(x))
+        res = integrate_singular_power(f, 0.0, 1.5, QuadratureConfig(1e-10, 1e-300),
+                                       upper=10.0)
+        assert res.converged
+        assert res.error_estimate <= 1e-10
+        # sum over k < 10 of int_0^1 sqrt(k + u) sqrt(u) du, 30-digit mpmath
+        assert abs(res.value - 14.254567754866229218) <= res.error_estimate
+
 
 HONESTY_CASES = [
     (lambda x: math.exp(-x), 0.0, None, 1.0),
@@ -323,9 +340,9 @@ def test_converged_respects_tolerances():
     assert res.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
 
 
-# Reference kernel: a rolled 15-point panel and a refinement loop that
-# finds the worst panel by linear scan and re-sums after every bisection.
-# integrate_interval must reproduce it bit for bit.
+# Reference kernel: a rolled 15-point panel, and a refinement pass over
+# seeded pieces that finds the worst panel by linear scan.
+# integrate_interval and every split integral must reproduce it bit for bit.
 def _reference_gk15(f, a, b):
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -352,39 +369,77 @@ def _reference_gk15(f, a, b):
     return value, err
 
 
+def _reference_seed(f, a, b):
+    mid = 0.5 * (a + b)
+    return [(a, mid, *_reference_gk15(f, a, mid)), (mid, b, *_reference_gk15(f, mid, b))]
+
+
+def _reference_refine(f, pieces, outside, cfg):
+    """(value, error, converged, whether the summed step ran) of the pass."""
+    # [error, left, right, depth, value]: a bisected panel's left half
+    # keeps its place and its right half is appended
+    panels = []
+    tol = lambda value: max(cfg.abs_tol, cfg.rel_tol * abs(value))
+
+    def bisect(candidates):
+        worst = max(candidates, key=lambda i: panels[i][0])  # the lowest index on ties
+        err, lo, hi, depth, value = panels[worst]
+        mid = 0.5 * (lo + hi)
+        if (depth >= numerics._MAX_DEPTH
+                or hi - lo <= numerics._MIN_PANEL_ULPS * math.ulp(mid)):
+            return None
+        lv, le = _reference_gk15(f, lo, mid)
+        rv, re = _reference_gk15(f, mid, hi)
+        panels[worst] = [le, lo, mid, depth + 1, lv]
+        panels.append([re, mid, hi, depth + 1, rv])
+        return lv + rv - value, le + re - err
+
+    def total():
+        return (math.fsum([p[4] for p in panels] + [r.value for r in outside]),
+                math.fsum([p[0] for p in panels] + [r.error_estimate for r in outside]))
+
+    converged = all(r.converged for r in outside)
+    for piece in pieces:
+        first = len(panels)
+        panels += [[err, lo, hi, len(piece) - 1, value] for lo, hi, value, err in piece]
+        value = math.fsum(p[4] for p in panels[first:])
+        err = math.fsum(p[0] for p in panels[first:])
+        while err > tol(value):  # running sums, as the pass keeps them
+            change = bisect(range(first, len(panels)))
+            if change is None:
+                converged = False
+                break
+            value += change[0]
+            err += change[1]
+    value, err = total()
+    summed = converged and err > tol(value)
+    if summed:
+        out_err = math.fsum(r.error_estimate for r in outside)
+        budget = len(panels) if out_err < tol(value) else 0
+        while budget and err > tol(value):
+            change = bisect(range(len(panels)))
+            if change is None:
+                converged = False
+                break
+            value += change[0]
+            err += change[1]
+            budget -= 1
+        value, err = total()
+    return value, err, converged and err <= tol(value), summed
+
+
 def _reference_integrate_interval(f, a, b, cfg):
     if a == b:
         return 0.0, 0.0, True
     if b < a:
         value, err, converged = _reference_integrate_interval(f, b, a, cfg)
         return -value, err, converged
-    mid0 = 0.5 * (a + b)
-    lv0, le0 = _reference_gk15(f, a, mid0)
-    rv0, re0 = _reference_gk15(f, mid0, b)
-    panels = [(le0, a, mid0, 1, lv0), (re0, mid0, b, 1, rv0)]
-    converged = True
-    while True:
-        total_value = math.fsum(p[4] for p in panels)
-        total_err = math.fsum(p[0] for p in panels)
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_value))
-        if total_err <= tol:
-            break
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, lo, hi, depth, _ = panels[worst]
-        mid = 0.5 * (lo + hi)
-        if (depth >= numerics._MAX_DEPTH
-                or hi - lo <= numerics._MIN_PANEL_ULPS * math.ulp(mid)):
-            converged = False
-            break
-        lv, le = _reference_gk15(f, lo, mid)
-        rv, re = _reference_gk15(f, mid, hi)
-        panels[worst] = (le, lo, mid, depth + 1, lv)
-        panels.append((re, mid, hi, depth + 1, rv))
-    total_value = math.fsum(p[4] for p in panels)
-    total_err = math.fsum(p[0] for p in panels)
-    if total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_value)):
-        converged = False
-    return total_value, total_err, converged
+    seed = _reference_seed(f, a, b)
+    value = math.fsum(p[2] for p in seed)
+    err = math.fsum(p[3] for p in seed)
+    if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        return value, err, True
+    return _reference_refine(f, [seed], [], cfg)[:3]
 
 
 def _kernel_battery(count):
@@ -453,6 +508,56 @@ def test_bisection_stops_where_floats_run_out():
         res.require()
     # the default tolerances converge before the panels get that narrow
     assert integrate_interval(f, -2.0, 2.0).converged
+
+
+def _split_battery(count):
+    """(label, f, t, upper, cuts, cfg) cases at p = 1, with 1-4 cuts inside (t, upper)."""
+    rng = random.Random(20161019)
+
+    def family(k, cuts):
+        c = rng.choice(cuts)
+        if k == 0:  # a singular derivative at every integer
+            return "teeth", lambda x: math.sqrt(x - math.floor(x))
+        if k == 1:
+            return "kinks", lambda x: math.exp(-x) * sum(abs(x - u) for u in cuts)
+        if k == 2:  # a jump where no cut is
+            s = rng.uniform(cuts[0] - 1.0, cuts[-1] + 1.0)
+            return "step", lambda x: 1.0 if x >= s else -0.5
+        if k == 3:
+            return "|x-c|^-0.3", lambda x: abs(x - c) ** -0.3
+        return "1/|x-c|", lambda x: 1.0 / abs(x - c)  # not integrable
+
+    for _ in range(count):
+        t = rng.uniform(-1.0, 1.0)
+        upper = t + rng.uniform(0.5, 8.0)
+        cuts = tuple(sorted(rng.uniform(t, upper) for _ in range(rng.randint(1, 4))))
+        label, f = family(rng.randrange(5), cuts)
+        cfg = QuadratureConfig(10.0 ** rng.uniform(-14.0, -6.0),
+                               10.0 ** rng.uniform(-12.0, -4.0))
+        yield label, f, t, upper, cuts, cfg
+
+
+def test_split_integrals_match_reference_pass():
+    # every finite piece joins the pass: one panel between cuts, two halves
+    # from the last cut to upper
+    summed = nonconverged = 0
+    labels = set()
+    for label, f, t, upper, cuts, cfg in _split_battery(200):
+        calls, ref_calls = [], []
+        res = integrate_singular_power(lambda x: calls.append(x) or f(x), t, 1.0, cfg,
+                                       upper=upper, breakpoints=cuts)
+        g = lambda x: ref_calls.append(x) or f(x)
+        edges = (t,) + cuts
+        pieces = [[(a, b, *_reference_gk15(g, a, b))] for a, b in zip(edges, edges[1:])]
+        pieces.append(_reference_seed(g, cuts[-1], upper))
+        *ref, ran = _reference_refine(g, pieces, [], cfg)
+        assert (res.value, res.error_estimate, res.converged) == tuple(ref), (label, cuts)
+        assert res.truncation_point == upper
+        assert calls == ref_calls, (label, cuts)
+        summed += ran
+        nonconverged += not res.converged
+        labels.add(label)
+    assert summed > 0 and nonconverged > 0 and len(labels) == 5
 
 
 def test_config_validation():
