@@ -347,21 +347,19 @@ def power_mean(g: PowerSum, X: DistributionModel) -> float:
 
 
 def power_expectation(g: PowerSum, density: Callable[[float], float], *,
-                      upper: float | None = None,
-                      breakpoints: tuple[float, ...] = ()) -> float:
+                      upper: float | None = None) -> float:
     """E[g(Z)] for Z with the given density.
 
     Integrates term by term with the singular-power rule, so exponents in
     (-1, 0) are handled exactly once.  Every term must converge, which
     certifies E[|g(Z)|] < inf.  ``upper`` declares where the density
-    vanishes, and ``breakpoints`` where it has kinks.
+    vanishes.
     """
     value = 0.0
     for coef, exp in g.terms:
         if exp <= -1.0:
             raise DivergenceError(
                 f"E[g(Z)] diverges: exponent {exp:g} <= -1 in {g.describe()}")
-        res = integrate_singular_power(density, 0.0, exp + 1.0, upper=upper,
-                                       breakpoints=breakpoints)
+        res = integrate_singular_power(density, 0.0, exp + 1.0, upper=upper)
         value += coef * res.require(f"E[Z^{exp:g}] against numeric density")
     return value

@@ -273,13 +273,15 @@ _Panel = tuple[float, float, float, float]  # evaluated: (left, right, value, er
 
 
 def _seed(f: Callable[[float], float], a: float, b: float) -> list[_Panel]:
-    """integrate_interval's seed on [a, b]: its two halves, evaluated.
+    """The two halves integrate_interval seeds [a, b] with, as evaluated panels.
 
     Two panels give the refinement an error signal even when a feature
     hides between the nodes of a single panel.
     """
     mid = 0.5 * (a + b)
-    return [(a, mid, *_gk15(f, a, mid)), (mid, b, *_gk15(f, mid, b))]
+    lv, le = _gk15(f, a, mid)
+    rv, re = _gk15(f, mid, b)
+    return [(a, mid, lv, le), (mid, b, rv, re)]
 
 
 def integrate_interval(f: Callable[[float], float], a: float, b: float,
@@ -357,36 +359,42 @@ def _refine_pieces(f: Callable[[float], float], pieces: list[list[_Panel]],
     _MIN_PANEL_ULPS ulps of its midpoint wide, where floats no longer
     resolve it and its nodes crowd onto any singular point inside; its
     piece then stops, unconverged, and the summed step is skipped.
-    Running sums steer the pass; the result is summed afresh.
+    A piece is re-summed after each of its bisections, so a single piece
+    stops exactly where a loop that re-sums every panel would; running
+    sums steer only the summed step, and the result is summed afresh.
     """
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     values: list[float] = []
     errs: list[float] = []
-    heap = []
-    converged = all(r.converged for r in outside)
+    done = []  # per piece: where its panels start in values, and its heap (indices within it)
+    converged = all([r.converged for r in outside])
     for piece in pieces:
-        panels = [(-e, len(values) + k, a, b, len(piece) - 1)
-                  for k, (a, b, _, e) in enumerate(piece)]
-        values += [v for _, _, v, _ in piece]
-        errs += [e for _, _, _, e in piece]
-        v = math.fsum(values[-len(piece):])
-        e = math.fsum(errs[-len(piece):])
+        pv, pe, panels = [], [], []
+        for a, b, v, e in piece:
+            panels.append((-e, len(pv), a, b, len(piece) - 1))
+            pv.append(v)
+            pe.append(e)
+        v, e = math.fsum(pv), math.fsum(pe)
         if e > max(abs_tol, rel_tol * abs(v)):
             heapq.heapify(panels)
             while e > max(abs_tol, rel_tol * abs(v)):
-                change = _bisect(f, panels, values, errs)
-                if change is None:
+                if _bisect(f, panels, pv, pe) is None:
                     converged = False
                     break
-                v += change[0]
-                e += change[1]
-        heap += panels
+                v, e = math.fsum(pv), math.fsum(pe)
+        done.append((len(values), panels))
+        values += pv
+        errs += pe
+    if len(pieces) == 1 and not outside:  # its own phase summed a lone piece last
+        return IntegralResult(v, e, converged)
     value = math.fsum(values + [r.value for r in outside])
     err = math.fsum(errs + [r.error_estimate for r in outside])
     if converged and err > max(abs_tol, rel_tol * abs(value)):
         # the pass cannot make up for outside pieces that miss the tolerance alone
         out_err = math.fsum(r.error_estimate for r in outside)
         budget = len(values) if out_err < max(abs_tol, rel_tol * abs(value)) else 0
+        heap = [(e, first + i, a, b, depth)
+                for first, panels in done for e, i, a, b, depth in panels]
         heapq.heapify(heap)
         while budget and err > max(abs_tol, rel_tol * abs(value)):
             change = _bisect(f, heap, values, errs)

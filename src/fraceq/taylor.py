@@ -70,9 +70,7 @@ def _remainder(h: PowerSum, X: DistributionModel, alpha: float, n: int) -> float
         return 0.0
     top = (n + 1) * alpha
     view = EquilibriumView(X, alpha, n + 1)
-    # the equilibrium density has a kink wherever X's law does
-    value = power_expectation(h, eq_density_fn(view), upper=X.support_upper,
-                              breakpoints=X.breakpoints)
+    value = power_expectation(h, eq_density_fn(view), upper=X.support_upper)
     return fractional_moment(X, top) / gamma(top + 1.0) * value
 
 

@@ -340,9 +340,10 @@ def test_converged_respects_tolerances():
     assert res.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
 
 
-# Reference kernel: a rolled 15-point panel, and a refinement pass over
-# seeded pieces that finds the worst panel by linear scan.
-# integrate_interval and every split integral must reproduce it bit for bit.
+# Reference kernel: a rolled 15-point panel; a refinement loop that finds
+# the worst panel by linear scan and re-sums after every bisection, which
+# integrate_interval must reproduce bit for bit; and a refinement pass
+# over seeded pieces, which every split integral must reproduce.
 def _reference_gk15(f, a, b):
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -402,15 +403,14 @@ def _reference_refine(f, pieces, outside, cfg):
     for piece in pieces:
         first = len(panels)
         panels += [[err, lo, hi, len(piece) - 1, value] for lo, hi, value, err in piece]
-        value = math.fsum(p[4] for p in panels[first:])
-        err = math.fsum(p[0] for p in panels[first:])
-        while err > tol(value):  # running sums, as the pass keeps them
-            change = bisect(range(first, len(panels)))
-            if change is None:
+        while True:  # the piece re-summed after each bisection
+            value = math.fsum(p[4] for p in panels[first:])
+            err = math.fsum(p[0] for p in panels[first:])
+            if err <= tol(value):
+                break
+            if bisect(range(first, len(panels))) is None:
                 converged = False
                 break
-            value += change[0]
-            err += change[1]
     value, err = total()
     summed = converged and err > tol(value)
     if summed:
@@ -434,12 +434,33 @@ def _reference_integrate_interval(f, a, b, cfg):
     if b < a:
         value, err, converged = _reference_integrate_interval(f, b, a, cfg)
         return -value, err, converged
-    seed = _reference_seed(f, a, b)
-    value = math.fsum(p[2] for p in seed)
-    err = math.fsum(p[3] for p in seed)
-    if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-        return value, err, True
-    return _reference_refine(f, [seed], [], cfg)[:3]
+    mid0 = 0.5 * (a + b)
+    lv0, le0 = _reference_gk15(f, a, mid0)
+    rv0, re0 = _reference_gk15(f, mid0, b)
+    panels = [(le0, a, mid0, 1, lv0), (re0, mid0, b, 1, rv0)]
+    converged = True
+    while True:
+        total_value = math.fsum(p[4] for p in panels)
+        total_err = math.fsum(p[0] for p in panels)
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total_value))
+        if total_err <= tol:
+            break
+        worst = max(range(len(panels)), key=lambda i: panels[i][0])
+        _, lo, hi, depth, _ = panels[worst]
+        mid = 0.5 * (lo + hi)
+        if (depth >= numerics._MAX_DEPTH
+                or hi - lo <= numerics._MIN_PANEL_ULPS * math.ulp(mid)):
+            converged = False
+            break
+        lv, le = _reference_gk15(f, lo, mid)
+        rv, re = _reference_gk15(f, mid, hi)
+        panels[worst] = (le, lo, mid, depth + 1, lv)
+        panels.append((re, mid, hi, depth + 1, rv))
+    total_value = math.fsum(p[4] for p in panels)
+    total_err = math.fsum(p[0] for p in panels)
+    if total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_value)):
+        converged = False
+    return total_value, total_err, converged
 
 
 def _kernel_battery(count):

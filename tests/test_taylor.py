@@ -176,14 +176,3 @@ class TestCaputoExpectation:
             cap = caputo_taylor_expectation(g, X, 1.0, n)
             assert abs(rl.rhs - cap.rhs) < 1e-7, (label, n)
             assert abs(rl.lhs - cap.lhs) < 1e-14
-
-
-@pytest.mark.parametrize("expand,g", [
-    (rl_taylor_expectation, PowerSum.from_terms([(1.21, 1.0), (2.67, 2.0)])),
-    (caputo_taylor_expectation, PowerSum.from_terms([(1.0, 1.0), (1.0, 2.0)])),
-])
-def test_remainder_cuts_at_the_kinks_of_the_law(expand, g):
-    # the equilibrium density of Uniform(0.017, 0.81) has a kink at 0.017;
-    # integrated blind to it, the remainder left a residual near 2e-7
-    report = expand(g, uniform(0.017, 0.81), 0.5, 1)
-    assert abs(report.residual) <= 1e-12
