@@ -36,6 +36,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+_MAX_GRID = 4096  # --grid points; a grid of 1e11 would exhaust memory while it is built
+
 
 def _json_argument(raw: str):
     """Inline JSON, or @path to a JSON file."""
@@ -101,8 +103,8 @@ def _grid_size(raw: str) -> int:
         value = int(raw)
     except ValueError:
         value = 0
-    if value < 8:
-        raise argparse.ArgumentTypeError(f"need an integer >= 8, got '{raw}'")
+    if not 8 <= value <= _MAX_GRID:
+        raise argparse.ArgumentTypeError(f"need 8 to {_MAX_GRID} points, got '{raw}'")
     return value
 
 
@@ -123,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tol.add_argument("--tol", type=_tolerance, help="tolerance override")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid", type=_grid_size, default=16,
-                      help="number of grid points (>= 8)")
+                      help=f"number of grid points (8 to {_MAX_GRID})")
 
     p = sub.add_parser("eqdist", parents=[report, tol, grid],
                        help="equilibrium survival vs recursive oracle")

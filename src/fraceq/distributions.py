@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DivergenceError, InvalidParameterError
@@ -37,7 +36,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DistributionModel:
     """A nonnegative random variable, seen through its survival function.
 
@@ -59,14 +57,32 @@ class DistributionModel:
     ``_lifted``.
     """
 
+    __slots__ = ("label", "survival", "support_upper", "closed_form_moment",
+                 "closed_form_partial", "negative_partial", "density_ac", "breakpoints")
     label: str
     survival: Callable[[float], float]
-    support_upper: float = math.inf
-    closed_form_moment: Callable[[float], float] | None = None
-    closed_form_partial: Callable[[float, float], float] | None = None
-    negative_partial: Callable[[float, float], float] | None = None
-    density_ac: Callable[[float], float] | None = None
-    breakpoints: tuple[float, ...] = ()
+    support_upper: float
+    closed_form_moment: Callable[[float], float] | None
+    closed_form_partial: Callable[[float, float], float] | None
+    negative_partial: Callable[[float, float], float] | None
+    density_ac: Callable[[float], float] | None
+    breakpoints: tuple[float, ...]
+
+    def __init__(self, label: str, survival: Callable[[float], float],
+                 support_upper: float = math.inf,
+                 closed_form_moment: Callable[[float], float] | None = None,
+                 closed_form_partial: Callable[[float, float], float] | None = None,
+                 negative_partial: Callable[[float, float], float] | None = None,
+                 density_ac: Callable[[float], float] | None = None,
+                 breakpoints: tuple[float, ...] = ()) -> None:
+        self.label = label
+        self.survival = survival
+        self.support_upper = support_upper
+        self.closed_form_moment = closed_form_moment
+        self.closed_form_partial = closed_form_partial
+        self.negative_partial = negative_partial
+        self.density_ac = density_ac
+        self.breakpoints = breakpoints
 
     def __repr__(self) -> str:  # keep reports readable
         return f"DistributionModel({self.label})"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .distributions import (DistributionModel, fractional_moment, quantile,
@@ -36,25 +35,28 @@ __all__ = [
 _MAX_RECURSION_ORDER = 3
 
 
-@dataclass(frozen=True)
 class EquilibriumView:
     """X seen through its order-(alpha, n) fractional equilibrium variable."""
 
+    __slots__ = ("base", "alpha", "n", "norm")
     base: DistributionModel
     alpha: float
     n: int
-    norm: float = field(init=False)  # E[X^(n*alpha)], cached
+    norm: float  # E[X^(n*alpha)], cached
 
-    def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise InvalidParameterError(f"alpha must be > 0, got {self.alpha}")
-        if self.n < 1:
+    def __init__(self, base: DistributionModel, alpha: float, n: int) -> None:
+        if alpha <= 0.0:
+            raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
+        if n < 1:
             raise InvalidParameterError("equilibrium views need n >= 1")
-        norm = fractional_moment(self.base, self.total)
+        self.base = base
+        self.alpha = alpha
+        self.n = n
+        norm = fractional_moment(base, self.total)
         if not (0.0 < norm < math.inf):
             raise DivergenceError(
                 f"E[X^{self.total:g}] must be finite and positive, got {norm}")
-        object.__setattr__(self, "norm", norm)
+        self.norm = norm
 
     @property
     def total(self) -> float:
@@ -142,15 +144,22 @@ def first_order_cdf_interpretation(X: DistributionModel, alpha: float,
     return alpha * res.require("interval-probability integral") / norm
 
 
-@dataclass(frozen=True)
 class CharacterizationReport:
     """Outcome of the exponential fixed-point scan."""
 
+    __slots__ = ("is_fixed_point", "max_deviation", "witness", "deviations")
     is_fixed_point: bool
     max_deviation: float
     # (alpha, n, t) of the worst deviation; None for a fixed point (noise only)
     witness: tuple[float, int, float] | None
     deviations: dict  # (alpha, n) -> max deviation over the grid
+
+    def __init__(self, is_fixed_point: bool, max_deviation: float,
+                 witness: tuple[float, int, float] | None, deviations: dict) -> None:
+        self.is_fixed_point = is_fixed_point
+        self.max_deviation = max_deviation
+        self.witness = witness
+        self.deviations = deviations
 
 
 def characterization_check(X: DistributionModel, alphas: Sequence[float],

@@ -12,10 +12,10 @@ weight's modified Chebyshev moments.  All operations are pure.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DivergenceError, InvalidParameterError
@@ -35,19 +35,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances shared by every quadrature call."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
+    __slots__ = ("abs_tol", "rel_tol")
+    abs_tol: float
+    rel_tol: float
 
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> None:
+        if abs_tol <= 0 or rel_tol <= 0:
             raise InvalidParameterError("tolerances must be strictly positive")
+        self.abs_tol = abs_tol
+        self.rel_tol = rel_tol
 
 
-@dataclass(frozen=True)
 class IntegralResult:
     """Value, error estimate and convergence flag of a quadrature.
 
@@ -56,10 +57,22 @@ class IntegralResult:
     finite interval.
     """
 
+    __slots__ = ("value", "error_estimate", "converged", "truncation_point")
     value: float
     error_estimate: float
     converged: bool
-    truncation_point: float | None = None
+    truncation_point: float | None
+
+    def __init__(self, value: float, error_estimate: float, converged: bool,
+                 truncation_point: float | None = None) -> None:
+        self.value = value
+        self.error_estimate = error_estimate
+        self.converged = converged
+        self.truncation_point = truncation_point
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is IntegralResult and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def require(self, what: str = "integral") -> float:
         if not self.converged:
@@ -492,10 +505,11 @@ def _chebyshev_moments(p: float) -> list[float]:
     return ri
 
 
-def _head_weights(p: float) -> tuple[list[float], list[float]]:
+@functools.lru_cache(maxsize=128)  # a pass asks for about 30 p; tuples, shared safely
+def _head_weights(p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Clenshaw-Curtis weights on 25 and on 13 nested points for (1+y)^(p-1)."""
     ri = _chebyshev_moments(p)
-    return tuple([math.fsum(map(operator.mul, row, ri)) for row in _CC_TRANSFORM[n]]
+    return tuple(tuple(math.fsum(map(operator.mul, row, ri)) for row in _CC_TRANSFORM[n])
                  for n in (24, 12))
 
 

@@ -11,7 +11,6 @@ residual), ``info_row`` (an always-passing value) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from . import actuarial, distributions, equilibrium, fracops, order_mvt, taylor
 from .distributions import exponential, hyperexp2, uniform, weibull, zero_inflated
@@ -24,10 +23,10 @@ __all__ = ["CheckOutcome", "run_all", "CRITERIA", "outcome", "identity_row",
            "info_row", "direct_vs_recursive"]
 
 
-@dataclass(frozen=True)
 class CheckOutcome:
     """One report row; a nonfinite lhs, rhs or residual is a numerical failure."""
 
+    __slots__ = ("check", "params", "lhs", "rhs", "residual", "tolerance", "passed")
     check: str
     params: dict
     lhs: float
@@ -36,11 +35,19 @@ class CheckOutcome:
     tolerance: float
     passed: bool
 
-    def __post_init__(self) -> None:
-        values = (self.lhs, self.rhs, self.residual)
+    def __init__(self, check: str, params: dict, lhs: float, rhs: float,
+                 residual: float, tolerance: float, passed: bool) -> None:
+        values = (lhs, rhs, residual)
         if not all(math.isfinite(v) for v in values):
-            raise FloatingPointError(f"check {self.check} {_jsonable(self.params)} "
+            raise FloatingPointError(f"check {check} {_jsonable(params)} "
                                      f"has a nonfinite lhs/rhs/residual {values}")
+        self.check = check
+        self.params = params
+        self.lhs = lhs
+        self.rhs = rhs
+        self.residual = residual
+        self.tolerance = tolerance
+        self.passed = passed
 
     def to_json(self) -> dict:
         return {"check": self.check, "params": _jsonable(self.params),
@@ -518,5 +525,6 @@ CRITERIA = {
 
 def run_all() -> list[CheckOutcome]:
     """Run the full battery; rows carry their criterion number in params."""
-    return [replace(row, params={**row.params, "criterion": number})
+    return [CheckOutcome(row.check, {**row.params, "criterion": number}, row.lhs,
+                         row.rhs, row.residual, row.tolerance, row.passed)
             for number, fn in CRITERIA.items() for row in fn()]

@@ -7,6 +7,8 @@ each criterion once and shares it with the CLI suite test.  A last test
 bounds the Gauss-Kronrod panels the whole battery runs.
 """
 
+import math
+
 import pytest
 
 from fraceq import numerics, suite
@@ -55,3 +57,10 @@ def test_battery_panel_count(monkeypatch):
     monkeypatch.setattr(numerics, "_gk15", counted)
     suite.run_all()
     assert panels <= 15_264
+
+
+@pytest.mark.parametrize("lhs,rhs,residual", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                              (0.0, 0.0, -math.inf)])
+def test_nonfinite_row_is_a_numerical_failure(lhs, rhs, residual):
+    with pytest.raises(FloatingPointError):
+        suite.CheckOutcome("check", {"n": 1}, lhs, rhs, residual, 1e-8, True)

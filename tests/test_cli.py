@@ -52,6 +52,17 @@ class TestParse:
                         "--grid", "4"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", [
+        ["eqdist", "--dist", EXP1], ["order", "--dist-x", EXP1, "--dist-y", EXP_MEAN2]],
+        ids=["eqdist", "order"])
+    def test_grid_maximum(self, command):
+        # parse only: a grid of 1e11 points was killed while it was built
+        assert parse_args(command + ["--grid", "4096"]).grid == 4096
+        for size in ("4097", "100000000000"):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(command + ["--grid", size])
+            assert exc.value.code == EXIT_USAGE
+
     def test_suite_config(self):
         assert parse_args(["suite"]).command == "suite"
 
@@ -381,6 +392,17 @@ class TestRun:
         code = main(["eqdist", "--dist", huge, "--grid", "8",
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("lam", [1e5, pytest.param(1e8, marks=pytest.mark.xfail(
+        strict=True, reason=(
+            "the n = 1 oracle integrates the survival function from a unit first "
+            "panel with no node where Exp(1e8)'s mass is, and reads about 0 with "
+            "converged=True, a residual of 1.0 (ROADMAP item 2, the unit first panel)")))],
+        ids=["rate1e5", "rate1e8"])
+    def test_eqdist_at_a_small_scale(self, tmp_path, lam):
+        dist = f'{{"kind":"exponential","params":{{"lambda":{lam:g}}}}}'
+        assert main(["eqdist", "--dist", dist, "--alpha", "0.5", "--n", "1",
+                     "--out", str(tmp_path / "x.json")]) == EXIT_OK
 
     def test_io_error_exits_4(self, tmp_path):
         code = main(["order", "--dist-x", EXP1, "--dist-y", EXP_MEAN2,

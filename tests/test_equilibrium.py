@@ -29,6 +29,15 @@ class TestEquilibriumView:
         with pytest.raises(InvalidParameterError):
             eq_survival_recursive(X, 0.0, 1, [0.5])
 
+    def test_norm_is_computed_once(self, monkeypatch):
+        orders = []
+        moment = equilibrium.fractional_moment
+        monkeypatch.setattr(equilibrium, "fractional_moment",
+                            lambda X, s: orders.append(s) or moment(X, s))
+        view = EquilibriumView(exponential(2.0), 0.5, 3)
+        assert eq_survival(view, 0.0) == 1.0 and eq_survival(view, 1.0) < 1.0
+        assert orders == [1.5]
+
 
 class TestEqSurvival:
     def test_exponential_fixed_point_value(self):

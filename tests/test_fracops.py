@@ -20,6 +20,12 @@ class TestPowerSum:
         g = PowerSum.from_terms([(1.0, 2.0), (3.0, 0.0), (2.0, 2.0), (0.0, 5.0)])
         assert g.terms == ((3.0, 0.0), (3.0, 2.0))
 
+    def test_equal_sums_hash_alike(self):
+        a = PowerSum.from_terms([(1.0, 2.0), (3.0, 0.0)])
+        b = PowerSum.from_terms([(3.0, 0.0), (1.0, 2.0)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != PowerSum.power(2.0) and a != a.terms
+
     def test_json_roundtrip(self):
         g = PowerSum.from_terms([(2.0, -0.5), (1.0, 1.2)])
         assert PowerSum.from_json(g.to_json()) == g

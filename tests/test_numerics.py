@@ -586,6 +586,25 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
 
 
+@pytest.mark.parametrize("abs_tol,rel_tol", [(0, 1), (1e-10, 0.0), (-1.0, 1e-8)])
+def test_config_rejects_each_nonpositive_tolerance(abs_tol, rel_tol):
+    with pytest.raises(InvalidParameterError):
+        QuadratureConfig(abs_tol, rel_tol)
+
+
+def test_integral_results_compare_by_value():
+    assert IntegralResult(0.5, 1e-12, True) == IntegralResult(0.5, 1e-12, True, None)
+    assert IntegralResult(0.5, 1e-12, True) != IntegralResult(0.5, 1e-12, False)
+    assert IntegralResult(0.5, 1e-12, True, 8.0) != IntegralResult(0.5, 1e-12, True)
+
+
+def test_head_weights_are_one_shared_tuple_per_p():
+    w24, w12 = weights = numerics._head_weights(1.5)
+    assert numerics._head_weights(1.5) is weights
+    assert (len(w24), len(w12)) == (25, 13)
+    assert all(type(w) is tuple for w in weights)
+
+
 class TestGrids:
     @pytest.mark.parametrize("a,b,num", [(0.0, 1.0, 2), (0.0, 8.0 / 3.0, 30),
                                          (-1.5, 7.1, 17), (0.3, 0.3, 5)])
@@ -625,4 +644,15 @@ def test_import_does_not_load_numpy():
     probe = "import sys, fraceq.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
+def test_import_does_not_load_dataclasses():
+    # dataclasses (and the inspect it pulls in) cost about 9 ms of every
+    # command's start-up; -S keeps site's own imports out of sys.modules
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraceq.__file__)))
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import fraceq.cli; "
+             "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                         text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
