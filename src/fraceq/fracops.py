@@ -10,6 +10,7 @@ term by term, through fractional moments or against a density.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_right
 from typing import Callable, Iterable, Sequence
@@ -211,8 +212,10 @@ def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.
     """I_-^order Fbar as a table on [0, T] that is 0 beyond T: (table, T).
 
     T bounds the support, or is where I_-^order Fbar(0) truncates.  Each
-    level is a Chebyshev interpolant of degree 6, 12 or 24 per panel
-    (see _tabulate); each of its nodes is one quadrature, split at X's
+    level is a Chebyshev interpolant of degree 6, 12 or 24 per panel,
+    evaluated by Clenshaw's recurrence (see _tabulate), on panels graded
+    toward X's kinks and, where Fbar is not smooth there, toward 0 (see
+    _panel_edges); each of its nodes is one quadrature, split at X's
     breakpoints.  For an unbounded law a node integrates up to the first
     x with Fbar(x) <= _SPENT_LEVEL, or T if that comes first or is never
     reached: T, the doubling truncation in u = x^order, can lie up to
@@ -232,7 +235,7 @@ def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.
             cut = min(T, _survival_point(X, _SPENT_LEVEL))
         except DivergenceError:  # the level is not reached at any finite x
             pass
-    edges = _panel_edges(X.breakpoints, T, reach)
+    edges = _panel_edges(X.survival, X.breakpoints, T, reach)
     g = gamma(order)
     level = X.survival
     for k, scale in enumerate(scales, 1):
@@ -251,20 +254,44 @@ _GRADED_PANELS = 7  # table panels graded toward each kink
 _TAIL_DOUBLINGS = 5  # panels of doubling width between the last kink and reach
 _TAIL_LEVEL = 1e-15  # survival probability at which an unbounded law is spent
 _SPENT_LEVEL = 2.0 ** -60  # survival beyond which a table node integrates nothing
+# row k takes the values at a panel's m + 1 Chebyshev points of the second
+# kind, from its left end, to the coefficient of T_k in their interpolant
+# (a type-I discrete cosine transform, both ends of either index halved)
+_TRANSFORMS = {m: [[(1.0 if 0 < j < m else 0.5) * (1.0 if 0 < k < m else 0.5) * 2.0 / m
+                    * math.cos(math.pi * j * k / m) for j in range(m + 1)]
+                   for k in range(m + 1)]
+               for m in _DEGREES}
+_COSINES = [math.cos(math.pi * i / _DEGREES[-1]) for i in range(_DEGREES[-1] + 1)]
 
 
-def _panel_edges(kinks: Sequence[float], T: float,
+def _coefficient(row: Sequence[float], values: Sequence[float]) -> float:
+    return math.fsum(map(operator.mul, row, values))
+
+
+def _chopped(values: Sequence[float], scale: float) -> bool:
+    """Whether the last three Chebyshev coefficients of values are noise.
+
+    values sit at the Chebyshev points of a panel (see _tabulate); a
+    coefficient is noise at most _CHOP times ``scale``.
+    """
+    return all(abs(_coefficient(row, values)) <= _CHOP * scale
+               for row in _TRANSFORMS[len(values) - 1][-3:])
+
+
+def _panel_edges(survival: Callable[[float], float], kinks: Sequence[float], T: float,
                  reach: float | None) -> list[float]:
     """Table panel edges on [0, T]: 0, the kinks below T and T.
 
     A Weyl integral at u depends on its integrand on [u, inf) only, so a
     kink makes every nested level singular on its left side alone: panels
-    shrink geometrically toward each kink from the left, and toward 0,
-    where the law itself may be singular (Weibull with shape below 1).
-    When T bounds the support (reach is None) it is a kink too;
-    otherwise panel widths double past the last kink, _TAIL_DOUBLINGS of
-    them up to reach, where the survival function is spent, and on up
-    to T.
+    shrink geometrically toward each kink from the left.  When T bounds
+    the support (reach is None) it is a kink too; otherwise panel widths
+    double past the last kink, _TAIL_DOUBLINGS of them up to reach, where
+    the survival function is spent, and on up to T.  Toward 0 the panels
+    shrink only while the law needs it (Weibull of a shape that is not
+    an integer is not smooth there): while the survival function on the
+    first panel [0, w] fails the table's chop rule at degree 24, w
+    shrinks by _GRADING, _GRADED_PANELS - 1 times at most.
     """
     edges = {0.0, T}
     lo = 0.0
@@ -279,7 +306,12 @@ def _panel_edges(kinks: Sequence[float], T: float,
             edges.add(lo + width)
             width *= 2.0
     first = min(edges - {0.0})
-    edges.update(first * _GRADING ** j for j in range(1, _GRADED_PANELS))
+    for j in range(1, _GRADED_PANELS):
+        half = 0.5 * first * _GRADING ** (j - 1)
+        values = [survival(half - half * c) for c in _COSINES]
+        if _chopped(values, max(map(abs, values))):
+            break
+        edges.add(first * _GRADING ** j)
     return sorted(edges)
 
 
@@ -293,25 +325,19 @@ def _tabulate(f: Callable[[float], float],
     seen (the chopping rule of Aurentz & Trefethen, ACM TOMS 43:33,
     2017), or 24.  The point sets are nested, so a higher degree reuses
     every value taken, and a shared panel edge is evaluated once: f is
-    called once per distinct node.  A panel is evaluated in barycentric
-    form (Berrut & Trefethen, SIAM Review 46:501, 2004): weights (-1)^j,
-    halved at both ends.
+    called once per distinct node.  A panel keeps the Chebyshev
+    coefficients of its values, each summed by math.fsum, and is
+    evaluated by Clenshaw's recurrence (Clenshaw, Math. Comp. 9:118,
+    1955).
     """
     m_max = _DEGREES[-1]
-    cosines = [math.cos(math.pi * i / m_max) for i in range(m_max + 1)]
-    # coefficients m-2, m-1 and m of the degree-m interpolant, as weights
-    # on its values (a type-I discrete cosine transform, ends halved)
-    trailing = {m: [[(1.0 if 0 < j < m else 0.5) * (1.0 if k < m else 0.5) * 2.0 / m
-                     * math.cos(math.pi * j * k / m) for j in range(m + 1)]
-                    for k in (m - 2, m - 1, m)]
-                for m in _DEGREES}
     panels = []
     last = f(edges[0])
     scale = abs(last)
     for a, b in zip(edges, edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         # node i of degree m_max; degree m keeps every (m_max // m)-th one
-        xs = [a] + [mid - half * c for c in cosines[1:m_max]] + [b]
+        xs = [a] + [mid - half * c for c in _COSINES[1:m_max]] + [b]
         values = {0: last, m_max: f(b)}
         for m in _DEGREES:
             ids = range(0, m_max + 1, m_max // m)
@@ -320,27 +346,24 @@ def _tabulate(f: Callable[[float], float],
                     values[i] = f(xs[i])
             fs = [values[i] for i in ids]
             scale = max(scale, max(map(abs, fs)))
-            if m == m_max or all(abs(math.fsum(w * v for w, v in zip(row, fs)))
-                               <= _CHOP * scale for row in trailing[m]):
+            if m == m_max or _chopped(fs, scale):
                 break
         last = fs[-1]
-        panels.append([(xs[i], fj, (1.0 if 0 < j < m else 0.5) * (-1.0) ** j)
-                       for j, (i, fj) in enumerate(zip(ids, fs))])
+        # the points run from a, where T_k(cos pi) = (-1)^k, so the
+        # interpolant is sum_k c_k T_k((mid - x) / half)
+        coefs = [_coefficient(row, fs) for row in _TRANSFORMS[m]]
+        panels.append((mid, 2.0 / half, coefs[0], coefs[:0:-1]))
     top = edges[-1]
 
     def table(x: float) -> float:
         if x > top:
             return 0.0
-        panel = panels[bisect_right(edges, x, 1, len(panels)) - 1]
-        num = den = 0.0
-        for xj, fj, w in panel:
-            d = x - xj
-            if d == 0.0:
-                return fj
-            r = w / d
-            num += r * fj
-            den += r
-        return num / den
+        mid, two_by_half, c0, coefs = panels[bisect_right(edges, x, 1, len(panels)) - 1]
+        twice_y = (mid - x) * two_by_half
+        b1 = b2 = 0.0
+        for c in coefs:  # c_m down to c_1
+            b1, b2 = c + twice_y * b1 - b2, b1
+        return c0 + 0.5 * twice_y * b1 - b2
 
     return table
 

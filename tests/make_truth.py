@@ -67,6 +67,8 @@ GAMMA_POINTS = [  # (a, x): both branches, x = 0, either side of x = a + 1
     (0.5, 0.0), (2.5, 0.0), (0.1, 1e-3), (0.1, 1.0), (0.1, 1.2), (0.5, 1.49),
     (0.5, 1.51), (0.9, 0.5), (0.9, 10.0), (2.5, 1.0), (2.5, 3.49), (2.5, 3.51),
     (2.5, 50.0), (0.5, 1e4),
+    # small a just below x = a + 1, where the series branch cancels
+    (0.01, 0.997), (0.1, 1.07), (0.001, 0.9),
 ]
 
 # eq_survival on a deductible table, s = n * alpha > 0 (quadrature path)

@@ -192,11 +192,12 @@ class TestWeylIntegral:
         monkeypatch.setattr(numerics, "_gk15", counted)
         rows = suite.criterion_3_semigroup()
         assert all(row.passed for row in rows)
-        assert len(panels) <= 10_000
+        assert len(panels) <= 3_856
 
     def test_nested_table_node_budget(self, monkeypatch):
         # two levels of Weibull(2,1) at order 0.5 took 770 node quadratures
-        # with degree 24 on every panel
+        # with degree 24 on every panel, and 380 with six panels graded
+        # toward 0, where its survival function is smooth
         nodes = []
         tabulate = fracops._tabulate
 
@@ -205,7 +206,7 @@ class TestWeylIntegral:
 
         monkeypatch.setattr(fracops, "_tabulate", counted)
         weyl_table(weibull(2.0, 1.0), 0.5, (1.0, 1.0))
-        assert len(nodes) <= 450
+        assert len(nodes) <= 290
 
     # the benchmark's unjittered 5-knot Exp(1) table and its fixed Weibull law;
     # c is where the survival falls to 2^-60: 4 + ln(0.0183 2^60) / decay
@@ -213,8 +214,8 @@ class TestWeylIntegral:
     KNOT_TABLE = [(0.0, 1.0), (0.5, 0.6065), (1.0, 0.3679), (2.0, 0.1353), (4.0, 0.0183)]
     SPENT_CASES = [
         ("knot table", lambda: numeric(TestWeylIntegral.KNOT_TABLE),
-         4.0 + math.log(0.0183 * 2.0 ** 60) / (math.log(0.1353 / 0.0183) / 2.0), 5394),
-        ("Weibull(2,1)", lambda: weibull(2.0, 1.0), math.sqrt(60.0 * math.log(2.0)), 860),
+         4.0 + math.log(0.0183 * 2.0 ** 60) / (math.log(0.1353 / 0.0183) / 2.0), 5010),
+        ("Weibull(2,1)", lambda: weibull(2.0, 1.0), math.sqrt(60.0 * math.log(2.0)), 572),
     ]
 
     @pytest.mark.parametrize("make,cut,budget", [case[1:] for case in SPENT_CASES],
@@ -255,6 +256,40 @@ class TestWeylIntegral:
             fractional_moment(heavy, 1.0)
 
 
+class _Edges(Exception):
+    pass
+
+
+def _table_edges(monkeypatch, X):
+    """(edges, edges without grading toward 0) of weyl_table(X, 0.5)."""
+    panel_edges = fracops._panel_edges
+
+    def stop(survival, *args):
+        raise _Edges(panel_edges(survival, *args), panel_edges(lambda x: 1.0, *args))
+
+    monkeypatch.setattr(fracops, "_panel_edges", stop)
+    with pytest.raises(_Edges) as info:
+        weyl_table(X, 0.5)
+    return info.value.args
+
+
+class TestPanelEdges:
+    @pytest.mark.parametrize("k", [0.3, 1.5])
+    def test_law_singular_at_0_keeps_six_graded_panels(self, monkeypatch, k):
+        # x^k is not smooth at 0, so Fbar = e^(-x^k) fails the chop rule there
+        edges, ungraded = _table_edges(monkeypatch, weibull(k, 1.0))
+        first = ungraded[1]
+        assert edges == sorted(ungraded + [first * 0.2 ** j for j in range(1, 7)])
+
+    @pytest.mark.parametrize("make", [
+        lambda: exponential(1.0), lambda: weibull(2.0, 1.0),
+        lambda: numeric(TestWeylIntegral.KNOT_TABLE), lambda: uniform(0.0, 1.0)],
+        ids=["Exp(1)", "Weibull(2,1)", "knot table", "Uniform(0,1)"])
+    def test_law_smooth_at_0_gets_no_graded_panels(self, monkeypatch, make):
+        edges, ungraded = _table_edges(monkeypatch, make())
+        assert edges == ungraded
+
+
 def _tabulate_traced(f, edges):
     """(table, per-panel degrees, calls) of fracops._tabulate on f."""
     calls = []
@@ -288,15 +323,41 @@ class TestTabulate:
         scale = max(abs(p(x)) for x in xs)
         assert max(abs(table(x) - p(x)) for x in xs) <= 1e-14 * scale
 
+    def test_clenshaw_matches_the_barycentric_form(self):
+        # the reference is the barycentric formula on each panel's own nodes,
+        # weights (-1)^j halved at both ends (Berrut & Trefethen, SIAM Review
+        # 46:501, 2004), which reads back the same polynomial another way
+        f = lambda x: math.exp(-x) + math.sqrt(min(x, 0.01))
+        edges = [0.0, 0.01, 0.1, 1.0, 2.0, 4.0]
+        table, degrees, calls = _tabulate_traced(f, edges)
+        assert degrees == [24, 12, 12, 24, 24]
+
+        def barycentric(x):
+            a, b = next((a, b) for a, b in zip(edges, edges[1:]) if x <= b)
+            nodes = [a] + sorted(c for c in calls if a < c < b) + [b]
+            m = len(nodes) - 1
+            num = den = 0.0
+            for j, xj in enumerate(nodes):
+                if x == xj:
+                    return f(xj)
+                r = (1.0 if 0 < j < m else 0.5) * (-1.0) ** j / (x - xj)
+                num += r * f(xj)
+                den += r
+            return num / den
+
+        xs = linspace(0.0, 4.0, 1999)
+        scale = max(abs(f(x)) for x in xs)
+        assert max(abs(table(x) - barycentric(x)) for x in xs) <= 1e-14 * scale
+
     def test_panels_graded_toward_a_support_end_keep_degree_24(self):
         # I^0.5[(1-x)_+](t) = (1-t)_+^1.5 / Gamma(2.5) is singular at 1
         X = uniform(0.0, 1.0)
-        edges = fracops._panel_edges(X.breakpoints, X.support_upper, None)
+        edges = fracops._panel_edges(X.survival, X.breakpoints, X.support_upper, None)
         exact = lambda t: (1.0 - t) ** 1.5 / math.gamma(2.5)
         table, degrees, _ = _tabulate_traced(exact, edges)
         graded = [m for a, m in zip(edges, degrees) if a >= 0.5]
         assert len(graded) == 7 and set(graded) == {24}
-        assert min(degrees) == 6  # the panels graded toward 0 are smooth
+        assert edges[:2] == [0.0, 0.5]  # a linear survival needs no grading toward 0
         assert max(abs(table(t) - exact(t)) for t in linspace(0.0, 1.0, 4001)) <= 1e-9
 
 

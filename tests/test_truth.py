@@ -35,27 +35,14 @@ def test_negative_partial_moment(entry):
         assert rel_diff(fractional_moment(X, s), truth) <= BOUND
 
 
-# u = (x - t)^0.9 leaves a u^(1/0.9 - 1) factor in the integrand's derivative
-ORDER_0_9_SUBSTITUTION = pytest.mark.xfail(strict=True, reason=(
-    "s = -0.1 integrates the density in u = (x-t)^0.9, whose integrand is not "
-    "smooth at u = 0, so the value is only as good as the default tolerance, "
-    "about 5e-12 (ROADMAP item 9, the p < 1 step)"))
-
-
 # the layer cake integrates e^(-x^0.7) in u = x^0.5, which is e^(-u^1.4)
 ORDER_0_5_WEIBULL_07 = pytest.mark.xfail(strict=True, reason=(
     "s = 0.5 at t = 0 integrates Weibull(0.7)'s survival in u = x^0.5, where "
     "e^(-u^1.4) is not smooth at u = 0, so the value is about 8.6e-12 off "
-    "(ROADMAP item 9, the p < 1 step)"))
-
-
-def _by_the_density(entry):
-    return entry["t"] > 0.0 or build(entry["dist"]).closed_form_moment is None
+    "(ROADMAP item 10)"))
 
 
 def _known_defects(entry):
-    if entry["s"] == -0.1 and _by_the_density(entry):
-        return [ORDER_0_9_SUBSTITUTION]
     if entry["s"] == 0.5 and entry["t"] == 0.0 and entry["case"] in ("weibull07",
                                                                      "zero_inflated"):
         return [ORDER_0_5_WEIBULL_07]
@@ -102,13 +89,14 @@ def test_eq_survival_on_a_deductible_table():
 
 
 RECURSIVE = TRUTH["eq_survival_recursive"]
-# a table's panels are graded toward 0 only from its first tail-doubling
-# edge, about reach/32 (0.27 wide for Weibull(0.3)), so a law singular at
-# 0 is tabulated coarsely there: 4.3e-7 off at t = 0 for Weibull(0.3)
+# a table's panels are graded toward 0 at most six times from its first
+# tail-doubling edge, about reach/32 (0.27 wide for Weibull(0.3)), so a law
+# singular at 0 is tabulated coarsely there: 4.3e-7 off at t = 0 for
+# Weibull(0.3)
 SINGULAR_AT_ZERO = {("weibull03", 0.0), ("weibull03", 0.1), ("weibull05_a0.5", 0.0)}
 SINGULAR_AT_ZERO_DEFECT = pytest.mark.xfail(strict=True, reason=(
-    "weyl_table grades no panels toward 0 below its first tail-doubling edge, "
-    "so a law singular at 0 is tabulated coarsely there (ROADMAP item 4)"))
+    "weyl_table grades at most six panels toward 0 below its first tail-doubling "
+    "edge, so a law singular at 0 is tabulated coarsely there (ROADMAP item 4)"))
 
 
 def _recursive_errors(entries):
