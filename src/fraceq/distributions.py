@@ -278,15 +278,16 @@ def numeric(knots: list[tuple[float, float]]) -> DistributionModel:
             return 0.0
         return s_last * math.exp(-decay * (t - t_last))
 
-    # density of each linear segment [ts[i], ts[i+1]]
-    slopes = [(ss[i] - ss[i + 1]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)]
+    # (left, right, density) of each linear segment [ts[i], ts[i+1]]
+    segments = [(ts[i], ts[i + 1], (ss[i] - ss[i + 1]) / (ts[i + 1] - ts[i]))
+                for i in range(len(ts) - 1)]
 
     def negative_partial(t: float, s: float) -> float:
         # int (x-t)^s f(x) dx over x > t: one power term per segment, and
         # Gamma(s+1, x) for the exponential tail; the atom at 0 is never above t
         p = s + 1.0
         terms = [c * ((hi - t) ** p - (max(lo, t) - t) ** p) / p
-                 for lo, hi, c in zip(ts, ts[1:], slopes) if hi > t]
+                 for lo, hi, c in segments if hi > t]
         if s_last > 0.0:
             terms.append(s_last * decay ** -s * math.exp(-decay * max(t - t_last, 0.0))
                          * scaled_upper_gamma(p, decay * max(t_last - t, 0.0)))

@@ -37,15 +37,21 @@ __all__ = [
 
 
 class QuadratureConfig:
-    """Tolerances shared by every quadrature call."""
+    """Tolerances shared by every quadrature call; each finite and > 0.
+
+    An infinite tolerance passes every error estimate, and a NaN one
+    stops refinement before it starts, so either let a quadrature report
+    converged=True from its seed panels alone.
+    """
 
     __slots__ = ("abs_tol", "rel_tol")
     abs_tol: float
     rel_tol: float
 
     def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> None:
-        if abs_tol <= 0 or rel_tol <= 0:
-            raise InvalidParameterError("tolerances must be strictly positive")
+        if not (0.0 < abs_tol < math.inf and 0.0 < rel_tol < math.inf):
+            raise InvalidParameterError(
+                f"tolerances must be finite and > 0, got ({abs_tol}, {rel_tol})")
         self.abs_tol = abs_tol
         self.rel_tol = rel_tol
 
@@ -123,6 +129,12 @@ def beta(a: float, b: float) -> float:
 _GAMMA_MAX_TERMS = 500  # series terms or continued-fraction levels
 _LENTZ_TINY = 1e-300  # stands in for a zero denominator in Lentz's method
 _SMALL_A = 0.2  # below it the gamma series cancels from x = 0.5 to a + 1
+_SQRT_PI = math.sqrt(math.pi)
+# erfc(sqrt(x)) has a condition number of about 2x, so rounding sqrt(x)
+# costs about x * eps: against mpmath, at 1,500 random x per window, the
+# erfc form is off by at most 1.6e-15 below x = 10 but 4.1e-15 from 10 to
+# 20, where the continued fraction stays within 1.3e-15 in at most 14 levels
+_ERFC_MAX_X = 10.0
 
 
 def scaled_upper_gamma(a: float, x: float) -> float:
@@ -136,13 +148,19 @@ def scaled_upper_gamma(a: float, x: float) -> float:
     into the tail.  For a < _SMALL_A the two terms of the series branch
     nearly cancel, 2.3e-12 relative at (0.001, 0.9), so the continued
     fraction takes over from x = 0.5, where it needs at most about 170
-    levels and stays within 2.4e-14.
+    levels and stays within 2.4e-14.  At a = 1/2 and 0 < x < _ERFC_MAX_X
+    it is sqrt(pi) e^x erfc(sqrt(x)) (DiDonato & Morris, ACM TOMS 12:377,
+    1986), one math.erfc call in place of up to about 60 continued
+    fraction levels; past x = 10 the error of sqrt(x), magnified about
+    2x-fold by erfc, outgrows the continued fraction's.
     """
     if a <= 0.0 or x < 0.0:
         raise InvalidParameterError(
             f"scaled upper gamma needs a > 0 and x >= 0, got ({a}, {x})")
     if x == 0.0:
         return math.gamma(a)
+    if a == 0.5 and x < _ERFC_MAX_X:
+        return _SQRT_PI * math.exp(x) * math.erfc(math.sqrt(x))
     if x < a + 1.0 and (a >= _SMALL_A or x < 0.5):
         term = total = 1.0 / a
         ap = a

@@ -69,7 +69,18 @@ GAMMA_POINTS = [  # (a, x): both branches, x = 0, either side of x = a + 1
     (2.5, 50.0), (0.5, 1e4),
     # small a just below x = a + 1, where the series branch cancels
     (0.01, 0.997), (0.1, 1.07), (0.001, 0.9),
+    # a = 1/2: the erfc form below x = 10, the continued fraction from 10
+    (0.5, 0.3), (0.5, 4.0), (0.5, 9.99), (0.5, 10.0), (0.5, 30.0),
+    # tiny a below x = 0.5, where the series still cancels
+    (0.001, 0.3), (0.001, 0.4),
 ]
+
+# 1/Gamma from 1e-12 to 0.5 either side of its zeros 0, -1, ..., -5
+RECIPROCAL_GAMMA_XS = sorted({-n + d for n in range(6)
+                              for d in (1e-12, 1e-6, 1e-3, 0.1, 0.5, -1e-12, -1e-6,
+                                        -1e-3, -0.1, -0.5)})
+# beta on both arguments up to 5, where the package calls it
+BETA_ARGS = [0.05, 0.3, 0.5, 1.0, 1.7, 2.5, 3.3, 5.0]
 
 # eq_survival on a deductible table, s = n * alpha > 0 (quadrature path)
 EQ_SURVIVAL_DIST = {"kind": "deductible", "params": {"d": 1.0}, "inner": numeric(KINKS)}
@@ -216,6 +227,11 @@ def main():
         "scaled_upper_gamma": [
             {"a": a, "x": x, "truth": float(mp.exp(x) * mp.gammainc(a, x))}
             for a, x in GAMMA_POINTS],
+        "reciprocal_gamma": [
+            {"x": x, "truth": float(mp.rgamma(x))} for x in RECIPROCAL_GAMMA_XS],
+        "beta": [
+            {"a": a, "b": b, "truth": float(mp.beta(a, b))}
+            for i, a in enumerate(BETA_ARGS) for b in BETA_ARGS[i:]],
         "eq_survival": [
             {"dist": EQ_SURVIVAL_DIST, "alpha": EQ_SURVIVAL_ALPHA, "n": EQ_SURVIVAL_N, "t": t,
              "truth": float(eq_survival(EQ_SURVIVAL_DIST, EQ_SURVIVAL_ALPHA, EQ_SURVIVAL_N, t))}

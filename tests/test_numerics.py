@@ -586,7 +586,10 @@ def test_config_validation():
         QuadratureConfig(abs_tol=0.0)
 
 
-@pytest.mark.parametrize("abs_tol,rel_tol", [(0, 1), (1e-10, 0.0), (-1.0, 1e-8)])
+@pytest.mark.parametrize("abs_tol,rel_tol", [
+    (0, 1), (1e-10, 0.0), (-1.0, 1e-8),
+    # not finite: an infinite or NaN tolerance can end a quadrature at its seed panels
+    (math.nan, 1e-8), (math.inf, 1e-8), (1e-10, math.nan), (1e-10, math.inf)])
 def test_config_rejects_each_nonpositive_tolerance(abs_tol, rel_tol):
     with pytest.raises(InvalidParameterError):
         QuadratureConfig(abs_tol, rel_tol)
