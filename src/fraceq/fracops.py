@@ -10,7 +10,6 @@ term by term, through fractional moments or against a density.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from bisect import bisect_right
 from typing import Callable, Iterable, Sequence
@@ -18,7 +17,8 @@ from typing import Callable, Iterable, Sequence
 from .distributions import (DistributionModel, _survival_point, fractional_moment,
                             quantile)
 from .errors import DivergenceError, InvalidParameterError
-from .numerics import gamma, integrate_singular_power, reciprocal_gamma
+from .numerics import (_CHEB_DEGREES, _CHEB_POINTS, _CHEB_TRANSFORM, _coefficient, gamma,
+                       integrate_singular_power, reciprocal_gamma)
 
 __all__ = [
     "PowerSum",
@@ -247,25 +247,12 @@ def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.
     return level, T
 
 
-_DEGREES = (6, 12, 24)  # Chebyshev degrees a table panel may keep, on nested points
 _CHOP = 1e-13  # trailing coefficients this small, relative to the table, are noise
 _GRADING = 0.2  # width ratio of successive table panels toward a kink
 _GRADED_PANELS = 7  # table panels graded toward each kink
 _TAIL_DOUBLINGS = 5  # panels of doubling width between the last kink and reach
 _TAIL_LEVEL = 1e-15  # survival probability at which an unbounded law is spent
 _SPENT_LEVEL = 2.0 ** -60  # survival beyond which a table node integrates nothing
-# row k takes the values at a panel's m + 1 Chebyshev points of the second
-# kind, from its left end, to the coefficient of T_k in their interpolant
-# (a type-I discrete cosine transform, both ends of either index halved)
-_TRANSFORMS = {m: [[(1.0 if 0 < j < m else 0.5) * (1.0 if 0 < k < m else 0.5) * 2.0 / m
-                    * math.cos(math.pi * j * k / m) for j in range(m + 1)]
-                   for k in range(m + 1)]
-               for m in _DEGREES}
-_COSINES = [math.cos(math.pi * i / _DEGREES[-1]) for i in range(_DEGREES[-1] + 1)]
-
-
-def _coefficient(row: Sequence[float], values: Sequence[float]) -> float:
-    return math.fsum(map(operator.mul, row, values))
 
 
 def _chopped(values: Sequence[float], scale: float) -> bool:
@@ -275,7 +262,7 @@ def _chopped(values: Sequence[float], scale: float) -> bool:
     coefficient is noise at most _CHOP times ``scale``.
     """
     return all(abs(_coefficient(row, values)) <= _CHOP * scale
-               for row in _TRANSFORMS[len(values) - 1][-3:])
+               for row in _CHEB_TRANSFORM[len(values) - 1][-3:])
 
 
 def _panel_edges(survival: Callable[[float], float], kinks: Sequence[float], T: float,
@@ -308,7 +295,7 @@ def _panel_edges(survival: Callable[[float], float], kinks: Sequence[float], T: 
     first = min(edges - {0.0})
     for j in range(1, _GRADED_PANELS):
         half = 0.5 * first * _GRADING ** (j - 1)
-        values = [survival(half - half * c) for c in _COSINES]
+        values = [survival(half - half * c) for c in _CHEB_POINTS]
         if _chopped(values, max(map(abs, values))):
             break
         edges.add(first * _GRADING ** j)
@@ -320,7 +307,7 @@ def _tabulate(f: Callable[[float], float],
     """Piecewise Chebyshev interpolant of f on [edges[0], edges[-1]], 0 beyond.
 
     Each panel holds f at the Chebyshev points of the second kind of
-    degree 6, 12 or 24: the first of _DEGREES whose last three Chebyshev
+    degree 6, 12 or 24: the first of _CHEB_DEGREES whose last three Chebyshev
     coefficients are at most _CHOP times the largest |f| the table has
     seen (the chopping rule of Aurentz & Trefethen, ACM TOMS 43:33,
     2017), or 24.  The point sets are nested, so a higher degree reuses
@@ -330,16 +317,16 @@ def _tabulate(f: Callable[[float], float],
     evaluated by Clenshaw's recurrence (Clenshaw, Math. Comp. 9:118,
     1955).
     """
-    m_max = _DEGREES[-1]
+    m_max = _CHEB_DEGREES[-1]
     panels = []
     last = f(edges[0])
     scale = abs(last)
     for a, b in zip(edges, edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         # node i of degree m_max; degree m keeps every (m_max // m)-th one
-        xs = [a] + [mid - half * c for c in _COSINES[1:m_max]] + [b]
+        xs = [a] + [mid - half * c for c in _CHEB_POINTS[1:m_max]] + [b]
         values = {0: last, m_max: f(b)}
-        for m in _DEGREES:
+        for m in _CHEB_DEGREES:
             ids = range(0, m_max + 1, m_max // m)
             for i in ids:
                 if i not in values:
@@ -351,7 +338,7 @@ def _tabulate(f: Callable[[float], float],
         last = fs[-1]
         # the points run from a, where T_k(cos pi) = (-1)^k, so the
         # interpolant is sum_k c_k T_k((mid - x) / half)
-        coefs = [_coefficient(row, fs) for row in _TRANSFORMS[m]]
+        coefs = [_coefficient(row, fs) for row in _CHEB_TRANSFORM[m]]
         panels.append((mid, 2.0 / half, coefs[0], coefs[:0:-1]))
     top = edges[-1]
 

@@ -7,8 +7,8 @@ a split integral alike, a semi-infinite driver that truncates by
 geometric doubling, and two treatments of a power-law weight
 (x - t)^(p-1) at an endpoint: a change of variables that removes it for
 p = 1/k, and for any other p that is not an integer a Clenshaw-Curtis
-panel built on the weight's modified Chebyshev moments.  All operations
-are pure.
+panel built on the weight's modified Chebyshev moments, whose Chebyshev
+kernel fracops's oracle tables share.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ _ERFC_MAX_X = 10.0
 
 
 def scaled_upper_gamma(a: float, x: float) -> float:
-    """e^x * Gamma(a, x), the scaled upper incomplete gamma, for a > 0, x >= 0.
+    """e^x * Gamma(a, x), the scaled upper incomplete gamma, for finite a > 0, x >= 0.
 
     For x < a + 1 it is e^x Gamma(a) minus the series
     x^a sum_k x^k / (a (a+1) ... (a+k)) of the lower function; otherwise
@@ -154,9 +154,9 @@ def scaled_upper_gamma(a: float, x: float) -> float:
     fraction levels; past x = 10 the error of sqrt(x), magnified about
     2x-fold by erfc, outgrows the continued fraction's.
     """
-    if a <= 0.0 or x < 0.0:
+    if not (0.0 < a < math.inf and 0.0 <= x < math.inf):  # NaN fails too
         raise InvalidParameterError(
-            f"scaled upper gamma needs a > 0 and x >= 0, got ({a}, {x})")
+            f"scaled upper gamma needs finite a > 0 and x >= 0, got ({a}, {x})")
     if x == 0.0:
         return math.gamma(a)
     if a == 0.5 and x < _ERFC_MAX_X:
@@ -447,8 +447,7 @@ def _refine_pieces(f: Callable[[float], float], pieces: list[list[_Panel]],
 
 
 def integrate_semi_infinite(f: Callable[[float], float], a: float,
-                            cfg: QuadratureConfig | None = None, *,
-                            upper: float | None = None) -> IntegralResult:
+                            cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Integral of f over [a, +inf).
 
     Truncates at T found by geometric doubling from T0 = a + 1: doubling
@@ -456,19 +455,8 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
     test that means the same at every scale, or once the increment and
     the value are both exactly 0; unconverged, it stops when the next T
     would overflow.  The final T is reported as ``truncation_point``.
-
-    ``upper`` declares that f vanishes identically beyond that point
-    (e.g. a bounded support); the integral is then computed on [a, upper]
-    directly, which also protects against features too narrow for the
-    initial panels to see.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if upper is not None and math.isfinite(upper):
-        if upper <= a:
-            return IntegralResult(0.0, 0.0, True, truncation_point=max(a, upper))
-        res = integrate_interval(f, a, upper, cfg)
-        return IntegralResult(res.value, res.error_estimate, res.converged,
-                              truncation_point=upper)
     seg_cfg = QuadratureConfig(cfg.abs_tol / 32.0, cfg.rel_tol / 8.0)
     width = 1.0
     first = integrate_interval(f, a, a + width, seg_cfg)
@@ -495,23 +483,29 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
     return IntegralResult(value, err, converged, truncation_point=t_hi)
 
 
-# Clenshaw-Curtis head panel for the weight (x - t)^(p-1) (QUADPACK's
-# dqc25s).  f is sampled at the 25 points cos(j pi / 24) of [-1, 1]; the
-# degree-12 rule uses every other one.  Entry [j][k] of _CC_TRANSFORM[n]
-# takes sample j to the coefficient of T_k in the degree-n Chebyshev
-# interpolant (a discrete cosine transform), so row j dotted with the
-# moments of the weight is the weight of point j in the degree-n rule.
-_CC_POINTS = tuple(math.cos(j * math.pi / 24.0) for j in range(25))
+# ---------------------------------------------------------------------------
+# Chebyshev interpolation, shared by the head panel and fracops's oracle tables
+
+_CHEB_DEGREES = (6, 12, 24)  # interpolant degrees; degree m takes every (24 // m)-th point
+_CHEB_POINTS = tuple(math.cos(math.pi * j / 24) for j in range(25))  # of the second kind
+# Row k of _CHEB_TRANSFORM[m] takes the values at cos(j pi / m), j = 0..m, to
+# the coefficient of T_k in their interpolant (a type-I discrete cosine
+# transform, both ends of either index halved).  It is symmetric but for the
+# last bit of a few entries, where pi * j rounds, so row j dotted with a
+# weight's moments on T_0..T_m is the weight of point j in its degree-m rule.
+_CHEB_TRANSFORM = {m: tuple(tuple((1.0 if 0 < j < m else 0.5) * (1.0 if 0 < k < m else 0.5)
+                                  * 2.0 / m * math.cos(math.pi * j * k / m)
+                                  for j in range(m + 1)) for k in range(m + 1))
+                   for m in _CHEB_DEGREES}
 
 
-def _cosine_transform(n: int) -> tuple[tuple[float, ...], ...]:
-    half = lambda i: 0.5 if i in (0, n) else 1.0
-    return tuple(tuple(2.0 / n * half(j) * half(k) * math.cos(j * k * math.pi / n)
-                       for k in range(n + 1)) for j in range(n + 1))
+def _coefficient(row: tuple[float, ...], values: list[float]) -> float:
+    return math.fsum(map(operator.mul, row, values))
 
 
-_CC_TRANSFORM = {24: _cosine_transform(24), 12: _cosine_transform(12)}
-_CC_TAIL = tuple(zip(*_CC_TRANSFORM[24]))[22:]  # samples -> coefficients of T_22..T_24
+# Clenshaw-Curtis head panel for the weight (x - t)^(p-1) (QUADPACK's dqc25s):
+# f is sampled at the 25 _CHEB_POINTS, the degree-12 rule at every other one.
+_CC_TAIL = _CHEB_TRANSFORM[24][22:]  # values -> coefficients of T_22..T_24
 
 
 def _chebyshev_moments(p: float) -> list[float]:
@@ -532,8 +526,7 @@ def _chebyshev_moments(p: float) -> list[float]:
 def _head_weights(p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Clenshaw-Curtis weights on 25 and on 13 nested points for (1+y)^(p-1)."""
     ri = _chebyshev_moments(p)
-    return tuple(tuple(math.fsum(map(operator.mul, row, ri)) for row in _CC_TRANSFORM[n])
-                 for n in (24, 12))
+    return tuple(tuple(_coefficient(row, ri) for row in _CHEB_TRANSFORM[n]) for n in (24, 12))
 
 
 def _singular_head(f: Callable[[float], float], integrand: Callable[[float], float],
@@ -563,10 +556,11 @@ def _singular_head(f: Callable[[float], float], integrand: Callable[[float], flo
     halves = []
     for depth in range(_MAX_DEPTH + 1):
         half = 0.5 * (b - t)
-        fx = [f(t + half * (1.0 + y)) for y in _CC_POINTS]
+        fx = [f(t + half * (1.0 + y)) for y in _CHEB_POINTS]
         if not math.isfinite(fx[-1]):  # f(t): a singular f needs rules that avoid t
             return None
         scale = half ** p
+        # sums inline, not by _coefficient: a call per sum costs this hot loop
         value = scale * math.fsum(map(operator.mul, w24, fx))
         gap = abs(value - scale * math.fsum(map(operator.mul, w12, fx[::2])))
         tail = 2.0 * mass * sum(abs(math.fsum(map(operator.mul, row, fx)))
@@ -601,10 +595,11 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
     it: u = (x - t)^p would leave a factor u^(1/p - 1) that is not
     smooth at u = 0.  That rule samples f at t itself; where f(t) is not
     finite, the weight is integrated directly from t when p > 1, and
-    removed by u = (x - t)^p when p < 1.  ``upper`` is forwarded as in
-    integrate_semi_infinite.  Each of the sorted ``breakpoints`` (kinks
-    of f) strictly between t and ``upper`` becomes a cut, mapped into u
-    when u is the variable.
+    removed by u = (x - t)^p when p < 1.  A finite ``upper`` declares
+    that f vanishes beyond it: the integral then ends at max(t, upper),
+    reported as ``truncation_point``.  Each of the sorted
+    ``breakpoints`` (kinks of f) strictly between t and ``upper``
+    becomes a cut, mapped into u when u is the variable.
 
     An integral with a cut or a head panel is split, and every finite
     piece of it is refined in one pass (see _refine_pieces): the halves
@@ -614,7 +609,8 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
     Only the head panel itself and, past the last cut, an unbounded
     tail, which runs as it would from t, stay outside the pass.  A split
     integral converges only if every piece does and their summed error
-    meets the tolerance.  An unsplit integral is integrate_semi_infinite's.
+    meets the tolerance.  An unsplit integral is integrate_interval's up
+    to a finite ``upper``, and integrate_semi_infinite's otherwise.
     """
     cfg = cfg or DEFAULT_CONFIG
     if p <= 0.0:
@@ -645,25 +641,21 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
         to_var = lambda x: max(x - t, 0.0) ** p
     cuts = [to_var(x) for x in [start] + edges]
     lo = cuts[-1]
+    tail = None if finite else integrate_semi_infinite(integrand, lo, cfg)
+    trunc = max(lo, to_var(upper)) if finite else tail.truncation_point
     if not (edges or outside):
-        res = integrate_semi_infinite(integrand, lo, cfg,
-                                      upper=to_var(upper) if finite else None)
+        res = integrate_interval(integrand, lo, trunc, cfg) if finite else tail
     else:
         pieces += [[(a, b, *_gk15(integrand, a, b))] for a, b in zip(cuts, cuts[1:])]
-        if finite:
+        if not finite:
+            outside.append(tail)
+        elif trunc > lo:
             # seeded with two halves: f decays there, and one panel rarely holds a decay
-            trunc = to_var(upper)
-            if trunc > lo:
-                pieces.append(_seed(integrand, lo, trunc))
-        else:
-            outside.append(integrate_semi_infinite(integrand, lo, cfg))
-            trunc = outside[-1].truncation_point
+            pieces.append(_seed(integrand, lo, trunc))
         res = _refine_pieces(integrand, pieces, outside, cfg)
-        res = IntegralResult(res.value, res.error_estimate, res.converged, trunc)
-    if not substitute:
-        return res
-    try:
-        trunc = t + res.truncation_point ** inv_p
-    except OverflowError:  # an unconverged tail can end past the float range
-        trunc = math.inf
+    if substitute:
+        try:
+            trunc = t + trunc ** inv_p
+        except OverflowError:  # an unconverged tail can end past the float range
+            trunc = math.inf
     return IntegralResult(res.value, res.error_estimate, res.converged, trunc)

@@ -440,7 +440,7 @@ def _classical_taylor_rhs(coeffs: dict[int, float], X, n: int) -> float:
         partial = distributions.upper_partial_moment(X, t, float(n))
         return poly * (n + 1) * partial / m_top
 
-    res = integrate_semi_infinite(integrand, 0.0, upper=X.support_upper)
+    res = integrate_singular_power(integrand, 0.0, 1.0, upper=X.support_upper)
     return total + m_top / math.factorial(n + 1) * res.require("classical remainder")
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fraceq
 from fraceq import cli, suite
 from fraceq.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                         EXIT_USAGE, main, parse_args)
@@ -526,3 +530,13 @@ class TestRun:
         assert all(row["pass"] for row in doc["results"])
         criteria = {row["params"]["criterion"] for row in doc["results"]}
         assert criteria == set(range(1, 14))
+
+
+def test_module_entry_point_runs_the_suite():
+    # README's `python -m fraceq`: __main__.py hands sys.argv to cli.main
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraceq.__file__)))
+    out = subprocess.run([sys.executable, "-m", "fraceq", "suite", "--format", "csv"],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout.splitlines()[0] == "check,params,lhs,rhs,residual,tolerance,pass"

@@ -11,7 +11,8 @@ from fraceq.equilibrium import (EquilibriumView, characterization_check,
                                 first_order_cdf_interpretation)
 from fraceq.errors import InvalidParameterError
 from fraceq.fracops import PowerSum, power_expectation
-from fraceq.numerics import beta, geomspace, integrate_semi_infinite, linspace
+from fraceq.numerics import (beta, geomspace, integrate_semi_infinite,
+                             integrate_singular_power, linspace)
 
 
 class TestEquilibriumView:
@@ -96,8 +97,8 @@ class TestEqDensity:
             model = catalog[name]
             view = EquilibriumView(model, 0.5, 1)
             for t in (0.0, 0.4):
-                res = integrate_semi_infinite(eq_density_fn(view), t,
-                                              upper=model.support_upper)
+                res = integrate_singular_power(eq_density_fn(view), t, 1.0,
+                                               upper=model.support_upper)
                 assert res.converged
                 assert abs(res.value - eq_survival(view, t)) < 1e-7, (name, t)
 

@@ -98,6 +98,42 @@ class TestBeta:
             beta(a, b)
 
 
+class TestScaledUpperGamma:
+    @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-1.0, 1.0), (0.5, -1.0), (0.5, math.inf),
+                                     (0.5, math.nan), (math.nan, 1.0), (math.inf, 1.0)])
+    def test_domain_error(self, a, x):
+        # NaN and infinite arguments are rejected up front, not after the
+        # continued fraction has run out of levels
+        with pytest.raises(InvalidParameterError):
+            numerics.scaled_upper_gamma(a, x)
+
+
+class TestChebyshevTransform:
+    @pytest.mark.parametrize("m", [6, 12, 24])
+    def test_maps_chebyshev_polynomials_to_unit_vectors(self, m):
+        # T_k sampled at cos(j pi / m) has the single coefficient 1 at T_k.
+        # Each entry rounds a cosine of an argument up to pi * m, so the
+        # coefficients carry errors of about m * eps
+        rows = numerics._CHEB_TRANSFORM[m]
+        assert len(rows) == m + 1
+        for k in range(m + 1):
+            tk = [math.cos(math.pi * (k * j % (2 * m)) / m) for j in range(m + 1)]
+            for i, row in enumerate(rows):
+                assert abs(numerics._coefficient(row, tk) - (i == k)) <= m * numerics._EPS
+
+    @pytest.mark.parametrize("m", [6, 12, 24])
+    def test_is_symmetric(self, m):
+        # _head_weights dots rows, not columns, with the moments.  pi * j
+        # rounds before the product with k, so a few entries differ from
+        # their transposes in the last bits, by at most 8 eps (the entries
+        # are up to 2/m); at m = 6 none does
+        rows = numerics._CHEB_TRANSFORM[m]
+        worst = max(abs(rows[j][k] - rows[k][j]) for j in range(m + 1) for k in range(m + 1))
+        assert worst <= 8.0 * numerics._EPS
+        if m == 6:
+            assert worst == 0.0
+
+
 class TestSemiInfinite:
     @pytest.mark.parametrize("c", [1.0, 1e-12, 1e-16, 1e-20], ids=lambda c: f"c{c:g}")
     def test_exponential(self, c):
@@ -131,16 +167,18 @@ class TestSemiInfinite:
         assert not res.converged
         assert math.isfinite(res.truncation_point)
 
+    # a finite upper limit on [a, inf) is integrate_singular_power's, at p = 1
     def test_explicit_upper_bound(self):
-        res = integrate_semi_infinite(lambda x: 1.0 if x < 1.0 else 0.0, 0.0, upper=1.0)
+        res = integrate_singular_power(lambda x: 1.0 if x < 1.0 else 0.0, 0.0, 1.0,
+                                       upper=1.0)
         assert res.converged
         assert abs(res.value - 1.0) < 1e-12
         assert res.truncation_point == 1.0
 
     def test_narrow_feature_behind_upper_hint(self):
         # without the hint a bump occupying 0.1% of the first panel is invisible
-        res = integrate_semi_infinite(lambda x: 1.0 if x < 1.0 else 0.0, 0.999,
-                                      upper=1.0)
+        res = integrate_singular_power(lambda x: 1.0 if x < 1.0 else 0.0, 0.999, 1.0,
+                                       upper=1.0)
         assert abs(res.value - 0.001) < 1e-12
 
     def test_nonconvergence_flagged(self):
@@ -223,16 +261,24 @@ class TestSingularPower:
     def test_no_breakpoints_is_the_plain_path_bit_for_bit(self, p):
         f = lambda x: math.exp(-x) * (1.0 + math.sin(3.0 * x) ** 2)
         t = 0.3
-        for upper in (None, 2.5):
-            # the substitution each exponent used before breakpoints existed
-            if p < 1.0:
-                plain = integrate_semi_infinite(
-                    lambda u: f(t + u ** (1.0 / p)) / p, 0.0,
-                    upper=None if upper is None else (upper - t) ** p)
-                plain = IntegralResult(plain.value, plain.error_estimate, plain.converged,
-                                       t + plain.truncation_point ** (1.0 / p))
-            elif p == 1.0:
-                plain = integrate_semi_infinite(f, t, upper=upper)
+        for upper in (None, 2.5, 0.2, t):
+            # the substitution each exponent used before breakpoints existed;
+            # a finite upper limit is integrate_interval's
+            if upper is not None and upper <= t:
+                plain = IntegralResult(0.0, 0.0, True, t)  # nothing to integrate
+            elif p <= 1.0:
+                g, lo, end = f, t, upper
+                if p < 1.0:
+                    g = lambda u: f(t + u ** (1.0 / p)) / p
+                    lo, end = 0.0, None if upper is None else (upper - t) ** p
+                if end is None:
+                    plain = integrate_semi_infinite(g, lo)
+                    end = plain.truncation_point
+                else:
+                    plain = integrate_interval(g, lo, end)
+                if p < 1.0:
+                    end = t + end ** (1.0 / p)
+                plain = IntegralResult(plain.value, plain.error_estimate, plain.converged, end)
             else:
                 # the moment-based head panel on [t, t + 1], or on [t, upper];
                 # its halves and a finite tail refined in one pass, an
