@@ -12,6 +12,7 @@ independent of the transform g.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .distributions import DistributionModel, deductible, exponential
 from .errors import InvalidParameterError
@@ -47,19 +48,12 @@ def deductible_mvt(g: PowerSum, severity: DistributionModel, r: float, s: float,
     return mvt_verify(g, deductible(s, severity), deductible(r, severity), alpha)
 
 
-class RatioCheckReport:
+class RatioCheckReport(NamedTuple):
     """Per-g payment-difference ratios against the closed exponential form."""
 
-    __slots__ = ("ratios", "reference_ratio", "max_spread")
     ratios: tuple[float, ...]
     reference_ratio: float
     max_spread: float
-
-    def __init__(self, ratios: tuple[float, ...], reference_ratio: float,
-                 max_spread: float) -> None:
-        self.ratios = ratios
-        self.reference_ratio = reference_ratio
-        self.max_spread = max_spread
 
 
 def exponential_ratio_check(lam: float, r: float, s: float, u: float, v: float,

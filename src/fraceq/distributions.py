@@ -57,6 +57,7 @@ class DistributionModel:
     ``_lifted``.
     """
 
+    # not a NamedTuple: hot loops read these fields, and CPython specializes only slot reads
     __slots__ = ("label", "survival", "support_upper", "closed_form_moment",
                  "closed_form_partial", "negative_partial", "density_ac", "breakpoints")
     label: str

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .distributions import (DistributionModel, fractional_moment, quantile,
                             upper_partial_moment)
@@ -38,6 +38,7 @@ _MAX_RECURSION_ORDER = 3
 class EquilibriumView:
     """X seen through its order-(alpha, n) fractional equilibrium variable."""
 
+    # not a NamedTuple: the constructor checks its arguments
     __slots__ = ("base", "alpha", "n", "norm")
     base: DistributionModel
     alpha: float
@@ -144,22 +145,14 @@ def first_order_cdf_interpretation(X: DistributionModel, alpha: float,
     return alpha * res.require("interval-probability integral") / norm
 
 
-class CharacterizationReport:
+class CharacterizationReport(NamedTuple):
     """Outcome of the exponential fixed-point scan."""
 
-    __slots__ = ("is_fixed_point", "max_deviation", "witness", "deviations")
     is_fixed_point: bool
     max_deviation: float
     # (alpha, n, t) of the worst deviation; None for a fixed point (noise only)
     witness: tuple[float, int, float] | None
     deviations: dict  # (alpha, n) -> max deviation over the grid
-
-    def __init__(self, is_fixed_point: bool, max_deviation: float,
-                 witness: tuple[float, int, float] | None, deviations: dict) -> None:
-        self.is_fixed_point = is_fixed_point
-        self.max_deviation = max_deviation
-        self.witness = witness
-        self.deviations = deviations
 
 
 def characterization_check(X: DistributionModel, alphas: Sequence[float],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .distributions import (DistributionModel, _survival_point, fractional_moment,
                             quantile)
@@ -35,7 +35,7 @@ __all__ = [
 _EXP_TOL = 1e-12  # exponents this close are one exponent
 
 
-class PowerSum:
+class PowerSum(NamedTuple):
     """Finite linear combination of power functions sum_k a_k x^(b_k).
 
     Terms are kept sorted by exponent with near-equal exponents merged
@@ -44,17 +44,7 @@ class PowerSum:
     validate the range they need.
     """
 
-    __slots__ = ("terms",)
     terms: tuple[tuple[float, float], ...]
-
-    def __init__(self, terms: tuple[tuple[float, float], ...]) -> None:
-        self.terms = terms
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is PowerSum and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[float, float]]) -> "PowerSum":

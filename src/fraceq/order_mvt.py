@@ -9,7 +9,7 @@ stays testable; models built with verification keep a ``verified`` flag.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .distributions import (DistributionModel, _survival_point,
                             fractional_moment, quantile, upper_partial_moment)
@@ -48,22 +48,14 @@ def alpha_survival_transform(X: DistributionModel, alpha: float, t: float) -> fl
     return upper_partial_moment(X, t, alpha - 1.0) / gamma(alpha)
 
 
-class OrderCheckResult:
+class OrderCheckResult(NamedTuple):
     """Worst violation of the survival bounded order over a grid."""
 
-    __slots__ = ("holds", "worst_t", "worst_gap", "points")
     holds: bool
     worst_t: float
     worst_gap: float  # max of Fbar_X^(a) - Fbar_Y^(a); positive means violation
     # per grid point: (t, Fbar_X^(a)(t), Fbar_Y^(a)(t), |gap|)
     points: tuple[tuple[float, float, float, float], ...]
-
-    def __init__(self, holds: bool, worst_t: float, worst_gap: float,
-                 points: tuple[tuple[float, float, float, float], ...]) -> None:
-        self.holds = holds
-        self.worst_t = worst_t
-        self.worst_gap = worst_gap
-        self.points = points
 
 
 def default_order_grid(X: DistributionModel, Y: DistributionModel,
@@ -112,6 +104,7 @@ def check_survival_bounded_order(X: DistributionModel, Y: DistributionModel,
 class ZAlphaModel:
     """The mean-value variable built from the ordered pair (X, Y)."""
 
+    # not a NamedTuple: z_density reads these fields, and CPython specializes only slot reads
     __slots__ = ("x", "y", "alpha", "denom", "mix_c", "verified")
     x: DistributionModel
     y: DistributionModel
@@ -200,12 +193,9 @@ def fractional_variance(X: DistributionModel, alpha: float) -> float:
     return m2 - alpha * m1 * m1
 
 
-class MeanLocationReport:
+class MeanLocationReport(NamedTuple):
     """Where E[Z_alpha] sits relative to E[X^alpha] and E[Y^alpha]."""
 
-    __slots__ = ("case", "e_z", "e_x_alpha", "e_y_alpha", "threshold_low",
-                 "threshold_high", "variance_gap", "identity_residual",
-                 "balanced_mean_residual", "balanced_variance_residual")
     case: str  # below_X | between | above_Y
     e_z: float
     e_x_alpha: float
@@ -216,21 +206,6 @@ class MeanLocationReport:
     identity_residual: float
     balanced_mean_residual: float  # |E[Z] - 2a/(a+1) * (E[X^a]+E[Y^a])/2|
     balanced_variance_residual: float  # |V_a(Y) - V_a(X)|
-
-    def __init__(self, case: str, e_z: float, e_x_alpha: float, e_y_alpha: float,
-                 threshold_low: float, threshold_high: float, variance_gap: float,
-                 identity_residual: float, balanced_mean_residual: float,
-                 balanced_variance_residual: float) -> None:
-        self.case = case
-        self.e_z = e_z
-        self.e_x_alpha = e_x_alpha
-        self.e_y_alpha = e_y_alpha
-        self.threshold_low = threshold_low
-        self.threshold_high = threshold_high
-        self.variance_gap = variance_gap
-        self.identity_residual = identity_residual
-        self.balanced_mean_residual = balanced_mean_residual
-        self.balanced_variance_residual = balanced_variance_residual
 
 
 def classify_mean_location(z: ZAlphaModel) -> MeanLocationReport:
@@ -276,25 +251,15 @@ def expected_derivative_at_z(g: PowerSum, z: ZAlphaModel, alpha: float) -> float
                              upper=max(z.x.support_upper, z.y.support_upper))
 
 
-class MvtReport:
+class MvtReport(NamedTuple):
     """Both sides of the fractional mean value identity."""
 
-    __slots__ = ("lhs", "term_c0", "term_main", "residual", "c0", "z")
     lhs: float  # E[g(Y)] - E[g(X)]
     term_c0: float
     term_main: float
     residual: float
     c0: float
     z: ZAlphaModel
-
-    def __init__(self, lhs: float, term_c0: float, term_main: float, residual: float,
-                 c0: float, z: ZAlphaModel) -> None:
-        self.lhs = lhs
-        self.term_c0 = term_c0
-        self.term_main = term_main
-        self.residual = residual
-        self.c0 = c0
-        self.z = z
 
     @property
     def rhs(self) -> float:

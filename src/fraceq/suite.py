@@ -26,6 +26,7 @@ __all__ = ["CheckOutcome", "run_all", "CRITERIA", "outcome", "identity_row",
 class CheckOutcome:
     """One report row; a nonfinite lhs, rhs or residual is a numerical failure."""
 
+    # not a NamedTuple: the constructor checks its arguments
     __slots__ = ("check", "params", "lhs", "rhs", "residual", "tolerance", "passed")
     check: str
     params: dict

@@ -10,6 +10,7 @@ Riemann-Liouville and the Caputo flavors are provided.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .distributions import DistributionModel, fractional_moment
 from .equilibrium import EquilibriumView, eq_density_fn, eq_moment
@@ -27,21 +28,13 @@ __all__ = [
 ]
 
 
-class TaylorReport:
+class TaylorReport(NamedTuple):
     """E[g(X)] against its series terms and equilibrium remainder."""
 
-    __slots__ = ("lhs", "terms", "remainder", "residual")
     lhs: float
     terms: tuple[float, ...]
     remainder: float
     residual: float
-
-    def __init__(self, lhs: float, terms: tuple[float, ...], remainder: float,
-                 residual: float) -> None:
-        self.lhs = lhs
-        self.terms = terms
-        self.remainder = remainder
-        self.residual = residual
 
     @property
     def rhs(self) -> float:

@@ -62,6 +62,10 @@ SMOOTH_POINTS = [(name, spec, t, s) for name, spec in [
     ("zero_inflated", {"kind": "zero_inflated", "params": {"p": 0.3}, "inner": weibull(0.7)}),
 ] for s in SMOOTH_ORDERS for t in [0.0, 0.3, 2.0]] + [
     ("weibull005", weibull(0.05), 1.2e17, -0.5)]
+# upper_partial_moment of a law with a closed partial form, on the same grid
+CLOSED_POINTS = [("hyperexp2", {"kind": "hyperexp2",
+                                "params": {"p": 0.4, "lambda1": 1, "lambda2": 3}}, t, s)
+                 for s in SMOOTH_ORDERS for t in [0.0, 0.3, 2.0]]
 
 GAMMA_POINTS = [  # (a, x): both branches, x = 0, either side of x = a + 1
     (0.5, 0.0), (2.5, 0.0), (0.1, 1e-3), (0.1, 1.0), (0.1, 1.2), (0.5, 1.49),
@@ -74,11 +78,14 @@ GAMMA_POINTS = [  # (a, x): both branches, x = 0, either side of x = a + 1
     # tiny a below x = 0.5, where the series still cancels
     (0.001, 0.3), (0.001, 0.4),
 ]
+# (a, x) so far out that x^a alone overflows a float and mpmath's gammainc
+# underflows: the reference is x^(a-1) (1 + (a-1)/x), whose next term is
+# below 1e-290 relative
+FAR_GAMMA_POINTS = [(1.5, 1e300), (2.0, 1e250), (1.2, 1e300), (3.0, 1e150)]
 
-# 1/Gamma from 1e-12 to 0.5 either side of its zeros 0, -1, ..., -5
-RECIPROCAL_GAMMA_XS = sorted({-n + d for n in range(6)
-                              for d in (1e-12, 1e-6, 1e-3, 0.1, 0.5, -1e-12, -1e-6,
-                                        -1e-3, -0.1, -0.5)})
+# Gamma and 1/Gamma from 1e-12 to 0.5 either side of Gamma's poles 0, -1, ..., -5
+POLE_XS = sorted({-n + d for n in range(6)
+                  for d in (1e-12, 1e-6, 1e-3, 0.1, 0.5, -1e-12, -1e-6, -1e-3, -0.1, -0.5)})
 # beta on both arguments up to 5, where the package calls it
 BETA_ARGS = [0.05, 0.3, 0.5, 1.0, 1.7, 2.5, 3.3, 5.0]
 
@@ -146,6 +153,10 @@ def _law(spec):
     if kind == "weibull":
         k, lam = mp.mpf(params["k"]), mp.mpf(params["lambda"])
         return (lambda x: k / lam * (x / lam) ** (k - 1) * mp.exp(-(x / lam) ** k)), [], mp.inf
+    if kind == "hyperexp2":
+        p, lam1, lam2 = (mp.mpf(params[k]) for k in ("p", "lambda1", "lambda2"))
+        return (lambda x: p * lam1 * mp.exp(-lam1 * x)
+                + (1 - p) * lam2 * mp.exp(-lam2 * x)), [], mp.inf
     inner, kinks, end = _law(spec["inner"])
     if kind == "deductible":
         d = mp.mpf(params["d"])
@@ -171,7 +182,7 @@ def partial_moment(spec, t, s):
 
 
 def smooth_partial_moment(spec, t, s):
-    """E[(X-t)_+^s] of a Weibull law or a wrapper of one, None if it diverges.
+    """E[(X-t)_+^s] of a law with a smooth density, None if it diverges.
 
     At t = 0 a Weibull moment is lam^s Gamma(1 + s/k), finite only for
     s > -k.  Otherwise the whole integral runs in u = (x - t)^(s+1), cut
@@ -224,11 +235,17 @@ def main():
             {"case": name, "dist": spec, "t": t, "s": s,
              "truth": _float_or_none(smooth_partial_moment(spec, t, s))}
             for name, spec, t, s in SMOOTH_POINTS],
+        "closed_partial_moment": [
+            {"case": name, "dist": spec, "t": t, "s": s,
+             "truth": float(smooth_partial_moment(spec, t, s))}
+            for name, spec, t, s in CLOSED_POINTS],
         "scaled_upper_gamma": [
             {"a": a, "x": x, "truth": float(mp.exp(x) * mp.gammainc(a, x))}
-            for a, x in GAMMA_POINTS],
-        "reciprocal_gamma": [
-            {"x": x, "truth": float(mp.rgamma(x))} for x in RECIPROCAL_GAMMA_XS],
+            for a, x in GAMMA_POINTS] + [
+            {"a": a, "x": x, "truth": float(mp.mpf(x) ** (a - 1) * (1 + (a - 1) / mp.mpf(x)))}
+            for a, x in FAR_GAMMA_POINTS],
+        "gamma": [{"x": x, "truth": float(mp.gamma(x))} for x in POLE_XS],
+        "reciprocal_gamma": [{"x": x, "truth": float(mp.rgamma(x))} for x in POLE_XS],
         "beta": [
             {"a": a, "b": b, "truth": float(mp.beta(a, b))}
             for i, a in enumerate(BETA_ARGS) for b in BETA_ARGS[i:]],

@@ -17,7 +17,7 @@ from fraceq.distributions import (build, fractional_moment, hyperexp2,
 from fraceq.equilibrium import (EquilibriumView, eq_survival,
                                 eq_survival_recursive)
 from fraceq.errors import DivergenceError
-from fraceq.numerics import (beta, integrate_singular_power, reciprocal_gamma,
+from fraceq.numerics import (beta, gamma, integrate_singular_power, reciprocal_gamma,
                              scaled_upper_gamma)
 
 TRUTH = json.loads((Path(__file__).parent / "data" / "truth.json").read_text())
@@ -64,6 +64,15 @@ def test_upper_partial_moment_without_partial_forms(entry):
     assert rel_diff(got, truth) <= BOUND, (got, truth)
 
 
+@pytest.mark.parametrize("entry", TRUTH["closed_partial_moment"],
+                         ids=lambda e: f"{e['case']}-t{e['t']:g}-s{e['s']:g}")
+def test_closed_partial_moment(entry):
+    X = build(entry["dist"])
+    assert X.closed_form_partial is not None
+    got = upper_partial_moment(X, entry["t"], entry["s"])
+    assert rel_diff(got, entry["truth"]) <= BOUND, (got, entry["truth"])
+
+
 def test_truth_table_uses_the_shared_knot_table():
     tables = [e["dist"]["params"]["knots"] for e in TRUTH["negative_partial"]
               if e["case"] == "exp_knots"]
@@ -80,6 +89,12 @@ SMALL_A_BELOW_HALF = pytest.mark.xfail(strict=True, reason=(
     for e in TRUTH["scaled_upper_gamma"]], ids=lambda e: f"a{e['a']:g}-x{e['x']:g}")
 def test_scaled_upper_gamma(entry):
     got = scaled_upper_gamma(entry["a"], entry["x"])
+    assert rel_diff(got, entry["truth"]) <= BOUND, (got, entry["truth"])
+
+
+@pytest.mark.parametrize("entry", TRUTH["gamma"], ids=lambda e: f"x{e['x']!r}")
+def test_gamma_near_its_poles(entry):
+    got = gamma(entry["x"])
     assert rel_diff(got, entry["truth"]) <= BOUND, (got, entry["truth"])
 
 
