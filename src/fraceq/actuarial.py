@@ -67,8 +67,10 @@ def exponential_ratio_check(lam: float, r: float, s: float, u: float, v: float,
         raise InvalidParameterError("need 0 < r < s and 0 < u < v")
     sev = exponential(lam)  # checks lam > 0
     models = {d: deductible(d, sev) for d in {r, s, u, v}}
-    reference = ((math.exp(-lam * r) - math.exp(-lam * s))
-                 / (math.exp(-lam * u) - math.exp(-lam * v)))
+    gap_uv = math.exp(-lam * u) - math.exp(-lam * v)
+    if gap_uv == 0.0:  # both terms underflow
+        raise InvalidParameterError(f"e^(-lam u) = e^(-lam v) at lam={lam}, u={u}, v={v}")
+    reference = (math.exp(-lam * r) - math.exp(-lam * s)) / gap_uv
     ratios = []
     spread = 0.0
     for g in gs:

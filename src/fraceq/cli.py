@@ -344,14 +344,11 @@ def _json_report(cfg: argparse.Namespace, rows: list[CheckOutcome]) -> str:
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _flat_csv(rows: list[CheckOutcome]) -> str:
+def _csv(header: list[str], records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check", "params", "lhs", "rhs", "residual", "tolerance", "pass"])
-    for r in rows:
-        writer.writerow([r.check, json.dumps(r.to_json()["params"], sort_keys=True),
-                         repr(r.lhs), repr(r.rhs), repr(r.residual),
-                         repr(r.tolerance), r.passed])
+    writer.writerow(header)
+    writer.writerows(records)
     return buf.getvalue()
 
 
@@ -360,20 +357,14 @@ _GRID_COLUMNS = {"eqdist": ["t", "value", "oracle_value", "abs_diff"],
                  "order": ["t", "transform_x", "transform_y", "abs_gap"]}
 
 
-def _grid_csv(columns: list[str], points: list[tuple[float, float, float, float]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for t, value, oracle, diff in points:
-        writer.writerow([repr(t), repr(value), repr(oracle), repr(diff)])
-    return buf.getvalue()
-
-
 def _emit(cfg: argparse.Namespace, rows: list[CheckOutcome], grids: dict) -> None:
     if cfg.format == "json":
         text = _json_report(cfg, rows)
     else:
-        text = _flat_csv(rows)
+        text = _csv(["check", "params", "lhs", "rhs", "residual", "tolerance", "pass"],
+                    ([r.check, json.dumps(r.params, sort_keys=True), repr(r.lhs),
+                      repr(r.rhs), repr(r.residual), repr(r.tolerance), r.passed]
+                     for r in rows))
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -386,7 +377,8 @@ def _emit(cfg: argparse.Namespace, rows: list[CheckOutcome], grids: dict) -> Non
             name = f"{alpha:g}" if float(f"{alpha:g}") == alpha else repr(alpha)
             path = f"{stem}_alpha{name}_n{n}.csv"
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_grid_csv(_GRID_COLUMNS[cfg.command], points))
+                fh.write(_csv(_GRID_COLUMNS[cfg.command],
+                              ([repr(v) for v in point] for point in points)))
 
 
 def run(cfg: argparse.Namespace) -> int:
@@ -413,7 +405,3 @@ def run(cfg: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
     return run(cfg)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

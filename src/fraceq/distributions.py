@@ -85,9 +85,6 @@ class DistributionModel:
         self.density_ac = density_ac
         self.breakpoints = breakpoints
 
-    def __repr__(self) -> str:  # keep reports readable
-        return f"DistributionModel({self.label})"
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -260,7 +257,7 @@ def numeric(knots: list[tuple[float, float]]) -> DistributionModel:
     else:
         upper = math.inf
         # exponential tail fitted to the last two knots
-        if len(ss) >= 2 and ss[-2] > s_last > 0.0:
+        if ss[-2] > s_last > 0.0:
             decay = math.log(ss[-2] / s_last) / (ts[-1] - ts[-2])
         else:
             decay = 1.0

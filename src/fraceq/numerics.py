@@ -154,15 +154,25 @@ def scaled_upper_gamma(a: float, x: float) -> float:
     it is sqrt(pi) e^x erfc(sqrt(x)) (DiDonato & Morris, ACM TOMS 12:377,
     1986), one math.erfc call in place of up to about 60 continued
     fraction levels; past x = 10 the error of sqrt(x), magnified about
-    2x-fold by erfc, outgrows the continued fraction's.
+    2x-fold by erfc, outgrows the continued fraction's.  A result too
+    large for a float raises DivergenceError.
     """
     if not (0.0 < a < math.inf and 0.0 <= x < math.inf):  # NaN fails too
         raise InvalidParameterError(
             f"scaled upper gamma needs finite a > 0 and x >= 0, got ({a}, {x})")
-    if x == 0.0:
-        return math.gamma(a)
-    if a == 0.5 and x < _ERFC_MAX_X:
+    if a == 0.5 and x < _ERFC_MAX_X:  # at x = 0 this is Gamma(1/2) to the bit
         return _SQRT_PI * math.exp(x) * math.erfc(math.sqrt(x))
+    try:
+        value = _gamma_series_or_fraction(a, x) if x > 0.0 else math.gamma(a)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):  # inf, or inf - inf in the series
+        raise DivergenceError(f"scaled upper gamma at ({a}, {x}) overflows")
+    return value
+
+
+def _gamma_series_or_fraction(a: float, x: float) -> float:
+    """scaled_upper_gamma's two branches at x > 0; may overflow."""
     if x < a + 1.0 and (a >= _SMALL_A or x < 0.5):
         term = total = 1.0 / a
         ap = a

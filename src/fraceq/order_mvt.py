@@ -35,7 +35,6 @@ __all__ = [
     "classify_mean_location",
     "MvtReport",
     "mvt_verify",
-    "expected_derivative_at_z",
 ]
 
 _ORDER_SLACK = 1e-10
@@ -242,15 +241,6 @@ def classify_mean_location(z: ZAlphaModel) -> MeanLocationReport:
         balanced_variance_residual=abs(v_gap))
 
 
-def expected_derivative_at_z(g: PowerSum, z: ZAlphaModel, alpha: float) -> float:
-    """E[D^alpha g(Z_alpha)] by quadrature of the exact derivative."""
-    dg = power_rl_derivative(g, 1, alpha)
-    if dg.is_zero:
-        return 0.0
-    return power_expectation(dg, lambda t: z_density(z, t),
-                             upper=max(z.x.support_upper, z.y.support_upper))
-
-
 class MvtReport(NamedTuple):
     """Both sides of the fractional mean value identity."""
 
@@ -287,5 +277,8 @@ def mvt_verify(g: PowerSum, X: DistributionModel, Y: DistributionModel,
     else:
         term_c0 = 0.0
     lam_gap = normalized_moment(Y, alpha) - normalized_moment(X, alpha)
-    term_main = lam_gap * expected_derivative_at_z(g, z, alpha)
+    dg = power_rl_derivative(g, 1, alpha)
+    e_dg = 0.0 if dg.is_zero else power_expectation(
+        dg, lambda t: z_density(z, t), upper=max(X.support_upper, Y.support_upper))
+    term_main = lam_gap * e_dg
     return MvtReport(lhs, term_c0, term_main, lhs - term_c0 - term_main, c0, z)

@@ -67,10 +67,9 @@ def _remainder(h: PowerSum, X: DistributionModel, alpha: float, n: int) -> float
     """
     if h.is_zero:
         return 0.0
-    top = (n + 1) * alpha
     view = EquilibriumView(X, alpha, n + 1)
     value = power_expectation(h, eq_density_fn(view), upper=X.support_upper)
-    return fractional_moment(X, top) / gamma(top + 1.0) * value
+    return view.norm / gamma(view.total + 1.0) * value
 
 
 def rl_taylor_expectation(g: PowerSum, X: DistributionModel, alpha: float,
@@ -113,7 +112,7 @@ def fractional_moment_identity(beta_exp: float, X: DistributionModel,
     view = EquilibriumView(X, alpha, n + 1)
     residual_exp = beta_exp - top  # >= -_EXP_TOL * alpha by the guard on n
     eq_part = eq_moment(view, residual_exp) if residual_exp > _EXP_TOL else 1.0
-    rhs = (fractional_moment(X, top) / gamma(top + 1.0)
+    rhs = (view.norm / gamma(top + 1.0)
            * gamma(1.0 + beta_exp) / gamma(1.0 - top + beta_exp)
            * eq_part)
     return lhs, rhs

@@ -1,0 +1,97 @@
+"""Fingerprints of every benchmark workload's reports, for checking that a
+change leaves them byte-identical.
+
+usage: python3 tests/report_digests.py [--seeds 0,1,2]
+
+For each workload and seed it runs one pass of the benchmark's case list
+(``perfbench/cases.py``) in this process, through ``perfbench/run.py``'s
+``run_pass``, and prints:
+
+- the failed cases, by index and argv;
+- the pass's report digest (the first 16 hex digits of its sha256);
+- the Gauss-Kronrod panels the pass took, counted at ``numerics._gk15``;
+- the median accuracy margin over all cases and the smallest one over the
+  fixed cases, in decades, as the benchmark computes them.
+
+It then prints the sha256 of ``fraceq suite``'s standard output.  It
+exits 1 if any case failed, 0 otherwise; it sets no threshold on any
+figure.  The file has no ``test_`` prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import cases  # noqa: E402  (perfbench's case lists)
+import run  # noqa: E402  (perfbench's pass runner)
+from fraceq import cli, numerics  # noqa: E402
+
+
+def _counted_pass(cases_list: list) -> tuple[run.PassResult, int]:
+    """One pass, with every _gk15 call counted."""
+    panels = 0
+    gk15 = numerics._gk15
+
+    def counted(f, a, b):
+        nonlocal panels
+        panels += 1
+        return gk15(f, a, b)
+
+    numerics._gk15 = counted
+    try:
+        result = run.run_pass(cli, cases_list)
+    finally:
+        numerics._gk15 = gk15
+    return result, panels
+
+
+def _suite_stdout_sha256() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["suite"])
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"fraceq suite exited {code}")
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def main(argv: list | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", default="0",
+                        help="comma list of seeds (default 0)")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+
+    print(f"python {sys.version.split()[0]}")
+    any_failed = False
+    for workload in cases.WORKLOADS:
+        n_fixed = len(cases.FIXED[workload])
+        for seed in seeds:
+            case_list = cases.build_cases(workload, seed)
+            result, panels = _counted_pass(case_list)
+            margins = run._pooled(result.margins)
+            fixed = run._pooled(result.margins[:n_fixed])
+            median = statistics.median(margins) if margins else 0.0
+            print(f"{workload} seed {seed}: {result.attempted} cases, "
+                  f"{result.failed} failed, digest {result.digest[:16]}, "
+                  f"panels {panels}, margin median {median:.4f}, "
+                  f"fixed min {min(fixed, default=0.0):.4f}")
+            for index, margin in enumerate(result.margins):
+                if margin is None:
+                    any_failed = True
+                    print(f"  failed case {index}: {' '.join(case_list[index])}")
+    print(f"fraceq suite stdout sha256 {_suite_stdout_sha256()}")
+    return 1 if any_failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

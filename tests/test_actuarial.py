@@ -110,6 +110,13 @@ class TestRatioCheck:
             exponential_ratio_check(1.0, 1.0, 0.5, 1.0, 2.0,
                                     [PowerSum.power(1.0)], 1.0)
 
+    def test_underflowing_reference_denominator(self):
+        # e^(-1000) and e^(-2000) both underflow to 0, so the closed-form
+        # ratio has no denominator: a usage error, not a ZeroDivisionError
+        with pytest.raises(InvalidParameterError, match="lam=1000"):
+            exponential_ratio_check(1000.0, 1e-4, 2e-4, 1.0, 2.0,
+                                    [PowerSum.power(1.0)], 1.0)
+
 
 @pytest.mark.parametrize("exp", [-0.4, -1e-6])
 def test_negative_exponents_rejected(exp):

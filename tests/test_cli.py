@@ -80,12 +80,20 @@ class TestParse:
     @pytest.mark.parametrize("flag,value", [("--alpha", ""), ("--alpha", ","),
                                             ("--alpha", "nan"), ("--alpha", "0.5,inf"),
                                             ("--n", ""), ("--tol", "nan"),
-                                            ("--tol", "inf")])
+                                            ("--tol", "inf"), ("--alpha", "abc"),
+                                            ("--n", "1.5"), ("--tol", "abc"),
+                                            ("--grid", "abc")])
     def test_empty_or_nonfinite_numbers_exit_2(self, flag, value):
         # an empty list runs no check and --tol inf passes every check, so
-        # both would exit 0; a NaN fails every check and would exit 1
+        # both would exit 0; a NaN fails every check and would exit 1; text
+        # that is no number of the option's type is refused as it is read
         with pytest.raises(SystemExit) as exc:
             parse_args(["eqdist", "--dist", EXP1, flag, value])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_missing_json_file_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["eqdist", "--dist", f"@{tmp_path / 'missing.json'}"])
         assert exc.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize("flag", ["--u", "--v"])
@@ -211,6 +219,17 @@ class TestRun:
             assert row["pass"] is True
             assert "diverges" in row["params"]["reason"]
 
+    def test_caputo_singular_derivative_row(self, tmp_path):
+        # D^0.5 x^0.3 is a multiple of x^-0.2: g(0) exists, but the order-1a
+        # derivative has no value at 0, so n = 1 is inadmissible, not an error
+        out = tmp_path / "taylor.json"
+        code = main(["taylor", "--caputo", "--dist", EXP1, "--g", '[{"coef":1,"exp":0.3}]',
+                     "--alpha", "0.5", "--n", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        [row] = report_of(out)["results"]
+        assert row["check"] == "taylor_inadmissible"
+        assert "order 1a is singular at 0" in row["params"]["reason"]
+
     @pytest.mark.parametrize("exp", ["-0.5", "-1.5"])
     def test_caputo_negative_exponent_exits_2(self, tmp_path, exp):
         # the Caputo expansion needs g(0): every negative exponent is a usage
@@ -262,6 +281,18 @@ class TestRun:
         assert code == EXIT_OK
         checks = {r["check"] for r in report_of(out)["results"]}
         assert checks == {"deductible_mvt", "exponential_ratio_check"}
+
+    @pytest.mark.parametrize("severity,r,s", [
+        ('{"kind":"uniform","params":{"a":0,"b":3}}', "0.5", "1"),
+        # e^(-1000 u) and e^(-1000 v) both underflow, so the closed-form
+        # ratio's denominator is 0
+        ('{"kind":"exponential","params":{"lambda":1000}}', "1e-4", "2e-4")],
+        ids=["uniform", "underflow"])
+    def test_actuarial_ratio_check_usage_error(self, tmp_path, capsys, severity, r, s):
+        code = main(["actuarial", "--severity", severity, "--r", r, "--s", s,
+                     "--u", "1", "--v", "2", "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_actuarial_deep_deductible(self, tmp_path):
         # both deductibles keep over 99.9% of the mass at 0
@@ -397,12 +428,13 @@ class TestRun:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_NUMERICAL
 
-    @pytest.mark.parametrize("lam", [1e5, pytest.param(1e8, marks=pytest.mark.xfail(
+    @pytest.mark.parametrize("lam", [1e5] + [pytest.param(lam, marks=pytest.mark.xfail(
         strict=True, reason=(
             "the n = 1 oracle integrates the survival function from a unit first "
-            "panel with no node where Exp(1e8)'s mass is, and reads about 0 with "
-            "converged=True, a residual of 1.0 (ROADMAP item 2, the unit first panel)")))],
-        ids=["rate1e5", "rate1e8"])
+            "panel with no node where the law's mass is, and reads about 0 with "
+            "converged=True, a residual of 1.0 (ROADMAP item 2, the unit first panel)")))
+        for lam in (1e8, 1e300)],
+        ids=["rate1e5", "rate1e8", "rate1e300"])
     def test_eqdist_at_a_small_scale(self, tmp_path, lam):
         dist = f'{{"kind":"exponential","params":{{"lambda":{lam:g}}}}}'
         assert main(["eqdist", "--dist", dist, "--alpha", "0.5", "--n", "1",

@@ -107,6 +107,21 @@ class TestScaledUpperGamma:
         with pytest.raises(InvalidParameterError):
             numerics.scaled_upper_gamma(a, x)
 
+    @pytest.mark.parametrize("a,x", [(2.05, 1e300), (3.0, 1e300), (2.5, 1e250),
+                                     (172.0, 0.0), (200.0, 50.0), (171.5, 2.0)])
+    def test_overflow_is_a_divergence(self, a, x):
+        # the continued fraction's x^a (at 2.05 only after its split into
+        # two halves), Gamma(a) at x = 0 and e^x Gamma(a) in the series
+        # each exceed the largest float here
+        with pytest.raises(DivergenceError, match="overflows"):
+            numerics.scaled_upper_gamma(a, x)
+
+    @pytest.mark.parametrize("a,x,expected", [(171.0, 0.0, math.gamma(171.0)),
+                                              (1.5, 1e300, 1.0000000000000002e150),
+                                              (2.0, 1e250, 1e250)])
+    def test_largest_finite_results(self, a, x, expected):
+        assert numerics.scaled_upper_gamma(a, x) == expected
+
 
 class TestChebyshevTransform:
     @pytest.mark.parametrize("m", [6, 12, 24])

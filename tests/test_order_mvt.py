@@ -218,6 +218,16 @@ class TestMeanLocation:
         assert report.balanced_variance_residual < 1e-12
         assert report.balanced_mean_residual < 1e-12
 
+    def test_unordered_pair_below_x(self):
+        # E[X] = 1 < E[Y] = 1.05, but Uniform(1, 1.1) is far less variable,
+        # so the waived Z's density goes negative and E[Z] falls below E[X]
+        z = z_alpha_model(exponential(1.0), uniform(1.0, 1.1), 1.0,
+                          require_order=False)
+        report = classify_mean_location(z)
+        assert report.case == "below_X"
+        assert report.e_z < report.e_x_alpha
+        assert abs(report.identity_residual) <= 1e-9
+
 
 class TestMvt:
     def test_square_exponential_pair(self):
