@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from .distributions import DistributionModel, deductible, exponential
-from .errors import InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError
 from .fracops import _EXP_TOL, PowerSum, power_mean
 from .order_mvt import MvtReport, mvt_verify
 
@@ -83,4 +83,7 @@ def exponential_ratio_check(lam: float, r: float, s: float, u: float, v: float,
         ratio = num / den
         ratios.append(ratio)
         spread = max(spread, abs(ratio - reference))
+    # an overflowed ratio is no report value: |inf - inf| is NaN, which max drops
+    if not all(map(math.isfinite, [reference, *ratios])):
+        raise DivergenceError(f"payment ratios overflow: reference {reference}, per g {ratios}")
     return RatioCheckReport(tuple(ratios), reference, spread)

@@ -206,12 +206,15 @@ def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.
     evaluated by Clenshaw's recurrence (see _tabulate), on panels graded
     toward X's kinks and, where Fbar is not smooth there, toward 0 (see
     _panel_edges); each of its nodes is one quadrature, split at X's
-    breakpoints.  For an unbounded law a node integrates up to the first
-    x with Fbar(x) <= _SPENT_LEVEL, or T if that comes first or is never
-    reached: T, the doubling truncation in u = x^order, can lie up to
-    2^(1/order) times farther out.  With several
-    ``scales`` the table nests: level k is scales[k-1] times I_-^order of
-    level k-1's table, level 0 is Fbar; the last level is returned.
+    breakpoints.  At an order 1/k a kink b below T adds (b - u)^(j/k + 1)
+    to level j, a power of w = (b - u)^order, so the panel left of b is
+    one panel, tabulated in w instead of graded.  For an unbounded law a
+    node integrates up to the first x with Fbar(x) <= _SPENT_LEVEL, or T
+    if that comes first or is never reached: T, the doubling truncation
+    in u = x^order, can lie up to 2^(1/order) times farther out.  With
+    several ``scales`` the table nests: level k is scales[k-1] times
+    I_-^order of level k-1's table, level 0 is Fbar; the last level is
+    returned.
     """
     T = cut = X.support_upper
     reach = None  # T bounds the support
@@ -225,7 +228,9 @@ def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.
             cut = min(T, _survival_point(X, _SPENT_LEVEL))
         except DivergenceError:  # the level is not reached at any finite x
             pass
-    edges = _panel_edges(X.survival, X.breakpoints, T, reach)
+    smooth_in_w = order <= 1.0 and (1.0 / order).is_integer()
+    mapped = [x for x in X.breakpoints if x < T] if smooth_in_w else []
+    edges = _panel_edges(X.survival, X.breakpoints, T, reach, mapped)
     g = gamma(order)
     level = X.survival
     for k, scale in enumerate(scales, 1):
@@ -233,7 +238,7 @@ def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.
             res = integrate_singular_power(prev, u, order, upper=cut,
                                            breakpoints=X.breakpoints)
             return scale * res.require(f"I_-^{order:g} at level {k}") / g
-        level = _tabulate(weyl, edges)
+        level = _tabulate(weyl, edges, mapped, order)
     return level, T
 
 
@@ -256,7 +261,7 @@ def _chopped(values: Sequence[float], scale: float) -> bool:
 
 
 def _panel_edges(survival: Callable[[float], float], kinks: Sequence[float], T: float,
-                 reach: float | None) -> list[float]:
+                 reach: float | None, mapped: Sequence[float] = ()) -> list[float]:
     """Table panel edges on [0, T]: 0, the kinks below T and T.
 
     A Weyl integral at u depends on its integrand on [u, inf) only, so a
@@ -264,17 +269,19 @@ def _panel_edges(survival: Callable[[float], float], kinks: Sequence[float], T: 
     shrink geometrically toward each kink from the left.  When T bounds
     the support (reach is None) it is a kink too; otherwise panel widths
     double past the last kink, _TAIL_DOUBLINGS of them up to reach, where
-    the survival function is spent, and on up to T.  Toward 0 the panels
-    shrink only while the law needs it (Weibull of a shape that is not
-    an integer is not smooth there): while the survival function on the
-    first panel [0, w] fails the table's chop rule at degree 24, w
-    shrinks by _GRADING, _GRADED_PANELS - 1 times at most.
+    the survival function is spent, and on up to T.  No panels are graded
+    toward the ``mapped`` kinks, whose left panels _tabulate maps.  Toward
+    0 the panels shrink only while the law needs it (Weibull of a shape
+    that is not an integer is not smooth there): while the survival
+    function on the first panel [0, w] fails the table's chop rule at
+    degree 24, w shrinks by _GRADING, _GRADED_PANELS - 1 times at most.
     """
     edges = {0.0, T}
     lo = 0.0
     for b in [x for x in kinks if x < T] + ([T] if reach is None else []):
-        half = 0.5 * (b - lo)
-        edges.update(b - half * _GRADING ** j for j in range(_GRADED_PANELS))
+        if b not in mapped:
+            half = 0.5 * (b - lo)
+            edges.update(b - half * _GRADING ** j for j in range(_GRADED_PANELS))
         edges.add(b)
         lo = b
     if reach is not None:
@@ -292,8 +299,8 @@ def _panel_edges(survival: Callable[[float], float], kinks: Sequence[float], T: 
     return sorted(edges)
 
 
-def _tabulate(f: Callable[[float], float],
-              edges: Sequence[float]) -> Callable[[float], float]:
+def _tabulate(f: Callable[[float], float], edges: Sequence[float],
+              mapped: Sequence[float] = (), power: float = 1.0) -> Callable[[float], float]:
     """Piecewise Chebyshev interpolant of f on [edges[0], edges[-1]], 0 beyond.
 
     Each panel holds f at the Chebyshev points of the second kind of
@@ -302,19 +309,27 @@ def _tabulate(f: Callable[[float], float],
     seen (the chopping rule of Aurentz & Trefethen, ACM TOMS 43:33,
     2017), or 24.  The point sets are nested, so a higher degree reuses
     every value taken, and a shared panel edge is evaluated once: f is
-    called once per distinct node.  A panel keeps the Chebyshev
-    coefficients of its values, each summed by math.fsum, and is
-    evaluated by Clenshaw's recurrence (Clenshaw, Math. Comp. 9:118,
-    1955).
+    called once per distinct node.  A panel [a, b] with b in ``mapped``
+    holds its points in w = (b - x)^power instead, at x = b - w^(1/power).
+    A panel keeps the Chebyshev coefficients of its values, each summed
+    by math.fsum, and is evaluated by Clenshaw's recurrence (Clenshaw,
+    Math. Comp. 9:118, 1955).
     """
     m_max = _CHEB_DEGREES[-1]
     panels = []
     last = f(edges[0])
     scale = abs(last)
     for a, b in zip(edges, edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        end = b if b in mapped else None
+        if end is None:
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            inner = [mid - half * c for c in _CHEB_POINTS[1:m_max]]
+        else:  # the points in w = (b - x)^power, read back as x = -w
+            half = 0.5 * (b - a) ** power
+            mid = -half
+            inner = [b - (half + half * c) ** (1.0 / power) for c in _CHEB_POINTS[1:m_max]]
         # node i of degree m_max; degree m keeps every (m_max // m)-th one
-        xs = [a] + [mid - half * c for c in _CHEB_POINTS[1:m_max]] + [b]
+        xs = [a] + inner + [b]
         values = {0: last, m_max: f(b)}
         for m in _CHEB_DEGREES:
             ids = range(0, m_max + 1, m_max // m)
@@ -329,13 +344,15 @@ def _tabulate(f: Callable[[float], float],
         # the points run from a, where T_k(cos pi) = (-1)^k, so the
         # interpolant is sum_k c_k T_k((mid - x) / half)
         coefs = [_coefficient(row, fs) for row in _CHEB_TRANSFORM[m]]
-        panels.append((mid, 2.0 / half, coefs[0], coefs[:0:-1]))
+        panels.append((mid, 2.0 / half, coefs[0], coefs[:0:-1], end))
     top = edges[-1]
 
     def table(x: float) -> float:
         if x > top:
             return 0.0
-        mid, two_by_half, c0, coefs = panels[bisect_right(edges, x, 1, len(panels)) - 1]
+        mid, two_by_half, c0, coefs, end = panels[bisect_right(edges, x, 1, len(panels)) - 1]
+        if end is not None:
+            x = -(end - x) ** power
         twice_y = (mid - x) * two_by_half
         b1 = b2 = 0.0
         for c in coefs:  # c_m down to c_1

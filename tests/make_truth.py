@@ -7,8 +7,9 @@ Run from the repository root with mpmath installed:
 The tests read the committed JSON and never import mpmath.  Each law is
 integrated from its density, split at its kinks, with tanh-sinh
 quadrature, so no reference shares the closed forms under test.  The
-one exception is a Weibull moment E[X^s] = lam^s Gamma(1 + s/k), the
-reference at t = 0 where the density may be infinite.
+exceptions are a Weibull moment E[X^s] = lam^s Gamma(1 + s/k), the
+reference at t = 0 where the density may be infinite, and the Weyl
+integral of a knot table, whose pieces integrate in closed form.
 """
 
 from __future__ import annotations
@@ -111,6 +112,15 @@ RECURSIVE_CASES = [
     ("weibull03", weibull(0.3), 0.5, 2, RECURSIVE_TS),
 ]
 
+# weyl_table's level 1, I^alpha Fbar, on the benchmark's unjittered 5-knot
+# Exp(1) table: left of each kink, where the table's panel runs in
+# w = (kink - u)^alpha, at 0, inside the first panel, between the last two
+# knots and on the exponential tail
+WEYL_KNOTS = [[0.0, 1.0], [0.5, 0.6065], [1.0, 0.3679], [2.0, 0.1353], [4.0, 0.0183]]
+WEYL_ORDERS = [0.5, 1.0 / 3.0, 1.0]
+WEYL_US = sorted({k - d for k, _ in WEYL_KNOTS[1:] for d in (1e-9, 1e-6, 1e-3, 0.1)}
+                 | {0.0, 0.25, 3.0, 6.0})
+
 # integrate_singular_power's moment-based head: int_t^inf (x-t)^(p-1) f(x) dx
 # for three f the tests build from the catalog, and the Chebyshev moments
 # int_{-1}^{1} (1+y)^(p-1) T_k(y) dy behind its rule
@@ -207,6 +217,29 @@ def eq_survival(spec, alpha, n, t):
     return moment(spec, t, n * alpha) / moment(spec, 0.0, n * alpha)
 
 
+def weyl_of_knots(knots, alpha, u):
+    """I^alpha Fbar(u) in closed form for a numeric law with an exponential tail.
+
+    On a linear piece Fbar = A + B (x - u), which integrates against
+    (x - u)^(alpha-1) to powers of x - u; past the last knot t_m,
+    Fbar = s_m e^(-c (x - t_m)) gives s_m c^-alpha e^(c d) Gamma(alpha, c d)
+    with d = t_m - u, or s_m c^-alpha e^(-c (u - t_m)) Gamma(alpha) beyond it.
+    """
+    ts = [mp.mpf(t) for t, _ in knots]
+    ss = [mp.mpf(s) for _, s in knots]
+    a, u = mp.mpf(alpha), mp.mpf(u)
+    total = mp.mpf(0)
+    for lo, hi, s_lo, s_hi in zip(ts, ts[1:], ss, ss[1:]):
+        if hi > u:
+            slope = (s_hi - s_lo) / (hi - lo)
+            y0, y1 = max(lo, u) - u, hi - u
+            total += ((s_lo + slope * (u - lo)) * (y1 ** a - y0 ** a) / a
+                      + slope * (y1 ** (a + 1) - y0 ** (a + 1)) / (a + 1))
+    c, d = mp.log(ss[-2] / ss[-1]) / (ts[-1] - ts[-2]), ts[-1] - u
+    tail = mp.exp(c * d) * mp.gammainc(a, c * d) if d > 0 else mp.exp(c * d) * mp.gamma(a)
+    return (total + ss[-1] * c ** -a * tail) / mp.gamma(a)
+
+
 def singular_power(f, t, p):
     """int_t^inf (x-t)^(p-1) f(x) dx; u = (x - t)^p on [t, t + 1]."""
     t, p = mp.mpf(t), mp.mpf(p)
@@ -258,6 +291,10 @@ def main():
              "truth": float(eq_survival(spec, alpha, n, t))}
             for name, spec, alpha, n, ts in RECURSIVE_CASES for t in ts
             if t < _law(spec)[2]],
+        "weyl_table": [
+            {"dist": numeric(WEYL_KNOTS), "alpha": alpha, "u": u,
+             "truth": float(weyl_of_knots(WEYL_KNOTS, alpha, u))}
+            for alpha in WEYL_ORDERS for u in WEYL_US],
         "singular_power": [
             {"f": name, "p": p, "t": t, "truth": float(singular_power(f, t, p))}
             for name, f in SINGULAR_POWER_FS.items()

@@ -9,6 +9,9 @@ For each workload and seed it runs one pass of the benchmark's case list
 
 - the failed cases, by index and argv;
 - the pass's report digest (the first 16 hex digits of its sha256);
+- for each ``eqdist`` case, the same digest of its grid points (t, direct,
+  oracle), which moves whenever an oracle value moves, even where the
+  report, which keeps only each row's worst gap, does not;
 - the Gauss-Kronrod panels the pass took, counted at ``numerics._gk15``;
 - the median accuracy margin over all cases and the smallest one over the
   fixed cases, in decades, as the benchmark computes them.
@@ -26,6 +29,7 @@ import hashlib
 import io
 import statistics
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,22 +41,37 @@ import run  # noqa: E402  (perfbench's pass runner)
 from fraceq import cli, numerics  # noqa: E402
 
 
-def _counted_pass(cases_list: list) -> tuple[run.PassResult, int]:
-    """One pass, with every _gk15 call counted."""
+def _counted_pass(cases_list: list) -> tuple[run.PassResult, int, dict]:
+    """One pass, with every _gk15 call counted and every eqdist grid hashed.
+
+    The grids come back as {case index: sha256 of its grid points}.
+    """
     panels = 0
+    grids = {}
     gk15 = numerics._gk15
+    direct_vs_recursive = cli.direct_vs_recursive
+    case = types.SimpleNamespace(case_id=None)  # run_pass numbers the cases on it
 
     def counted(f, a, b):
         nonlocal panels
         panels += 1
         return gk15(f, a, b)
 
+    def hashed(*args):
+        row, points = direct_vs_recursive(*args)
+        digest = grids.setdefault(case.case_id, hashlib.sha256())
+        for t, direct, oracle, _ in points:
+            digest.update(f"{t!r} {direct!r} {oracle!r}\n".encode())
+        return row, points
+
     numerics._gk15 = counted
+    cli.direct_vs_recursive = hashed
     try:
-        result = run.run_pass(cli, cases_list)
+        result = run.run_pass(cli, cases_list, tracer=case)
     finally:
         numerics._gk15 = gk15
-    return result, panels
+        cli.direct_vs_recursive = direct_vs_recursive
+    return result, panels, grids
 
 
 def _suite_stdout_sha256() -> str:
@@ -77,7 +96,7 @@ def main(argv: list | None = None) -> int:
         n_fixed = len(cases.FIXED[workload])
         for seed in seeds:
             case_list = cases.build_cases(workload, seed)
-            result, panels = _counted_pass(case_list)
+            result, panels, grids = _counted_pass(case_list)
             margins = run._pooled(result.margins)
             fixed = run._pooled(result.margins[:n_fixed])
             median = statistics.median(margins) if margins else 0.0
@@ -85,6 +104,8 @@ def main(argv: list | None = None) -> int:
                   f"{result.failed} failed, digest {result.digest[:16]}, "
                   f"panels {panels}, margin median {median:.4f}, "
                   f"fixed min {min(fixed, default=0.0):.4f}")
+            for index, digest in grids.items():
+                print(f"  eqdist case {index} grid digest {digest.hexdigest()[:16]}")
             for index, margin in enumerate(result.margins):
                 if margin is None:
                     any_failed = True

@@ -6,7 +6,7 @@ from conftest import rel_diff
 from fraceq.actuarial import deductible_mvt, exponential_ratio_check
 from fraceq.distributions import (DistributionModel, deductible, exponential, hyperexp2,
                                   uniform)
-from fraceq.errors import InvalidParameterError
+from fraceq.errors import DivergenceError, InvalidParameterError
 from fraceq.fracops import PowerSum
 from fraceq.numerics import linspace
 from fraceq.order_mvt import normalized_moment, z_density
@@ -116,6 +116,15 @@ class TestRatioCheck:
         with pytest.raises(InvalidParameterError, match="lam=1000"):
             exponential_ratio_check(1000.0, 1e-4, 2e-4, 1.0, 2.0,
                                     [PowerSum.power(1.0)], 1.0)
+
+
+    def test_overflowing_ratios(self):
+        # e^(-720) is subnormal, so the reference's denominator keeps about
+        # 35 bits and every ratio overflows: |inf - inf| would be a NaN
+        # spread that max drops
+        with pytest.raises(DivergenceError, match="overflow"):
+            exponential_ratio_check(1000.0, 1e-4, 2e-4, 0.72, 0.73,
+                                    [PowerSum.power(1.0), PowerSum.power(2.0)], 1.0)
 
 
 @pytest.mark.parametrize("exp", [-0.4, -1e-6])

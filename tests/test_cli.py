@@ -294,6 +294,16 @@ class TestRun:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_actuarial_overflowing_ratio_exits_3(self, tmp_path, capsys):
+        # the ratios are inf, which the JSON report cannot hold
+        out = tmp_path / "x.json"
+        code = main(["actuarial", "--severity", '{"kind":"exponential","params":{"lambda":1000}}',
+                     "--r", "1e-4", "--s", "2e-4", "--u", "0.72", "--v", "0.73",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        assert "DivergenceError" in capsys.readouterr().err
+
     def test_actuarial_deep_deductible(self, tmp_path):
         # both deductibles keep over 99.9% of the mass at 0
         out = tmp_path / "deep.json"

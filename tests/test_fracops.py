@@ -201,8 +201,8 @@ class TestWeylIntegral:
         nodes = []
         tabulate = fracops._tabulate
 
-        def counted(f, edges):
-            return tabulate(lambda x: nodes.append(x) or f(x), edges)
+        def counted(f, edges, *args):
+            return tabulate(lambda x: nodes.append(x) or f(x), edges, *args)
 
         monkeypatch.setattr(fracops, "_tabulate", counted)
         weyl_table(weibull(2.0, 1.0), 0.5, (1.0, 1.0))
@@ -210,11 +210,13 @@ class TestWeylIntegral:
 
     # the benchmark's unjittered 5-knot Exp(1) table and its fixed Weibull law;
     # c is where the survival falls to 2^-60: 4 + ln(0.0183 2^60) / decay
-    # on the table's exponential tail, and sqrt(60 ln 2) for Weibull(2,1)
+    # on the table's exponential tail, and sqrt(60 ln 2) for Weibull(2,1).
+    # The knot table took 5,010 panels with seven panels graded toward each
+    # kink, and takes 1,044 with the one panel left of each mapped
     KNOT_TABLE = [(0.0, 1.0), (0.5, 0.6065), (1.0, 0.3679), (2.0, 0.1353), (4.0, 0.0183)]
     SPENT_CASES = [
         ("knot table", lambda: numeric(TestWeylIntegral.KNOT_TABLE),
-         4.0 + math.log(0.0183 * 2.0 ** 60) / (math.log(0.1353 / 0.0183) / 2.0), 5010),
+         4.0 + math.log(0.0183 * 2.0 ** 60) / (math.log(0.1353 / 0.0183) / 2.0), 1044),
         ("Weibull(2,1)", lambda: weibull(2.0, 1.0), math.sqrt(60.0 * math.log(2.0)), 572),
     ]
 
@@ -244,6 +246,30 @@ class TestWeylIntegral:
         c = nodes[0][0]
         assert c < T and rel_diff(c, cut) <= 1e-12
         assert all(upper == c and seen <= c for upper, seen in nodes)
+
+    @pytest.mark.parametrize("order", [0.5, 1.0 / 3.0, 1.0], ids=["1/2", "1/3", "1"])
+    def test_panel_left_of_a_kink_is_one_mapped_panel(self, monkeypatch, order):
+        # at order 1/k the kink at b adds (b - u)^(j/k + 1) to level j, a
+        # power of w = (b - u)^order, so one panel in w resolves what seven
+        # panels graded toward b did not at 1/3
+        tabulate = fracops._tabulate
+        levels = []
+
+        def traced(f, edges, *args):
+            values = {}
+            levels.append((edges, values))
+            return tabulate(lambda x: values.setdefault(x, f(x)), edges, *args)
+
+        monkeypatch.setattr(fracops, "_tabulate", traced)
+        weyl_table(numeric(self.KNOT_TABLE), order)
+        [(edges, values)] = levels
+        kinks = [0.5, 1.0, 2.0, 4.0]
+        assert edges[:5] == [0.0] + kinks
+        scale = max(map(abs, values.values()))
+        for a, b in zip(edges, kinks):
+            nodes = sorted(x for x in values if a <= x <= b)
+            assert len(nodes) <= 25
+            assert fracops._chopped([values[x] for x in nodes], scale), (a, b)
 
     def test_divergent_tail_raises(self):
         from fraceq.distributions import DistributionModel, fractional_moment

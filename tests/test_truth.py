@@ -17,6 +17,7 @@ from fraceq.distributions import (build, fractional_moment, hyperexp2,
 from fraceq.equilibrium import (EquilibriumView, eq_survival,
                                 eq_survival_recursive)
 from fraceq.errors import DivergenceError
+from fraceq.fracops import weyl_table
 from fraceq.numerics import (beta, gamma, integrate_singular_power, reciprocal_gamma,
                              scaled_upper_gamma)
 
@@ -152,6 +153,21 @@ def test_tabulated_recursive_oracle(case):
                          ids=lambda e: f"{e['case']}-t{e['t']:g}")
 def test_tabulated_recursive_oracle_near_a_singular_zero(entry):
     assert _recursive_errors([entry])[0] <= 1e-10
+
+
+WEYL = TRUTH["weyl_table"]
+
+
+@pytest.mark.parametrize("alpha", list(dict.fromkeys(e["alpha"] for e in WEYL)),
+                         ids=lambda a: f"alpha{a:.4g}")
+def test_weyl_table_next_to_kinks(alpha):
+    # seven panels graded toward each kink read the level up to 1.8e-12
+    # (alpha = 1/2) and 2.3e-11 (1/3) off, relative; one panel in
+    # w = (kink - u)^alpha reads it to rounding
+    entries = [e for e in WEYL if e["alpha"] == alpha]
+    table, _ = weyl_table(build(entries[0]["dist"]), alpha)
+    errors = [rel_diff(table(e["u"]), e["truth"]) for e in entries]
+    assert max(errors) <= BOUND, errors
 
 
 SINGULAR_POWER_FS = {
