@@ -376,15 +376,16 @@ def _partial_by_quadrature(X: DistributionModel, t: float, s: float) -> float:
     Fbar(t + h) > _ROUNDING * Fbar(t): the nodes of the quadrature's unit
     first panel would miss a law of scale 1e-10.  At t = 0, where the
     density may be infinite (Weibull with k < 1), it is the closed E[X^s]
-    when the model has one.  Neither branch splits at the model's
-    breakpoints.  Weibull and its wrappers take both branches; ``numeric``
-    and its wrappers take only the s > 0 one, as their ``negative_partial``
+    when the model has one.  The s > 0 branch splits at the model's
+    breakpoints, the kinks of its survival function.  Weibull and its
+    wrappers, which have none, take both branches; ``numeric`` and its
+    wrappers take only the s > 0 one, as their ``negative_partial``
     answers s < 0.
     """
     what = f"E[(X-t)_+^{s:g}] for {X.label}"
     if s > 0.0:
-        return s * integrate_singular_power(X.survival, t, s,
-                                            upper=X.support_upper).require(what)
+        return s * integrate_singular_power(X.survival, t, s, upper=X.support_upper,
+                                            breakpoints=X.breakpoints).require(what)
     if t == 0.0 and X.closed_form_moment is not None:
         return X.closed_form_moment(s)
     mass, h = X.survival(t), 1.0

@@ -105,14 +105,15 @@ def eq_survival_recursive(X: DistributionModel, alpha: float, n: int,
     coefs = [gamma(k * alpha + 1.0) / gamma((k - 1) * alpha + 1.0)
              * fractional_moment(X, (k - 1) * alpha)
              / fractional_moment(X, k * alpha) for k in range(1, n + 1)]
-    # at n = 1, one quadrature of the survival function per point, unsplit:
-    # the same integral as the direct path's for a law without closed forms
-    prev, T, kinks = X.survival, X.support_upper, ()
+    # at n = 1, one quadrature of the survival function per point, split at
+    # its kinks: the same integral as the direct path's for a law without
+    # closed forms (ROADMAP item 4)
+    prev, T = X.survival, X.support_upper
     if n > 1:
         prev, T = weyl_table(X, alpha, coefs[:-1])
-        kinks = X.breakpoints
     g_alpha = gamma(alpha)
-    level_n = (integrate_singular_power(prev, t, alpha, upper=T, breakpoints=kinks)
+    level_n = (integrate_singular_power(prev, t, alpha, upper=T,
+                                        breakpoints=X.breakpoints)
                for t in ts)
     return [coefs[-1] * res.require(f"I_-^{alpha:g} at level {n}") / g_alpha
             for res in level_n]

@@ -180,20 +180,23 @@ def weyl_integral(X: DistributionModel, order: float, t: float) -> float:
     """I_-^order Fbar(t) = (1/Gamma(order)) int_t^inf (x-t)^(order-1) Fbar(x) dx."""
     if t < 0.0:
         raise InvalidParameterError(f"Weyl integral requires t >= 0, got {t}")
-    return weyl_of_function(X.survival, order, t, upper=X.support_upper)
+    return weyl_of_function(X.survival, order, t, upper=X.support_upper,
+                            breakpoints=X.breakpoints)
 
 
 def weyl_of_function(h: Callable[[float], float], order: float, t: float, *,
-                     upper: float | None = None) -> float:
+                     upper: float | None = None,
+                     breakpoints: tuple[float, ...] = ()) -> float:
     """I_-^order h(t) for an arbitrary integrable callable.
 
     weyl_integral applies it to a survival function; nested transforms
     (the semigroup check) apply it to a weyl_table, the inner transform
-    tabulated once.  ``upper`` declares where h vanishes for good.
+    tabulated once.  ``upper`` declares where h vanishes for good, and
+    ``breakpoints`` the sorted kinks of h, where the quadrature cuts.
     """
     if order <= 0.0:
         raise InvalidParameterError(f"Weyl integral order must be > 0, got {order}")
-    res = integrate_singular_power(h, t, order, upper=upper)
+    res = integrate_singular_power(h, t, order, upper=upper, breakpoints=breakpoints)
     return res.require(f"Weyl integral of order {order:g}") / gamma(order)
 
 
@@ -372,19 +375,23 @@ def power_mean(g: PowerSum, X: DistributionModel) -> float:
 
 
 def power_expectation(g: PowerSum, density: Callable[[float], float], *,
-                      upper: float | None = None) -> float:
+                      upper: float | None = None,
+                      breakpoints: tuple[float, ...]) -> float:
     """E[g(Z)] for Z with the given density.
 
     Integrates term by term with the singular-power rule, so exponents in
     (-1, 0) are handled exactly once.  Every term must converge, which
     certifies E[|g(Z)|] < inf.  ``upper`` declares where the density
-    vanishes.
+    vanishes, and ``breakpoints`` the sorted kinks of the density, where
+    the quadrature cuts; it has no default, so that every caller states
+    whether its density has kinks.
     """
     value = 0.0
     for coef, exp in g.terms:
         if exp <= -1.0:
             raise DivergenceError(
                 f"E[g(Z)] diverges: exponent {exp:g} <= -1 in {g.describe()}")
-        res = integrate_singular_power(density, 0.0, exp + 1.0, upper=upper)
+        res = integrate_singular_power(density, 0.0, exp + 1.0, upper=upper,
+                                       breakpoints=breakpoints)
         value += coef * res.require(f"E[Z^{exp:g}] against numeric density")
     return value

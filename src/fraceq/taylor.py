@@ -63,12 +63,15 @@ def _remainder(h: PowerSum, X: DistributionModel, alpha: float, n: int) -> float
 
     power_expectation requires every term to converge, so a violated
     E[|h(X_a^(n+1))|] < inf hypothesis surfaces as DivergenceError rather
-    than a silently wrong residual.
+    than a silently wrong residual.  The equilibrium density has kinks
+    where the law's survival function has them, so the quadrature cuts
+    at X's breakpoints.
     """
     if h.is_zero:
         return 0.0
     view = EquilibriumView(X, alpha, n + 1)
-    value = power_expectation(h, eq_density_fn(view), upper=X.support_upper)
+    value = power_expectation(h, eq_density_fn(view), upper=X.support_upper,
+                              breakpoints=X.breakpoints)
     return view.norm / gamma(view.total + 1.0) * value
 
 

@@ -120,6 +120,10 @@ WEYL_KNOTS = [[0.0, 1.0], [0.5, 0.6065], [1.0, 0.3679], [2.0, 0.1353], [4.0, 0.0
 WEYL_ORDERS = [0.5, 1.0 / 3.0, 1.0]
 WEYL_US = sorted({k - d for k, _ in WEYL_KNOTS[1:] for d in (1e-9, 1e-6, 1e-3, 0.1)}
                  | {0.0, 0.25, 3.0, 6.0})
+# fracops.weyl_integral, the same transform by one quadrature per point, at
+# the same points and at orders whose singular weight is substituted away
+# (1/2), integrated directly (1) or taken by the moment-based head (0.3, 0.7)
+WEYL_INTEGRAL_ORDERS = [0.3, 0.5, 0.7, 1.0]
 
 # integrate_singular_power's moment-based head: int_t^inf (x-t)^(p-1) f(x) dx
 # for three f the tests build from the catalog, and the Chebyshev moments
@@ -295,6 +299,10 @@ def main():
             {"dist": numeric(WEYL_KNOTS), "alpha": alpha, "u": u,
              "truth": float(weyl_of_knots(WEYL_KNOTS, alpha, u))}
             for alpha in WEYL_ORDERS for u in WEYL_US],
+        "weyl_integral": [
+            {"dist": numeric(WEYL_KNOTS), "order": order, "t": t,
+             "truth": float(weyl_of_knots(WEYL_KNOTS, order, t))}
+            for order in WEYL_INTEGRAL_ORDERS for t in WEYL_US],
         "singular_power": [
             {"f": name, "p": p, "t": t, "truth": float(singular_power(f, t, p))}
             for name, f in SINGULAR_POWER_FS.items()

@@ -11,7 +11,9 @@ For each workload and seed it runs one pass of the benchmark's case list
 - the pass's report digest (the first 16 hex digits of its sha256);
 - for each ``eqdist`` case, the same digest of its grid points (t, direct,
   oracle), which moves whenever an oracle value moves, even where the
-  report, which keeps only each row's worst gap, does not;
+  report, which keeps only each row's worst gap, does not, and the case's
+  panels split into the direct side and the oracle side (those taken
+  inside ``equilibrium.eq_survival_recursive``);
 - the Gauss-Kronrod panels the pass took, counted at ``numerics._gk15``;
 - the median accuracy margin over all cases and the smallest one over the
   fixed cases, in decades, as the benchmark computes them.
@@ -38,27 +40,45 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import cases  # noqa: E402  (perfbench's case lists)
 import run  # noqa: E402  (perfbench's pass runner)
-from fraceq import cli, numerics  # noqa: E402
+from fraceq import cli, equilibrium, numerics  # noqa: E402
 
 
-def _counted_pass(cases_list: list) -> tuple[run.PassResult, int, dict]:
+def _counted_pass(cases_list: list) -> tuple[run.PassResult, int, dict, dict]:
     """One pass, with every _gk15 call counted and every eqdist grid hashed.
 
-    The grids come back as {case index: sha256 of its grid points}.
+    The grids come back as {case index: sha256 of its grid points}, and
+    the eqdist panels as {case index: [direct side, oracle side]}.
     """
     panels = 0
-    grids = {}
+    grids, sides = {}, {}
+    side, in_oracle = None, False  # the running eqdist case's [direct, oracle]
     gk15 = numerics._gk15
     direct_vs_recursive = cli.direct_vs_recursive
+    recursive = equilibrium.eq_survival_recursive
     case = types.SimpleNamespace(case_id=None)  # run_pass numbers the cases on it
 
     def counted(f, a, b):
         nonlocal panels
         panels += 1
+        if side is not None:
+            side[in_oracle] += 1
         return gk15(f, a, b)
 
+    def oracle_side(*args):
+        nonlocal in_oracle
+        in_oracle = True
+        try:
+            return recursive(*args)
+        finally:
+            in_oracle = False
+
     def hashed(*args):
-        row, points = direct_vs_recursive(*args)
+        nonlocal side
+        side = sides.setdefault(case.case_id, [0, 0])
+        try:
+            row, points = direct_vs_recursive(*args)
+        finally:
+            side = None
         digest = grids.setdefault(case.case_id, hashlib.sha256())
         for t, direct, oracle, _ in points:
             digest.update(f"{t!r} {direct!r} {oracle!r}\n".encode())
@@ -66,12 +86,14 @@ def _counted_pass(cases_list: list) -> tuple[run.PassResult, int, dict]:
 
     numerics._gk15 = counted
     cli.direct_vs_recursive = hashed
+    equilibrium.eq_survival_recursive = oracle_side
     try:
         result = run.run_pass(cli, cases_list, tracer=case)
     finally:
         numerics._gk15 = gk15
         cli.direct_vs_recursive = direct_vs_recursive
-    return result, panels, grids
+        equilibrium.eq_survival_recursive = recursive
+    return result, panels, grids, sides
 
 
 def _suite_stdout_sha256() -> str:
@@ -96,7 +118,7 @@ def main(argv: list | None = None) -> int:
         n_fixed = len(cases.FIXED[workload])
         for seed in seeds:
             case_list = cases.build_cases(workload, seed)
-            result, panels, grids = _counted_pass(case_list)
+            result, panels, grids, sides = _counted_pass(case_list)
             margins = run._pooled(result.margins)
             fixed = run._pooled(result.margins[:n_fixed])
             median = statistics.median(margins) if margins else 0.0
@@ -105,7 +127,9 @@ def main(argv: list | None = None) -> int:
                   f"panels {panels}, margin median {median:.4f}, "
                   f"fixed min {min(fixed, default=0.0):.4f}")
             for index, digest in grids.items():
-                print(f"  eqdist case {index} grid digest {digest.hexdigest()[:16]}")
+                direct, oracle = sides[index]
+                print(f"  eqdist case {index} grid digest {digest.hexdigest()[:16]}, "
+                      f"panels {direct} direct + {oracle} oracle")
             for index, margin in enumerate(result.margins):
                 if margin is None:
                     any_failed = True

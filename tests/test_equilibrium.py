@@ -119,7 +119,7 @@ class TestEqDensity:
         density = eq_density_fn(view)
         for r in (0.5, 1.0, 2.0):
             power_expectation(PowerSum.power(r), density,
-                              upper=model.support_upper)
+                              upper=model.support_upper, breakpoints=())
         assert len(nodes) == len(set(nodes)) == 592
         monkeypatch.undo()
         for t in nodes[::37]:
@@ -260,7 +260,8 @@ class TestEqMoment:
             for r in (0.5, 1.0, 2.0):
                 brute = power_expectation(PowerSum.power(r),
                                           eq_density_fn(view),
-                                          upper=model.support_upper)
+                                          upper=model.support_upper,
+                                          breakpoints=model.breakpoints)
                 assert rel_diff(eq_moment(view, r), brute) < 1e-5, (name, r)
 
     def test_classical_stationary_excess_formula_at_alpha_one(self, catalog):

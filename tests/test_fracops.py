@@ -390,8 +390,8 @@ class TestTabulate:
 def test_power_expectation_against_exponential_moments():
     X = exponential(1.0)
     g = PowerSum.from_terms([(2.0, -0.5), (1.0, 1.0)])
-    value = power_expectation(g, X.density_ac)
+    value = power_expectation(g, X.density_ac, breakpoints=X.breakpoints)
     expected = 2.0 * math.gamma(0.5) + 1.0
     assert rel_diff(value, expected) < 1e-8
     with pytest.raises(DivergenceError):
-        power_expectation(PowerSum.power(-1.2), X.density_ac)
+        power_expectation(PowerSum.power(-1.2), X.density_ac, breakpoints=())

@@ -67,7 +67,7 @@ class TestRlExpectation:
         series = c0 / gamma(alpha) * fractional_moment(X, alpha - 1.0)
         view = EquilibriumView(X, alpha, 1)
         dg = power_rl_derivative(g, 1, alpha)
-        inner = power_expectation(dg, eq_density_fn(view))
+        inner = power_expectation(dg, eq_density_fn(view), breakpoints=X.breakpoints)
         remark = series + fractional_moment(X, alpha) / gamma(alpha + 1.0) * inner
         assert abs(report.lhs - remark) < 1e-8
         assert abs((sum(report.terms) + report.remainder) - remark) < 1e-10
@@ -137,6 +137,22 @@ class TestMomentIdentity:
             fractional_moment_identity(0.3, X, 0.5, 0)  # beta < alpha
         with pytest.raises(InvalidParameterError):
             fractional_moment_identity(1.0, X, 0.5, 3)  # n too large
+
+
+class TestKinkedUniform:
+    # the benchmark's fixed taylor sentinels: the equilibrium density of
+    # Uniform(0.017, 0.81) has a kink at a = 0.017, which the remainder's
+    # quadrature cuts at; integrated across it, the residuals were 2.1e-7
+    # (RL) and 1.3e-7 (Caputo)
+    X = uniform(0.017, 0.81)
+
+    def test_rl(self):
+        g = PowerSum.from_terms([(1.21, 1.0), (2.67, 2.0)])
+        assert abs(rl_taylor_expectation(g, self.X, 0.5, 1).residual) <= 1e-12
+
+    def test_caputo(self):
+        g = PowerSum.from_terms([(1.0, 1.0), (1.0, 2.0)])
+        assert abs(caputo_taylor_expectation(g, self.X, 0.5, 1).residual) <= 1e-12
 
 
 class TestCaputoExpectation:

@@ -17,7 +17,7 @@ from fraceq.distributions import (build, fractional_moment, hyperexp2,
 from fraceq.equilibrium import (EquilibriumView, eq_survival,
                                 eq_survival_recursive)
 from fraceq.errors import DivergenceError
-from fraceq.fracops import weyl_table
+from fraceq.fracops import weyl_integral, weyl_table
 from fraceq.numerics import (beta, gamma, integrate_singular_power, reciprocal_gamma,
                              scaled_upper_gamma)
 
@@ -111,10 +111,6 @@ def test_beta(entry):
     assert rel_diff(got, entry["truth"]) <= BOUND, (got, entry["truth"])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "positive orders still integrate the survival function without its "
-    "breakpoints (ROADMAP item 1, the s > 0 half); passing them to "
-    "_partial_by_quadrature's s > 0 branch or an exact s > 0 form mends it"))
 def test_eq_survival_on_a_deductible_table():
     entries = TRUTH["eq_survival"]
     spec, alpha, n = entries[0]["dist"], entries[0]["alpha"], entries[0]["n"]
@@ -168,6 +164,31 @@ def test_weyl_table_next_to_kinks(alpha):
     table, _ = weyl_table(build(entries[0]["dist"]), alpha)
     errors = [rel_diff(table(e["u"]), e["truth"]) for e in entries]
     assert max(errors) <= BOUND, errors
+
+
+# at order 0.3 a knot 1e-9 past t starts a piece whose weight (x - t)^-0.7
+# is singular 1e-9 before it; the piece meets the default tolerance (up to
+# 3.8e-11 off, relative, with an error estimate of 1e-9) but not BOUND
+NEAR_SINGULAR_PIECE = pytest.mark.xfail(strict=True, reason=(
+    "past the head panel the weight (x - t)^(p-1) is integrated as it stands, "
+    "so a piece that starts 1e-9 after t is read only to the default tolerance "
+    "at p = 0.3 (ROADMAP item 3)"))
+
+
+def _weyl_integral_params():
+    for e in TRUTH["weyl_integral"]:
+        near = e["order"] < 0.5 and any(0.0 < k - e["t"] < 1e-8 for k, _ in
+                                        e["dist"]["params"]["knots"])
+        yield pytest.param(e, id=f"order{e['order']:g}-t{e['t']:.10g}",
+                           marks=[NEAR_SINGULAR_PIECE] if near else [])
+
+
+@pytest.mark.parametrize("entry", _weyl_integral_params())
+def test_weyl_integral_next_to_kinks(entry):
+    # cut at the knots, every piece is smooth; integrated across them, the
+    # same points were up to 1.1e-6 off, relative, at order 1
+    got = weyl_integral(build(entry["dist"]), entry["order"], entry["t"])
+    assert rel_diff(got, entry["truth"]) <= BOUND, (got, entry["truth"])
 
 
 SINGULAR_POWER_FS = {
