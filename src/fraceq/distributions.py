@@ -47,12 +47,14 @@ class DistributionModel:
     partial moment at or past it is exactly 0.
     ``closed_form_moment`` is set only where no closed partial moment
     exists, since E[X^s] is the partial moment at t = 0.
-    ``negative_partial`` is an exact E[(X-t)_+^s] for s in (-1, 0) only,
-    set by the ``numeric`` kind.  A model with neither partial form
-    (Weibull and its wrappers) must carry ``density_ac``: its negative
-    orders integrate (x-t)^s against it.  ``breakpoints`` is the sorted
-    tuple of positive points where the survival function has a kink, for
-    quadrature to split its panels at.  ``zero_inflated`` and
+    Both partial forms are factories s -> (t -> E[(X-t)_+^s]), which work
+    out what depends on s alone once: callers integrate one order over
+    many t.  ``negative_partial``, set by the ``numeric`` kind, serves
+    s in (-1, 0) only.  A model with neither partial form (Weibull and its
+    wrappers) must carry ``density_ac``: its negative orders integrate
+    (x-t)^s against it.  ``breakpoints`` is the sorted tuple of positive
+    points where the survival function has a kink, for quadrature to
+    split its panels at.  ``zero_inflated`` and
     ``deductible`` derive all of these from their inner law by one rule,
     ``_lifted``.
     """
@@ -64,16 +66,16 @@ class DistributionModel:
     survival: Callable[[float], float]
     support_upper: float
     closed_form_moment: Callable[[float], float] | None
-    closed_form_partial: Callable[[float, float], float] | None
-    negative_partial: Callable[[float, float], float] | None
+    closed_form_partial: Callable[[float], Callable[[float], float]] | None
+    negative_partial: Callable[[float], Callable[[float], float]] | None
     density_ac: Callable[[float], float] | None
     breakpoints: tuple[float, ...]
 
     def __init__(self, label: str, survival: Callable[[float], float],
                  support_upper: float = math.inf,
                  closed_form_moment: Callable[[float], float] | None = None,
-                 closed_form_partial: Callable[[float, float], float] | None = None,
-                 negative_partial: Callable[[float, float], float] | None = None,
+                 closed_form_partial: Callable[[float], Callable[[float], float]] | None = None,
+                 negative_partial: Callable[[float], Callable[[float], float]] | None = None,
                  density_ac: Callable[[float], float] | None = None,
                  breakpoints: tuple[float, ...] = ()) -> None:
         self.label = label
@@ -98,8 +100,9 @@ def exponential(lam: float) -> DistributionModel:
     _require(lam > 0, f"exponential: lambda must be > 0, got {lam}")
     log_lam = math.log(lam)
 
-    def partial(t: float, s: float) -> float:
-        return math.exp(math.lgamma(s + 1.0) - lam * t - s * log_lam)
+    def partial(s: float) -> Callable[[float], float]:
+        log_gamma, s_log_lam = math.lgamma(s + 1.0), s * log_lam
+        return lambda t: math.exp(log_gamma - lam * t - s_log_lam)
 
     return DistributionModel(
         label=f"Exp(rate={lam:g})",
@@ -120,11 +123,13 @@ def uniform(a: float, b: float) -> DistributionModel:
             return 0.0
         return (b - t) / width
 
-    def partial(t: float, s: float) -> float:
-        if t >= b:
-            return 0.0
-        lo = max(a, t)
-        return ((b - t) ** (s + 1.0) - (lo - t) ** (s + 1.0)) / ((s + 1.0) * width)
+    def partial(s: float) -> Callable[[float], float]:
+        p, denom = s + 1.0, (s + 1.0) * width
+        def at(t: float) -> float:
+            if t >= b:
+                return 0.0
+            return ((b - t) ** p - (max(a, t) - t) ** p) / denom
+        return at
 
     return DistributionModel(
         label=f"Uniform({a:g},{b:g})",
@@ -175,10 +180,9 @@ def hyperexp2(p: float, lam1: float, lam2: float) -> DistributionModel:
             return 1.0
         return p * math.exp(-lam1 * t) + q * math.exp(-lam2 * t)
 
-    def partial(t: float, s: float) -> float:
-        g = math.gamma(s + 1.0)
-        return g * (p * math.exp(-lam1 * t) * lam1 ** -s
-                    + q * math.exp(-lam2 * t) * lam2 ** -s)
+    def partial(s: float) -> Callable[[float], float]:
+        g, w1, w2 = math.gamma(s + 1.0), lam1 ** -s, lam2 ** -s
+        return lambda t: g * (p * math.exp(-lam1 * t) * w1 + q * math.exp(-lam2 * t) * w2)
 
     return DistributionModel(
         label=f"HyperExp2(p={p:g},{lam1:g},{lam2:g})",
@@ -194,14 +198,18 @@ def _lifted(label: str, inner: DistributionModel, shift: float, scale: float,
     """The law with survival scale * Fbar(shift + t) for t >= 0, and 1 below 0.
 
     Fbar is ``inner``'s survival, and every field that depends on t
-    follows from it: each partial moment f becomes scale * f(shift + t, s),
+    follows from it: each partial-moment factory s -> f becomes
+    s -> (t -> scale * f(shift + t)), calling ``inner``'s once per order;
     the density likewise for t >= 0, and the support and breakpoints move
     down by ``shift``.  A field ``inner`` lacks stays unset.
     ``zero_inflated`` is (0, 1 - p) and ``deductible`` is (d, 1); both are
     exact, since 0.0 + t is t and 1.0 * v is v.
     """
-    def lift(f):  # (X' - t)_+ = (X - (shift + t))_+ with probability scale
-        return None if f is None else (lambda t, s: scale * f(shift + t, s))
+    def lift(factory):  # (X' - t)_+ = (X - (shift + t))_+ with probability scale
+        def lifted(s: float) -> Callable[[float], float]:
+            f = factory(s)
+            return lambda t: scale * f(shift + t)
+        return None if factory is None else lifted
 
     density = inner.density_ac
     upper = inner.support_upper - shift
@@ -280,16 +288,18 @@ def numeric(knots: list[tuple[float, float]]) -> DistributionModel:
     segments = [(ts[i], ts[i + 1], (ss[i] - ss[i + 1]) / (ts[i + 1] - ts[i]))
                 for i in range(len(ts) - 1)]
 
-    def negative_partial(t: float, s: float) -> float:
+    def negative_partial(s: float) -> Callable[[float], float]:
         # int (x-t)^s f(x) dx over x > t: one power term per segment, and
         # Gamma(s+1, x) for the exponential tail; the atom at 0 is never above t
-        p = s + 1.0
-        terms = [c * ((hi - t) ** p - (max(lo, t) - t) ** p) / p
-                 for lo, hi, c in segments if hi > t]
-        if s_last > 0.0:
-            terms.append(s_last * decay ** -s * math.exp(-decay * max(t - t_last, 0.0))
-                         * scaled_upper_gamma(p, decay * max(t_last - t, 0.0)))
-        return math.fsum(terms)
+        p, tail = s + 1.0, s_last * decay ** -s
+        def at(t: float) -> float:
+            terms = [c * ((hi - t) ** p - (max(lo, t) - t) ** p) / p
+                     for lo, hi, c in segments if hi > t]
+            if s_last > 0.0:
+                terms.append(tail * math.exp(-decay * max(t - t_last, 0.0))
+                             * scaled_upper_gamma(p, decay * max(t_last - t, 0.0)))
+            return math.fsum(terms)
+        return at
 
     return DistributionModel(
         label=f"Numeric({len(ts)} knots)",
@@ -397,6 +407,19 @@ def _partial_by_quadrature(X: DistributionModel, t: float, s: float) -> float:
     return h ** (s + 1.0) * res.require(what)
 
 
+def _partial_fn(X: DistributionModel, s: float) -> Callable[[float], float]:
+    """t -> upper_partial_moment(X, t, s), branch chosen once; callers check t >= 0."""
+    if s <= -1.0:
+        raise DivergenceError(f"E[(X-t)_+^{s:g}] diverges (exponent <= -1)")
+    if s == 0.0:
+        return X.survival
+    if X.closed_form_partial is not None:
+        return X.closed_form_partial(s)
+    if s < 0.0 and X.negative_partial is not None:
+        return X.negative_partial(s)
+    return lambda t: _partial_by_quadrature(X, t, s)
+
+
 def upper_partial_moment(X: DistributionModel, t: float, s: float) -> float:
     """E[(X - t)_+^s] with the convention (x)_+^s = x^s * 1{x > 0}.
 
@@ -407,15 +430,7 @@ def upper_partial_moment(X: DistributionModel, t: float, s: float) -> float:
     """
     if t < 0.0:
         raise InvalidParameterError(f"upper partial moment requires t >= 0, got {t}")
-    if s <= -1.0:
-        raise DivergenceError(f"E[(X-t)_+^{s:g}] diverges (exponent <= -1)")
-    if s == 0.0:
-        return X.survival(t)
-    if X.closed_form_partial is not None:
-        return X.closed_form_partial(t, s)
-    if s < 0.0 and X.negative_partial is not None:
-        return X.negative_partial(t, s)
-    return _partial_by_quadrature(X, t, s)
+    return _partial_fn(X, s)(t)
 
 
 def fractional_moment(X: DistributionModel, s: float) -> float:

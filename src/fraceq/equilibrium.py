@@ -14,8 +14,8 @@ import functools
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .distributions import (DistributionModel, fractional_moment, quantile,
-                            upper_partial_moment)
+from .distributions import (DistributionModel, _partial_fn, fractional_moment,
+                            quantile, upper_partial_moment)
 from .errors import DivergenceError, InvalidParameterError
 from .fracops import weyl_table
 from .numerics import beta, gamma, geomspace, integrate_singular_power
@@ -77,13 +77,19 @@ def eq_density(view: EquilibriumView, t: float) -> float:
 
 
 def eq_density_fn(view: EquilibriumView) -> Callable[[float], float]:
-    """The density as a plain callable, for use as an integrand.
+    """The density as a plain callable of t >= 0, for use as an integrand.
 
-    Memoized: the density is a pure function of t, and integrals of it
-    against several weights revisit the same nodes (adaptive panels are
-    dyadic, so the seed panels of every doubling segment coincide).
+    The partial moment of order n alpha - 1 is resolved once.  Where one
+    value of it is not a closed form (Weibull, ``numeric`` and their
+    wrappers) the callable is memoized, since integrals of it against
+    several weights revisit the same nodes (adaptive panels are dyadic,
+    so the seed panels of every doubling segment coincide); a closed form
+    costs less than a memo lookup.
     """
-    return functools.cache(lambda t: eq_density(view, t))
+    na, norm = view.total, view.norm
+    partial = _partial_fn(view.base, na - 1.0)
+    density = lambda t: na * partial(t) / norm
+    return density if view.base.closed_form_partial is not None else functools.cache(density)
 
 
 def eq_survival_recursive(X: DistributionModel, alpha: float, n: int,
@@ -131,7 +137,8 @@ def first_order_cdf_interpretation(X: DistributionModel, alpha: float,
                                    t: float) -> float:
     """P(X_alpha^(1) <= t) as the weighted integral of P(y < X <= y + t).
 
-    Oracle for 1 - eq_survival at n = 1.
+    Oracle for 1 - eq_survival at n = 1.  The quadrature cuts at the kinks
+    of Fbar(y) - Fbar(y + t): each breakpoint b of X, and each b - t > 0.
     """
     if alpha <= 0.0:
         raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
@@ -139,9 +146,10 @@ def first_order_cdf_interpretation(X: DistributionModel, alpha: float,
         raise InvalidParameterError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 0.0
+    kinks = X.breakpoints + tuple(b - t for b in X.breakpoints if b > t)
     res = integrate_singular_power(
         lambda y: X.survival(y) - X.survival(y + t), 0.0, alpha,
-        upper=X.support_upper)
+        upper=X.support_upper, breakpoints=tuple(sorted(set(kinks))))
     norm = fractional_moment(X, alpha)
     return alpha * res.require("interval-probability integral") / norm
 

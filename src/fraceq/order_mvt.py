@@ -9,9 +9,9 @@ stays testable; models built with verification keep a ``verified`` flag.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .distributions import (DistributionModel, _survival_point,
+from .distributions import (DistributionModel, _partial_fn, _survival_point,
                             fractional_moment, quantile, upper_partial_moment)
 from .equilibrium import EquilibriumView, eq_density
 from .errors import DivergenceError, InvalidParameterError
@@ -82,15 +82,19 @@ def check_survival_bounded_order(X: DistributionModel, Y: DistributionModel,
     Holds iff the alpha-transform of X stays below that of Y on the grid,
     up to numerical slack.
     """
+    if alpha <= 0.0:
+        raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
     if grid is None:
         grid = default_order_grid(X, Y)
     worst_t = float(grid[0])
     worst_gap = -math.inf
     points = []
+    px, py, g = _partial_fn(X, alpha - 1.0), _partial_fn(Y, alpha - 1.0), gamma(alpha)
     for t in grid:
         t = float(t)
-        fx = alpha_survival_transform(X, alpha, t)
-        fy = alpha_survival_transform(Y, alpha, t)
+        if t < 0.0:
+            raise InvalidParameterError(f"upper partial moment requires t >= 0, got {t}")
+        fx, fy = px(t) / g, py(t) / g  # alpha_survival_transform of X and Y
         gap = fx - fy
         if gap > worst_gap:
             worst_gap = gap
@@ -148,14 +152,16 @@ def z_alpha_model(X: DistributionModel, Y: DistributionModel, alpha: float,
     return ZAlphaModel(X, Y, alpha, denom, ey / denom, verified)
 
 
+def _z_density_fn(z: ZAlphaModel) -> Callable[[float], float]:
+    """z_density(z, .), with both partial moments resolved once."""
+    a, denom = z.alpha, z.denom
+    py, px = _partial_fn(z.y, a - 1.0), _partial_fn(z.x, a - 1.0)
+    return lambda t: 0.0 if t < 0.0 else a * (py(t) - px(t)) / denom
+
+
 def z_density(z: ZAlphaModel, t: float) -> float:
     """alpha (E[(Y-t)_+^(a-1)] - E[(X-t)_+^(a-1)]) / (E[Y^a] - E[X^a])."""
-    if t < 0.0:
-        return 0.0
-    a = z.alpha
-    py = upper_partial_moment(z.y, t, a - 1.0)
-    px = upper_partial_moment(z.x, t, a - 1.0)
-    return a * (py - px) / z.denom
+    return _z_density_fn(z)(t)
 
 
 def z_mixture_identity(z: ZAlphaModel, t: float) -> tuple[float, float]:
@@ -281,7 +287,7 @@ def mvt_verify(g: PowerSum, X: DistributionModel, Y: DistributionModel,
     # the Z density has kinks at the breakpoints of X and Y, which this
     # quadrature does not yet cut at (ROADMAP item 1, step 2)
     e_dg = 0.0 if dg.is_zero else power_expectation(
-        dg, lambda t: z_density(z, t), upper=max(X.support_upper, Y.support_upper),
+        dg, _z_density_fn(z), upper=max(X.support_upper, Y.support_upper),
         breakpoints=())
     term_main = lam_gap * e_dg
     return MvtReport(lhs, term_c0, term_main, lhs - term_c0 - term_main, c0, z)

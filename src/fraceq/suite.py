@@ -423,11 +423,11 @@ def _classical_taylor_rhs(coeffs: dict[int, float], X, n: int) -> float:
     if not dn1:
         return total
     m_top = distributions.fractional_moment(X, float(n + 1))
+    partial = distributions._partial_fn(X, float(n))
 
     def integrand(t: float) -> float:
         poly = sum(v * t ** k for k, v in dn1.items())
-        partial = distributions.upper_partial_moment(X, t, float(n))
-        return poly * (n + 1) * partial / m_top
+        return poly * (n + 1) * partial(t) / m_top
 
     res = integrate_singular_power(integrand, 0.0, 1.0, upper=X.support_upper)
     return total + m_top / math.factorial(n + 1) * res.require("classical remainder")

@@ -20,7 +20,15 @@ For each workload and seed it runs one pass of the benchmark's case list
 
 It then prints the sha256 of ``fraceq suite``'s standard output.  It
 exits 1 if any case failed, 0 otherwise; it sets no threshold on any
-figure.  The file has no ``test_`` prefix, so pytest does not collect it.
+figure.  ``tests/data/report_digests.txt`` holds its output at seeds 0-3
+without the first (``python X.Y.Z``) line, and CI fails on any
+difference from it: a change that moves values on purpose regenerates
+that file with
+
+    python3 tests/report_digests.py --seeds 0,1,2,3 | grep -v '^python ' \
+        > tests/data/report_digests.txt
+
+The file has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import exp_knots, rel_diff
 from fraceq import distributions as dist
-from fraceq import numerics
+from fraceq import numerics, suite
 from fraceq.distributions import (build, fractional_moment, quantile,
                                   upper_partial_moment)
 from fraceq.errors import DivergenceError, InvalidParameterError
@@ -195,7 +195,6 @@ class TestLiftingRule:
         inner = CARRIERS[name]
         f = getattr(inner, name)
         assert f is not None
-        args = (-0.5,) if "partial" in name else ()
         for X, shift, scale in wrappers_of(inner):
             lifted = getattr(X, name)
             if name == "closed_form_moment":
@@ -205,8 +204,12 @@ class TestLiftingRule:
                     assert all(lifted(s) == scale * f(s) for s in (-0.5, 0.5, 1.5))
                 continue
             assert lifted is not None, X.label
+            if "partial" in name:  # factories: s -> (t -> value)
+                lifted, inner_at = lifted(-0.5), f(-0.5)
+            else:
+                inner_at = f
             for t in (0.0, 0.3, 2.0):
-                assert lifted(t, *args) == scale * f(shift + t, *args), (X.label, t)
+                assert lifted(t) == scale * inner_at(shift + t), (X.label, t)
         if name in ("survival", "density_ac"):
             below = 1.0 if name == "survival" else 0.0
             assert all(getattr(X, name)(-0.25) == below for X, _, _ in wrappers_of(inner))
@@ -226,7 +229,7 @@ class TestLiftingRule:
         X = dist.zero_inflated(0.3, dist.deductible(1.0, N))
         for t in (0.0, 0.3, 2.0):
             assert X.survival(t) == 0.7 * N.survival(1.0 + t)
-            assert X.negative_partial(t, -0.5) == 0.7 * N.negative_partial(1.0 + t, -0.5)
+            assert X.negative_partial(-0.5)(t) == 0.7 * N.negative_partial(-0.5)(1.0 + t)
         assert X.breakpoints == (0.5, 1.5)
         assert X.closed_form_partial is X.density_ac is X.closed_form_moment is None
 
@@ -240,6 +243,135 @@ class TestLiftingRule:
                 assert rel_diff(upper_partial_moment(X, t, s),
                                 0.7 * upper_partial_moment(W, 0.5 + t, s)) < 1e-12
         assert X.closed_form_moment is None and X.support_upper == math.inf
+
+
+# each kind's partial moment as one expression in (t, s), with nothing
+# hoisted: a factory must reproduce these bits, so any reordering of the
+# arithmetic it hoists shows
+def _exponential_partial(lam):
+    log_lam = math.log(lam)
+    return lambda t, s: math.exp(math.lgamma(s + 1.0) - lam * t - s * log_lam)
+
+
+def _uniform_partial(a, b):
+    width = b - a
+
+    def partial(t, s):
+        if t >= b:
+            return 0.0
+        lo = max(a, t)
+        return ((b - t) ** (s + 1.0) - (lo - t) ** (s + 1.0)) / ((s + 1.0) * width)
+    return partial
+
+
+def _hyperexp2_partial(p, lam1, lam2):
+    q = 1.0 - p
+
+    def partial(t, s):
+        g = math.gamma(s + 1.0)
+        return g * (p * math.exp(-lam1 * t) * lam1 ** -s
+                    + q * math.exp(-lam2 * t) * lam2 ** -s)
+    return partial
+
+
+def _numeric_negative_partial(knots):
+    ts = [float(t) for t, _ in knots]
+    ss = [float(s) for _, s in knots]
+    if ts[0] > 0.0:
+        ts, ss = [0.0] + ts, [1.0] + ss
+    t_last, s_last = ts[-1], ss[-1]
+    decay = (math.log(ss[-2] / s_last) / (ts[-1] - ts[-2])
+             if ss[-2] > s_last > 0.0 else 1.0)
+    segments = [(ts[i], ts[i + 1], (ss[i] - ss[i + 1]) / (ts[i + 1] - ts[i]))
+                for i in range(len(ts) - 1)]
+
+    def partial(t, s):
+        if s >= 0.0:
+            return None  # the s > 0 orders are quadratures
+        p = s + 1.0
+        terms = [c * ((hi - t) ** p - (max(lo, t) - t) ** p) / p
+                 for lo, hi, c in segments if hi > t]
+        if s_last > 0.0:
+            terms.append(s_last * decay ** -s * math.exp(-decay * max(t - t_last, 0.0))
+                         * numerics.scaled_upper_gamma(p, decay * max(t_last - t, 0.0)))
+        return math.fsum(terms)
+    return partial
+
+
+def _lifted_partial(shift, scale, inner):
+    if inner is None:
+        return None
+
+    def partial(t, s):
+        value = inner(shift + t, s)
+        return None if value is None else scale * value
+    return partial
+
+
+def _laws_and_expressions():
+    """(model, written-out expression or None) for every kind and wrapper.
+
+    Each base law is wrapped in ``zero_inflated`` and ``deductible``, which
+    covers the suite catalog; a table is also wrapped twice.
+    """
+    base = [(dist.exponential(1.0), _exponential_partial(1.0)),
+            (dist.exponential(2.5), _exponential_partial(2.5)),
+            (dist.uniform(0.0, 1.0), _uniform_partial(0.0, 1.0)),
+            (dist.uniform(0.2, 1.3), _uniform_partial(0.2, 1.3)),
+            (dist.weibull(2.0, 1.0), None),
+            (dist.weibull(0.7, 1.0), None),
+            (dist.hyperexp2(0.4, 1.0, 3.0), _hyperexp2_partial(0.4, 1.0, 3.0)),
+            (dist.hyperexp2(0.3, 0.7, 2.9), _hyperexp2_partial(0.3, 0.7, 2.9))]
+    base += [(dist.numeric(knots), _numeric_negative_partial(knots))
+             for knots in (exp_knots(), KINKS, [(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)])]
+    out = list(base)
+    for inner, expr in base:
+        d = 1.0 if inner.support_upper > 1.0 else 0.5
+        out.append((dist.zero_inflated(0.3, inner), _lifted_partial(0.0, 1.0 - 0.3, expr)))
+        out.append((dist.deductible(d, inner), _lifted_partial(d, 1.0, expr)))
+    nested = _lifted_partial(1.0, 1.0, _numeric_negative_partial(KINKS))
+    out.append((dist.zero_inflated(0.3, dist.deductible(1.0, dist.numeric(KINKS))),
+                _lifted_partial(0.0, 1.0 - 0.3, nested)))
+    return out
+
+
+LAWS_AND_EXPRESSIONS = _laws_and_expressions()
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (DivergenceError, InvalidParameterError) as exc:
+        return type(exc)
+
+
+class TestPartialPerOrder:
+    ORDERS = (-0.7, -0.5, -0.2, 0.0, 0.5, 1.0, 1.5, 2.5)
+
+    def test_every_catalog_law_is_covered(self):
+        labels = {X.label for X, _ in LAWS_AND_EXPRESSIONS}
+        assert all(X.label in labels for X in suite._catalog())
+
+    @pytest.mark.parametrize("X,expr", LAWS_AND_EXPRESSIONS,
+                             ids=[X.label for X, _ in LAWS_AND_EXPRESSIONS])
+    def test_resolved_function_is_bit_identical(self, X, expr):
+        # 0, interior points, each kink, the support end and points past it
+        ts = [0.0, 0.3, 1.0, 2.7, *X.breakpoints]
+        top = X.support_upper
+        ts += [top, math.nextafter(top, math.inf), 1.5 * top] if math.isfinite(top) else [7.5]
+        for s in self.ORDERS:
+            at = dist._partial_fn(X, s)
+            for t in ts:
+                got = _outcome(at, t)
+                assert got == _outcome(upper_partial_moment, X, t, s), (s, t)
+                if s != 0.0 and expr is not None and expr(t, s) is not None:
+                    assert got == expr(t, s), (s, t)
+        assert dist._partial_fn(X, 0.0) is X.survival
+
+    def test_divergent_order_raises_before_any_evaluation(self, catalog):
+        for X in catalog.values():
+            with pytest.raises(DivergenceError):
+                dist._partial_fn(X, -1.0)
 
 
 class TestFractionalMoment:

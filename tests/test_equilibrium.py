@@ -4,7 +4,8 @@ import pytest
 
 from conftest import rel_diff
 from fraceq import equilibrium, numerics, suite
-from fraceq.distributions import exponential, numeric, quantile, uniform, weibull
+from fraceq.distributions import (deductible, exponential, numeric, quantile, uniform,
+                                  weibull)
 from fraceq.equilibrium import (EquilibriumView, characterization_check,
                                 eq_density, eq_density_fn, eq_moment,
                                 eq_survival, eq_survival_recursive,
@@ -82,6 +83,16 @@ class TestEqDensity:
         view = EquilibriumView(uniform(0.0, 1.0), 1.0, 1)
         assert abs(eq_density(view, 0.25) - 1.5) < 1e-14
 
+    @pytest.mark.parametrize("alpha,n", [(0.5, 1), (1.0, 1), (0.7, 2)])
+    def test_density_fn_matches_eq_density_bit_for_bit(self, catalog, alpha, n):
+        for X in catalog.values():
+            view = EquilibriumView(X, alpha, n)
+            density = eq_density_fn(view)
+            # memoized only where one value is not a closed form
+            assert hasattr(density, "cache_info") == (X.closed_form_partial is None)
+            for t in (0.0, 0.25, 1.0, 1.5, 3.5):
+                assert density(t) == eq_density(view, t), (X.label, t)
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
     def test_fixed_point_sweep(self, lam):
         X = exponential(lam)
@@ -110,12 +121,17 @@ class TestEqDensity:
         model = catalog["numeric"]
         view = EquilibriumView(model, 1.0, 1)
         nodes = []
+        resolve = equilibrium._partial_fn
 
-        def counted(v, t):
-            nodes.append(t)
-            return eq_density(v, t)
+        def counted_fn(X, s):
+            partial = resolve(X, s)
 
-        monkeypatch.setattr(equilibrium, "eq_density", counted)
+            def counted(t):
+                nodes.append(t)
+                return partial(t)
+            return counted
+
+        monkeypatch.setattr(equilibrium, "_partial_fn", counted_fn)
         density = eq_density_fn(view)
         for r in (0.5, 1.0, 2.0):
             power_expectation(PowerSum.power(r), density,
@@ -314,6 +330,20 @@ class TestFirstOrderCdf:
         for t in (0.3, 1.0, 2.0):
             lhs = first_order_cdf_interpretation(X, alpha, t)
             assert abs(lhs - (1.0 - eq_survival(view, t))) < 1e-7
+
+    @pytest.mark.parametrize("X", [
+        uniform(0.2, 1.3), numeric([(0.5, 0.9), (1.5, 0.3), (2.5, 0.05)]),
+        deductible(0.5, uniform(0.2, 1.3)),
+        deductible(1.0, numeric([(0.5, 0.9), (1.5, 0.3), (2.5, 0.05)]))],
+        ids=lambda X: X.label)
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0])
+    def test_cut_at_the_kinks_of_both_survival_terms(self, X, alpha):
+        # Fbar(y) - Fbar(y + t) has kinks at each breakpoint b and at b - t;
+        # a quadrature across them is only as good as its tolerance, ~1e-9
+        view = EquilibriumView(X, alpha, 1)
+        for t in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.2, 1.3, 1.6, 2.0, 3.0):
+            lhs = first_order_cdf_interpretation(X, alpha, t)
+            assert abs(lhs - (1.0 - eq_survival(view, t))) < 1e-13, t
 
 
 class TestCharacterization:

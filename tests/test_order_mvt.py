@@ -78,6 +78,17 @@ class TestOrderCheck:
         for alpha in (0.3, 0.8, 1.0, 2.0):
             assert check_survival_bounded_order(X, Y, alpha).holds
 
+    def test_grid_values_are_the_transforms_and_inputs_are_checked(self):
+        X, Y = zero_inflated(0.3, exponential(1.0)), exponential(1.0)
+        for alpha in (0.3, 1.0, 2.0):
+            for t, fx, fy, _ in check_survival_bounded_order(X, Y, alpha).points:
+                assert fx == alpha_survival_transform(X, alpha, t)
+                assert fy == alpha_survival_transform(Y, alpha, t)
+        with pytest.raises(InvalidParameterError):
+            check_survival_bounded_order(X, Y, 0.0)
+        with pytest.raises(InvalidParameterError):
+            check_survival_bounded_order(X, Y, 0.5, grid=[0.0, -1.0])
+
 
 class TestZAlpha:
     def test_density_value_at_zero(self):
