@@ -12,12 +12,12 @@ independent of the transform g.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .distributions import DistributionModel, deductible, exponential
 from .errors import DivergenceError, InvalidParameterError
 from .fracops import _EXP_TOL, PowerSum, power_mean
-from .order_mvt import MvtReport, mvt_verify
+from .order_mvt import MvtReport, mvt_verify, z_alpha_model
 
 __all__ = [
     "deductible_mvt",
@@ -35,17 +35,33 @@ def _require_admissible(g: PowerSum, alpha: float) -> None:
             f"got {g.describe()}")
 
 
-def deductible_mvt(g: PowerSum, severity: DistributionModel, r: float, s: float,
-                   alpha: float) -> MvtReport:
-    """Check E[g(X_r)] - E[g(X_s)] = [lambda_a(X_r) - lambda_a(X_s)] E[D^a g(Z_a)].
+def _deductible_reports(gs: Sequence[PowerSum], severity: DistributionModel,
+                        r: float, s: float, alpha: float) -> Iterator[MvtReport]:
+    """deductible_mvt's reports, lazily, in the order of gs.
 
-    The larger deductible gives pointwise smaller payments, so this is
-    ``mvt_verify`` with (X, Y) = (X_s, X_r) and the order required.
+    The Z_alpha model is built at the first g, after that g's admissibility
+    check, so the errors come in the order of a loop that builds a model per g.
     """
     if not (0.0 < r < s):
         raise InvalidParameterError(f"need 0 < r < s, got r={r}, s={s}")
-    _require_admissible(g, alpha)
-    return mvt_verify(g, deductible(s, severity), deductible(r, severity), alpha)
+    z = None
+    for g in gs:
+        _require_admissible(g, alpha)
+        if z is None:
+            z = z_alpha_model(deductible(s, severity), deductible(r, severity), alpha)
+        yield mvt_verify(g, z)
+
+
+def deductible_mvt(gs: Sequence[PowerSum], severity: DistributionModel, r: float,
+                   s: float, alpha: float) -> list[MvtReport]:
+    """Check E[g(X_r)] - E[g(X_s)] = [lambda_a(X_r) - lambda_a(X_s)] E[D^a g(Z_a)]
+    for each g of gs.
+
+    The larger deductible gives pointwise smaller payments, so this is
+    ``mvt_verify`` with (X, Y) = (X_s, X_r) and the order required; the
+    Z_alpha model is built once for all of gs.
+    """
+    return list(_deductible_reports(gs, severity, r, s, alpha))
 
 
 class RatioCheckReport(NamedTuple):

@@ -17,13 +17,13 @@ import math
 import sys
 
 from . import __version__
-from .actuarial import deductible_mvt, exponential_ratio_check
+from .actuarial import _deductible_reports, exponential_ratio_check
 from .distributions import build, quantile
 from .equilibrium import characterization_check
 from .errors import DivergenceError, FraceqError, InvalidParameterError
 from .fracops import PowerSum
 from .numerics import linspace
-from .order_mvt import check_survival_bounded_order, default_order_grid, mvt_verify
+from .order_mvt import _mvt_reports, check_survival_bounded_order, default_order_grid
 from .suite import (CheckOutcome, direct_vs_recursive, identity_row, info_row,
                     outcome, run_all)
 from .taylor import caputo_taylor_expectation, rl_taylor_expectation
@@ -246,20 +246,31 @@ def _run_taylor(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
     return rows, {}
 
 
+def _g_major(gs: list[PowerSum], alphas: list[float], reports_at):
+    """(g, alpha, report) for each g and, within it, each alpha.
+
+    ``reports_at(alpha)`` yields the reports of every g at alpha lazily
+    against one Z_alpha model, so each model is built once while the
+    reports are drawn in this order: the first error raised is the one a
+    loop over g and then alpha meets first.
+    """
+    streams = [reports_at(alpha) for alpha in alphas]
+    for g in gs:
+        for alpha, reports in zip(alphas, streams):
+            yield g, alpha, next(reports)
+
+
 def _run_mvt(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
     X, Y = build(cfg.dist_x), build(cfg.dist_y)
     tol = cfg.tol or 1e-5
-    rows = []
-    for g in cfg.g:
-        for alpha in cfg.alphas:
-            report = mvt_verify(g, X, Y, alpha,
-                                require_order=not cfg.allow_unordered)
-            rows.append(identity_row(
-                "mvt_residual",
-                {"x": X.label, "y": Y.label, "g": g.describe(), "alpha": alpha,
-                 "order_verified": report.z.verified},
-                report, tol))
-    return rows, {}
+    require_order = not cfg.allow_unordered
+    cells = _g_major(cfg.g, cfg.alphas,
+                     lambda alpha: _mvt_reports(cfg.g, X, Y, alpha, require_order))
+    return [identity_row("mvt_residual",
+                         {"x": X.label, "y": Y.label, "g": g.describe(), "alpha": alpha,
+                          "order_verified": report.z.verified},
+                         report, tol)
+            for g, alpha, report in cells], {}
 
 
 def _run_order(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
@@ -282,15 +293,13 @@ def _run_actuarial(cfg: argparse.Namespace) -> tuple[list[CheckOutcome], dict]:
     kind = cfg.severity["kind"]
     tol = cfg.tol or 1e-5
     gs = cfg.g or [PowerSum.power(1.0), PowerSum.power(2.0)]
-    rows = []
-    for g in gs:
-        for alpha in cfg.alphas:
-            report = deductible_mvt(g, severity, cfg.r, cfg.s, alpha)
-            rows.append(identity_row(
-                "deductible_mvt",
-                {"severity": kind, "g": g.describe(),
-                 "r": cfg.r, "s": cfg.s, "alpha": alpha},
-                report, tol))
+    cells = _g_major(gs, cfg.alphas, lambda alpha: _deductible_reports(
+        gs, severity, cfg.r, cfg.s, alpha))
+    rows = [identity_row("deductible_mvt",
+                         {"severity": kind, "g": g.describe(),
+                          "r": cfg.r, "s": cfg.s, "alpha": alpha},
+                         report, tol)
+            for g, alpha, report in cells]
     if cfg.u is not None and cfg.v is not None:
         if kind != "exponential":
             raise InvalidParameterError(
@@ -338,10 +347,48 @@ def _config_json(cfg: argparse.Namespace) -> dict:
             and value != []}
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dump(value, pad: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2, allow_nan=False), byte for
+    byte, for the values a report holds: dicts with str keys, lists, tuples,
+    str, float, int, bool and None, of these exact types.  ``pad`` is the
+    newline and indent of the value's line.  indent=2 makes json.dumps take
+    its pure-Python encoder, which this type dispatch outruns."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is float:
+        if value - value != 0.0:  # NaN or an infinity
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(key) + ": " + _dump(item, inner)
+             for key, item in sorted(value.items())]) + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_dump(item, inner) for item in value]) \
+            + pad + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _json_report(cfg: argparse.Namespace, rows: list[CheckOutcome]) -> str:
     report = {"header": {"version": __version__, "config": _config_json(cfg)},
               "results": [r.to_json() for r in rows]}
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _dump(report, "\n") + "\n"
 
 
 def _csv(header: list[str], records) -> str:

@@ -456,7 +456,9 @@ def _survival_point(X: DistributionModel, target: float) -> float:
     """Smallest t with P(X > t) <= target, by bisection.
 
     Takes the survival level itself, so a target far below the float
-    spacing near 1 (the tail of a deep deductible) stays exact.
+    spacing near 1 (the tail of a deep deductible) stays exact.  The
+    bracket is doubled up from 1 or halved down to within a factor of 2
+    of the answer first, so a law at any scale gets the full bisection.
     """
     if X.survival(0.0) <= target:
         return 0.0
@@ -469,7 +471,11 @@ def _survival_point(X: DistributionModel, target: float) -> float:
             if hi == math.inf:
                 raise DivergenceError(
                     f"survival level {target:g} not reached at any finite t for {X.label}")
-    lo = 0.0
+    # halving hi takes the steps bisection from [0, hi] would take, so
+    # every answer the 200 steps below reached before is kept to the bit
+    while X.survival(0.5 * hi) <= target:
+        hi *= 0.5
+    lo = 0.5 * hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         # once mid rounds onto the end it would replace, that end is fixed

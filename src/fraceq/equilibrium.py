@@ -183,10 +183,10 @@ def characterization_check(X: DistributionModel, alphas: Sequence[float],
     deviations: dict = {}
     for alpha in alphas:
         for n in ns:
-            view = EquilibriumView(X, alpha, n)
+            density = eq_density_fn(EquilibriumView(X, alpha, n))
             dev = 0.0
-            for t in grid:
-                gap = abs(eq_density(view, float(t)) - X.density_ac(float(t)))
+            for t in map(float, grid):
+                gap = abs(density(t) - X.density_ac(t))
                 if gap > dev:
                     dev = gap
                 if gap > worst:

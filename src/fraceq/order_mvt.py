@@ -9,11 +9,11 @@ stays testable; models built with verification keep a ``verified`` flag.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .distributions import (DistributionModel, _partial_fn, _survival_point,
                             fractional_moment, quantile, upper_partial_moment)
-from .equilibrium import EquilibriumView, eq_density
+from .equilibrium import EquilibriumView, eq_density_fn
 from .errors import DivergenceError, InvalidParameterError
 from .fracops import (PowerSum, extract_c0, power_expectation, power_mean,
                       power_rl_derivative)
@@ -164,13 +164,14 @@ def z_density(z: ZAlphaModel, t: float) -> float:
     return _z_density_fn(z)(t)
 
 
-def z_mixture_identity(z: ZAlphaModel, t: float) -> tuple[float, float]:
-    """(direct density, generalized mixture c f_Y1 + (1-c) f_X1) at t."""
-    lhs = z_density(z, t)
-    fy = eq_density(EquilibriumView(z.y, z.alpha, 1), t)
-    fx = eq_density(EquilibriumView(z.x, z.alpha, 1), t)
-    rhs = z.mix_c * fy + (1.0 - z.mix_c) * fx
-    return lhs, rhs
+def z_mixture_identity(z: ZAlphaModel,
+                       ts: Sequence[float]) -> list[tuple[float, float]]:
+    """(direct density, generalized mixture c f_Y1 + (1-c) f_X1) at each t of ts."""
+    lhs = _z_density_fn(z)
+    fy = eq_density_fn(EquilibriumView(z.y, z.alpha, 1))
+    fx = eq_density_fn(EquilibriumView(z.x, z.alpha, 1))
+    c = z.mix_c
+    return [(lhs(t), c * fy(t) + (1.0 - c) * fx(t)) for t in map(float, ts)]
 
 
 def z_moment(z: ZAlphaModel, r: float) -> float:
@@ -262,19 +263,23 @@ class MvtReport(NamedTuple):
         return self.term_c0 + self.term_main
 
 
-def mvt_verify(g: PowerSum, X: DistributionModel, Y: DistributionModel,
-               alpha: float, require_order: bool = True) -> MvtReport:
+def _c0(g: PowerSum, alpha: float) -> float:
+    try:
+        return extract_c0(g, alpha)
+    except DivergenceError as exc:  # an exponent below alpha - 1 breaks a hypothesis
+        raise InvalidParameterError(str(exc)) from exc
+
+
+def mvt_verify(g: PowerSum, z: ZAlphaModel) -> MvtReport:
     """Check E[g(Y)] - E[g(X)] against the fractional mean value identity.
 
     The right side is c0/Gamma(a) {E[Y^(a-1)] - E[X^(a-1)]} plus
     {lambda_a(Y) - lambda_a(X)} E[D^a g(Z_a)], the derivative expectation
-    integrated against the Z density by quadrature.
+    integrated against the Z density by quadrature.  X, Y and a come from
+    the model, so one model serves every g of its pair and order.
     """
-    try:
-        c0 = extract_c0(g, alpha)
-    except DivergenceError as exc:  # an exponent below alpha - 1 breaks a hypothesis
-        raise InvalidParameterError(str(exc)) from exc
-    z = z_alpha_model(X, Y, alpha, require_order=require_order)
+    X, Y, alpha = z.x, z.y, z.alpha
+    c0 = _c0(g, alpha)
     lhs = power_mean(g, Y) - power_mean(g, X)
     if c0 != 0.0:
         term_c0 = (c0 / gamma(alpha)
@@ -291,3 +296,18 @@ def mvt_verify(g: PowerSum, X: DistributionModel, Y: DistributionModel,
         breakpoints=())
     term_main = lam_gap * e_dg
     return MvtReport(lhs, term_c0, term_main, lhs - term_c0 - term_main, c0, z)
+
+
+def _mvt_reports(gs: Sequence[PowerSum], X: DistributionModel, Y: DistributionModel,
+                 alpha: float, require_order: bool = True) -> Iterator[MvtReport]:
+    """mvt_verify of each g at one order, lazily, against one Z_alpha model.
+
+    The model is built at the first g, after that g's c0 check, so the
+    errors come in the order of a loop that builds a model per g.
+    """
+    z = None
+    for g in gs:
+        if z is None:
+            _c0(g, alpha)
+            z = z_alpha_model(X, Y, alpha, require_order=require_order)
+        yield mvt_verify(g, z)

@@ -274,12 +274,13 @@ def criterion_7_mvt() -> list[CheckOutcome]:
     tol = 1e-5
     for label, X, Y, alphas in _mvt_pairs():
         for alpha in alphas:
+            z = order_mvt.z_alpha_model(X, Y, alpha)
             for g_label, g in (("x^(a-1)", PowerSum.power(alpha - 1.0)),
                                ("x", PowerSum.power(1.0)),
                                ("x^2", PowerSum.power(2.0)),
                                ("x^0.5+3x", PowerSum.from_terms([(1.0, 0.5), (3.0, 1.0)]))):
                 try:
-                    report = order_mvt.mvt_verify(g, X, Y, alpha)
+                    report = order_mvt.mvt_verify(g, z)
                 except DivergenceError:
                     continue  # g inadmissible for this pair (negative moment at an atom)
                 rows.append(identity_row("mvt_residual",
@@ -304,8 +305,7 @@ def criterion_8_mixture() -> list[CheckOutcome]:
         for alpha in alphas:
             z = order_mvt.z_alpha_model(X, Y, alpha)
             worst = 0.0
-            for t in linspace(0.0, 5.0, 30):
-                lhs, rhs = order_mvt.z_mixture_identity(z, float(t))
+            for lhs, rhs in order_mvt.z_mixture_identity(z, linspace(0.0, 5.0, 30)):
                 worst = max(worst, abs(lhs - rhs))
             rows.append(outcome("z_mixture_identity", {"pair": label, "alpha": alpha},
                                 worst, 1e-10))
@@ -369,7 +369,7 @@ def criterion_11_actuarial() -> list[CheckOutcome]:
              ("x^2", PowerSum.power(2.0), "hyperexp2", hyperexp2(0.4, 1.0, 3.0),
               0.2, 0.8, 1.0)]
     for g_label, g, kind, severity, r, s, alpha in cases:
-        report = actuarial.deductible_mvt(g, severity, r, s, alpha)
+        report, = actuarial.deductible_mvt([g], severity, r, s, alpha)
         rows.append(identity_row("deductible_mvt",
                                  {"severity": kind, "g": g_label, "r": r, "s": s,
                                   "alpha": alpha},
@@ -392,8 +392,8 @@ def criterion_11_actuarial() -> list[CheckOutcome]:
                         half.max_spread, 1e-5))
 
     for r, s, alpha in ((0.5, 1.0, 1.0), (0.3, 0.9, 0.5), (0.25, 2.0, 0.8)):
-        report = actuarial.deductible_mvt(PowerSum.power(1.0), exponential(lam),
-                                          r, s, alpha)
+        report, = actuarial.deductible_mvt([PowerSum.power(1.0)], exponential(lam),
+                                           r, s, alpha)
         worst = 0.0
         for t in linspace(0.0, 6.0, 20):
             worst = max(worst, abs(order_mvt.z_density(report.z, float(t))

@@ -30,30 +30,30 @@ class TestDeductibleModel:
 
 class TestDeductibleMvt:
     def test_linear_g_exponential(self):
-        report = deductible_mvt(PowerSum.power(1.0), exponential(1.0),
+        report, = deductible_mvt([PowerSum.power(1.0)], exponential(1.0),
                                 0.5, 1.0, 1.0)
         expected = math.exp(-0.5) - math.exp(-1.0)  # 0.2386512...
         assert abs(report.lhs - expected) < 1e-12
         assert abs(report.residual) < 1e-7
 
     def test_hyperexponential_square(self):
-        report = deductible_mvt(PowerSum.power(2.0), hyperexp2(0.4, 1.0, 3.0),
+        report, = deductible_mvt([PowerSum.power(2.0)], hyperexp2(0.4, 1.0, 3.0),
                                 0.2, 0.8, 1.0)
         assert abs(report.residual) < 1e-5
 
     def test_fractional_alpha(self):
-        report = deductible_mvt(PowerSum.power(0.5), exponential(1.0),
+        report, = deductible_mvt([PowerSum.power(0.5)], exponential(1.0),
                                 0.5, 1.0, 0.5)
         assert abs(report.residual) < 1e-5
 
     def test_preconditions(self):
         with pytest.raises(InvalidParameterError):
-            deductible_mvt(PowerSum.power(1.0), exponential(1.0), 1.0, 0.5, 1.0)
+            deductible_mvt([PowerSum.power(1.0)], exponential(1.0), 1.0, 0.5, 1.0)
         with pytest.raises(InvalidParameterError):
-            deductible_mvt(PowerSum.power(1.0), uniform(0.0, 1.0), 0.5, 1.5, 1.0)
+            deductible_mvt([PowerSum.power(1.0)], uniform(0.0, 1.0), 0.5, 1.5, 1.0)
         # g ~ x^(alpha-1) near zero violates the corollary hypothesis
         with pytest.raises(InvalidParameterError):
-            deductible_mvt(PowerSum.power(-0.5), exponential(1.0), 0.5, 1.0, 0.5)
+            deductible_mvt([PowerSum.power(-0.5)], exponential(1.0), 0.5, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("r,s,alpha", [(0.5, 1.0, 1.0), (0.3, 0.9, 0.5),
@@ -62,7 +62,7 @@ def test_deductible_z_is_exponential(r, s, alpha):
     # Z in the deductible identity keeps the severity's rate, whatever
     # (r, s, alpha) are
     lam = 1.0
-    report = deductible_mvt(PowerSum.power(1.0), exponential(lam), r, s, alpha)
+    report, = deductible_mvt([PowerSum.power(1.0)], exponential(lam), r, s, alpha)
     for t in linspace(0.0, 6.0, 20):
         assert abs(z_density(report.z, float(t))
                    - lam * math.exp(-lam * float(t))) < 1e-8
@@ -133,7 +133,7 @@ def test_negative_exponents_rejected(exp):
     # even where b > alpha - 1 would satisfy the corollary
     g = PowerSum.from_terms([(1.0, exp), (1.0, 1.0)])
     with pytest.raises(InvalidParameterError):
-        deductible_mvt(g, exponential(1.0), 0.5, 1.0, 0.5)
+        deductible_mvt([g], exponential(1.0), 0.5, 1.0, 0.5)
     with pytest.raises(InvalidParameterError):
         exponential_ratio_check(1.0, 0.5, 1.0, 1.0, 2.0, [g], 0.5)
 
@@ -142,7 +142,7 @@ def test_hyperexponential_z_density_display():
     # mixture-of-exponentials form of the Z density for a two-phase severity
     p, l1, l2 = 0.4, 1.0, 3.0
     r, s, alpha = 0.2, 0.8, 1.0
-    report = deductible_mvt(PowerSum.power(1.0), hyperexp2(p, l1, l2), r, s, alpha)
+    report, = deductible_mvt([PowerSum.power(1.0)], hyperexp2(p, l1, l2), r, s, alpha)
 
     def display(z):
         w1 = p * l1 ** -alpha * (math.exp(-l1 * r) - math.exp(-l1 * s))

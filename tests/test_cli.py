@@ -1,23 +1,30 @@
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import fraceq
-from fraceq import cli, suite
+from fraceq import cli, order_mvt, suite
 from fraceq.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK,
                         EXIT_USAGE, main, parse_args)
 from fraceq.distributions import build, quantile
 from fraceq.numerics import linspace
 from fraceq.order_mvt import alpha_survival_transform
 
+ROOT = Path(__file__).resolve().parent.parent
 EXP1 = '{"kind":"exponential","params":{"lambda":1}}'
 EXP_MEAN2 = '{"kind":"exponential","params":{"lambda":0.5}}'
 WEIBULL = '{"kind":"weibull","params":{"k":2,"lambda":1}}'
 G_LINEAR = '[{"coef":1,"exp":1}]'
 G_SQUARE = '[{"coef":1,"exp":2}]'
+# an exponent below alpha - 1 for every alpha > 0.2, against a hypothesis
+# of the mean value identity
+G_BELOW = '[{"coef":1,"exp":-0.8}]'
 # overflows E[g(X)], so the identity's sides are infinite
 G_HUGE = '[{"coef":1e308,"exp":2}]'
 
@@ -333,13 +340,56 @@ class TestRun:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_USAGE
 
-    def test_mvt_g_below_admissible_range_exits_2(self, tmp_path):
+    def test_mvt_g_below_admissible_range_exits_2(self, tmp_path, capsys):
         # x^-0.8 lies below alpha - 1 = -0.5: a hypothesis of the identity
-        # fails, as for the same g under actuarial, not the numerics
+        # fails, as for the same g under actuarial, not the numerics; the
+        # pair is unordered at alpha = 0.5 too, and g's hypothesis is named
         code = main(["mvt", "--dist-x", '{"kind":"exponential","params":{"lambda":2}}',
-                     "--dist-y", EXP1, "--g", '[{"coef":1,"exp":-0.8}]',
+                     "--dist-y", EXP1, "--g", G_BELOW,
                      "--alpha", "0.5", "--out", str(tmp_path / "x.json")])
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: limit x^(1-a) g(x) at 0+ diverges: exponent -0.8 < -0.5\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["mvt", "--dist-x", EXP1, "--dist-y", EXP_MEAN2],
+        ["actuarial", "--severity", EXP1, "--r", "0.5", "--s", "1"]],
+        ids=["mvt", "actuarial"])
+    def test_one_order_check_per_alpha(self, tmp_path, monkeypatch, argv):
+        # every g is evaluated against one Z_alpha model per alpha; the rows
+        # still run over g first, then alpha
+        checked = []
+        check = order_mvt.check_survival_bounded_order
+
+        def counted(X, Y, alpha, grid=None):
+            checked.append(alpha)
+            return check(X, Y, alpha, grid)
+
+        monkeypatch.setattr(order_mvt, "check_survival_bounded_order", counted)
+        out = tmp_path / "rows.json"
+        code = main(argv + ["--g", G_LINEAR, "--g", G_SQUARE, "--alpha", "1,1.5",
+                            "--out", str(out)])
+        assert code == EXIT_OK
+        assert checked == [1.0, 1.5]
+        rows = report_of(out)["results"]
+        assert [(row["params"]["g"], row["params"]["alpha"]) for row in rows] == [
+            ("1*x^1", 1.0), ("1*x^1", 1.5), ("1*x^2", 1.0), ("1*x^2", 1.5)]
+
+    @pytest.mark.parametrize("argv,message", [
+        # over g, then alpha: (x, 0.5) meets the order failure of the pair
+        # before (x^-0.8, 1) meets its hypothesis
+        (["mvt", "--dist-x", '{"kind":"exponential","params":{"lambda":2}}',
+          "--dist-y", EXP1, "--g", G_LINEAR, "--g", G_BELOW, "--alpha", "1,0.5"],
+         "error: survival bounded order fails at t=0 (gap 0.414)\n"),
+        (["actuarial", "--severity", EXP1, "--r", "0.5", "--s", "1", "--g", G_LINEAR,
+          "--g", '[{"coef":1,"exp":0.3}]', "--alpha", "1.5,2"],
+         "error: g must have exponents >= 0 and > alpha - 1 = 1; got 1*x^1\n")],
+        ids=["mvt", "actuarial"])
+    def test_first_error_over_g_then_alpha(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.json"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_check_failure_exits_1(self, tmp_path):
         # an impossible tolerance turns a healthy residual into a failure
@@ -572,6 +622,34 @@ class TestRun:
         assert all(row["pass"] for row in doc["results"])
         criteria = {row["params"]["criterion"] for row in doc["results"]}
         assert criteria == set(range(1, 14))
+
+
+def _json_dumps(value) -> str:
+    """The format the reports keep, from the standard encoder."""
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("place", [
+        lambda v: v, lambda v: [1.0, v], lambda v: {"a": {"b": ("x", v)}}],
+        ids=["bare", "in-list", "in-tuple-in-dict"])
+    def test_nonfinite_float_raises_value_error(self, bad, place):
+        with pytest.raises(ValueError):
+            _json_dumps(place(bad))
+        with pytest.raises(ValueError):
+            cli._dump(place(bad), "\n")
+
+    def test_closed_form_mix_reports(self, capsys):
+        # every report of the benchmark's closed-form-mix case list at seed 0
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_cases", ROOT / "perfbench" / "cases.py")
+        cases = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cases)
+        for argv in cases.build_cases("closed-form-mix", 0):
+            assert main(argv) == EXIT_OK, argv
+            text = capsys.readouterr().out
+            assert text == _json_dumps(json.loads(text)) + "\n", argv
 
 
 def test_module_entry_point_runs_the_suite():

@@ -600,6 +600,8 @@ def test_quantile():
     assert abs(quantile(X, 1.0 - math.exp(-1.0)) - 1.0) < 1e-9
     U = dist.uniform(0.0, 1.0)
     assert abs(quantile(U, 0.25) - 0.25) < 1e-9
+    # -ln(0.01) / 1e300, far below the 2^-200 that 200 steps from [0, 1] reach
+    assert quantile(dist.exponential(1e300), 0.99) == 4.6051701859880905e-300
     # heavy tails: the doubling search runs until t overflows
     W = dist.weibull(0.05, 1.0)
     assert rel_diff(quantile(W, 0.999), math.log(1000.0) ** 20) < 1e-12
@@ -626,6 +628,16 @@ def test_quantile_stops_at_the_fixed_point_of_the_full_bisection(catalog):
         for q in (1e-6, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-12):
             if X.survival(0.0) > 1.0 - q:
                 assert quantile(X, q) == full(X, 1.0 - q), (X.label, q)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+def test_quantile_at_any_scale(scale):
+    # the bracket is halved down to the answer before bisecting, so 200
+    # steps reach full precision however far below 1 the quantile lies
+    assert rel_diff(quantile(dist.exponential(scale), 0.99),
+                    -math.log(0.01) / scale) < 1e-15
+    assert rel_diff(quantile(dist.uniform(0.0, 1.0 / scale), 0.25),
+                    0.25 / scale) < 1e-15
 
 
 def test_numeric_moments_near_exponential(catalog):

@@ -144,8 +144,7 @@ class TestMixture:
                   exponential(1.0), 0.5)]
         for X, Y, alpha in cases:
             z = z_alpha_model(X, Y, alpha)
-            for t in linspace(0.0, 5.0, 30):
-                lhs, rhs = z_mixture_identity(z, float(t))
+            for lhs, rhs in z_mixture_identity(z, linspace(0.0, 5.0, 30)):
                 assert abs(lhs - rhs) < 1e-10
 
     def test_coefficient_exponential_pair(self):
@@ -242,7 +241,8 @@ class TestMeanLocation:
 
 class TestMvt:
     def test_square_exponential_pair(self):
-        report = mvt_verify(PowerSum.power(2.0), exp_mean(1.0), exp_mean(2.0), 1.0)
+        report = mvt_verify(PowerSum.power(2.0),
+                            z_alpha_model(exp_mean(1.0), exp_mean(2.0), 1.0))
         assert abs(report.lhs - 6.0) < 1e-12
         assert report.term_c0 == 0.0
         assert abs(report.term_main - 6.0) < 1e-7
@@ -251,7 +251,7 @@ class TestMvt:
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_annihilated_g_leaves_only_the_c0_term(self, alpha):
         g = PowerSum.power(alpha - 1.0)
-        report = mvt_verify(g, exp_mean(1.0), exp_mean(2.0), alpha)
+        report = mvt_verify(g, z_alpha_model(exp_mean(1.0), exp_mean(2.0), alpha))
         assert report.term_main == 0.0
         assert abs(report.residual) < 1e-10
 
@@ -259,9 +259,10 @@ class TestMvt:
         # the exponential pair is unordered at alpha = 0.9 (the transform
         # gap at t = 0 is 1 - 2^(-0.1) > 0), yet the identity is algebraic
         with pytest.raises(InvalidParameterError):
-            mvt_verify(PowerSum.power(1.2), exp_mean(1.0), exp_mean(2.0), 0.9)
-        report = mvt_verify(PowerSum.power(1.2), exp_mean(1.0), exp_mean(2.0),
-                            0.9, require_order=False)
+            z_alpha_model(exp_mean(1.0), exp_mean(2.0), 0.9)
+        report = mvt_verify(PowerSum.power(1.2),
+                            z_alpha_model(exp_mean(1.0), exp_mean(2.0), 0.9,
+                                          require_order=False))
         assert report.c0 == 0.0
         assert abs(report.residual) < 1e-5
 
@@ -272,12 +273,13 @@ class TestMvt:
         checked = 0
         for X, Y, alphas in pairs:
             for alpha in alphas:
+                z = z_alpha_model(X, Y, alpha)
                 gs = [PowerSum.power(alpha - 1.0), PowerSum.power(1.0),
                       PowerSum.power(2.0),
                       PowerSum.from_terms([(1.0, 0.5), (3.0, 1.0)])]
                 for g in gs:
                     try:
-                        report = mvt_verify(g, X, Y, alpha)
+                        report = mvt_verify(g, z)
                     except DivergenceError:
                         continue  # negative moment against an atom at zero
                     checked += 1
@@ -287,5 +289,6 @@ class TestMvt:
     def test_g_below_admissible_range_rejected(self):
         # an exponent below alpha - 1 breaks a hypothesis of the identity
         with pytest.raises(InvalidParameterError):
-            mvt_verify(PowerSum.power(-0.8), exp_mean(1.0), exp_mean(2.0), 0.5,
-                       require_order=False)
+            mvt_verify(PowerSum.power(-0.8),
+                       z_alpha_model(exp_mean(1.0), exp_mean(2.0), 0.5,
+                                     require_order=False))

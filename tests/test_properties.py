@@ -1,17 +1,20 @@
-"""Property tests of the equilibrium transform on randomly drawn laws.
+"""Property tests of the equilibrium transform on randomly drawn laws, and
+of the JSON report writer on randomly drawn JSON values.
 
 Runs only where hypothesis is installed (the ``test`` extra).  The
 search is derandomized, so every run draws the same examples.
 """
 
+import json
 import math
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from fraceq import cli
 from fraceq.distributions import (deductible, exponential, hyperexp2, uniform,
                                   zero_inflated)
 from fraceq.equilibrium import EquilibriumView, eq_density, eq_survival
@@ -61,3 +64,24 @@ def test_eq_survival_is_a_survival_function(X, alpha, n, us):
     values = [eq_survival(view, u * scale) for u in sorted(us)]
     assert all(0.0 <= v <= 1.0 for v in values), values
     assert all(b <= a for a, b in zip(values, values[1:])), values
+
+
+# JSON values as the reports hold them: str keys, tuples besides lists,
+# and every float but NaN and the infinities (-0.0, subnormals and 1e308
+# among them); short strings and few leaves keep the draws cheap
+TEXT = st.text(max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(TEXT, inner)),
+    max_leaves=10)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(value=JSON_VALUES)
+@example(value={"\u00e9\u2028\U0001f600": ["\x00\x1f\x7f\"\\", -0.0, 5e-324, 1e308,
+                                           -(2 ** 100), True, None, [], {}, ()]})
+def test_report_writer_is_json_dumps(value):
+    assert cli._dump(value, "\n") == json.dumps(value, sort_keys=True, indent=2,
+                                                allow_nan=False)

@@ -19,7 +19,7 @@ RECORDS = {
         hyperexp2(0.4, 1.0, 3.0), [0.5], [1]),
     "OrderCheckResult": lambda: check_survival_bounded_order(X, Y, 1.0),
     "MeanLocationReport": lambda: classify_mean_location(z_alpha_model(X, Y, 1.0)),
-    "MvtReport": lambda: mvt_verify(PowerSum.power(1.5), X, Y, 1.5),
+    "MvtReport": lambda: mvt_verify(PowerSum.power(1.5), z_alpha_model(X, Y, 1.5)),
     "TaylorReport": lambda: rl_taylor_expectation(PowerSum.power(2.0), X, 0.5, 2),
     "PowerSum": lambda: PowerSum.from_terms([(1.0, 2.0), (3.0, 0.5)]),
 }
