@@ -61,6 +61,10 @@ def deductible_mvt(gs: Sequence[PowerSum], severity: DistributionModel, r: float
     ``mvt_verify`` with (X, Y) = (X_s, X_r) and the order required; the
     Z_alpha model is built once for all of gs.
     """
+    if isinstance(gs, PowerSum):  # a NamedTuple: the loop would run over its fields
+        raise InvalidParameterError(
+            f"deductible_mvt takes a sequence of g's; pass [g], not the PowerSum "
+            f"{gs.describe()}")
     return list(_deductible_reports(gs, severity, r, s, alpha))
 
 

@@ -17,8 +17,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .distributions import (DistributionModel, _survival_point, fractional_moment,
                             quantile)
 from .errors import DivergenceError, InvalidParameterError
-from .numerics import (_CHEB_DEGREES, _CHEB_POINTS, _CHEB_TRANSFORM, _coefficient, gamma,
-                       integrate_singular_power, reciprocal_gamma)
+from .numerics import (_CHEB_DEGREES, _CHEB_POINTS, _CHEB_TRANSFORM, _coefficient,
+                       _tail_sums, gamma, integrate_singular_power, reciprocal_gamma)
 
 __all__ = [
     "PowerSum",
@@ -208,8 +208,10 @@ def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.
     level is a Chebyshev interpolant of degree 6, 12 or 24 per panel,
     evaluated by Clenshaw's recurrence (see _tabulate), on panels graded
     toward X's kinks and, where Fbar is not smooth there, toward 0 (see
-    _panel_edges); each of its nodes is one quadrature, split at X's
-    breakpoints.  At an order 1/k a kink b below T adds (b - u)^(j/k + 1)
+    _panel_edges).  At order 1 a level is a plain tail integral, and one
+    sweep over the gaps between its nodes gives every node (see _swept);
+    at any other order each node is one quadrature.  Both are split at
+    X's breakpoints.  At an order 1/k a kink b below T adds (b - u)^(j/k + 1)
     to level j, a power of w = (b - u)^order, so the panel left of b is
     one panel, tabulated in w instead of graded.  For an unbounded law a
     node integrates up to the first x with Fbar(x) <= _SPENT_LEVEL, or T
@@ -236,11 +238,18 @@ def weyl_table(X: DistributionModel, order: float, scales: Sequence[float] = (1.
     edges = _panel_edges(X.survival, X.breakpoints, T, reach, mapped)
     g = gamma(order)
     level = X.survival
+    if order == 1.0:
+        nodes = sorted({x for *_, xs in _panel_nodes(edges, mapped, order) for x in xs})
     for k, scale in enumerate(scales, 1):
-        def weyl(u: float, prev=level, scale=scale, k=k) -> float:
-            res = integrate_singular_power(prev, u, order, upper=cut,
-                                           breakpoints=X.breakpoints)
-            return scale * res.require(f"I_-^{order:g} at level {k}") / g
+        what = f"I_-^{order:g} at level {k}"
+        if order == 1.0:  # a plain tail integral: every node from one sweep
+            values = _swept(level, nodes, X.breakpoints, cut, what)
+            weyl = lambda u, values=values, scale=scale: scale * values[u]
+        else:
+            def weyl(u: float, prev=level, scale=scale, what=what) -> float:
+                res = integrate_singular_power(prev, u, order, upper=cut,
+                                               breakpoints=X.breakpoints)
+                return scale * res.require(what) / g
         level = _tabulate(weyl, edges, mapped, order)
     return level, T
 
@@ -302,6 +311,38 @@ def _panel_edges(survival: Callable[[float], float], kinks: Sequence[float], T: 
     return sorted(edges)
 
 
+def _swept(f: Callable[[float], float], nodes: Sequence[float], kinks: Sequence[float],
+           cut: float, what: str) -> dict[float, float]:
+    """{x: int_x^cut f} for each of the sorted ``nodes``, 0 from cut on.
+
+    One right-to-left sweep (numerics._tail_sums) over the nodes below
+    cut, the ``kinks`` of f between the first node and cut, and cut.
+    """
+    points = sorted({x for x in nodes if x < cut}
+                    | {x for x in kinks if nodes[0] < x < cut}) + [cut]
+    values = dict.fromkeys(nodes, 0.0)
+    values.update(zip(points, _tail_sums(f, points, what)))
+    return values
+
+
+def _panel_nodes(edges: Sequence[float], mapped: Sequence[float], power: float):
+    """Per table panel [a, b]: (end, mid, half, xs), xs its 25 nodes from a to b.
+
+    xs[i] is node i of degree 24; degree m keeps every (24 // m)-th one.
+    A panel with b in ``mapped`` has end = b and its points in
+    w = (b - x)^power, read back as x = -w; any other has end = None.
+    """
+    m_max = _CHEB_DEGREES[-1]
+    for a, b in zip(edges, edges[1:]):
+        if b in mapped:
+            half = 0.5 * (b - a) ** power
+            yield b, -half, half, ([a] + [b - (half + half * c) ** (1.0 / power)
+                                          for c in _CHEB_POINTS[1:m_max]] + [b])
+        else:
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            yield None, mid, half, [a] + [mid - half * c for c in _CHEB_POINTS[1:m_max]] + [b]
+
+
 def _tabulate(f: Callable[[float], float], edges: Sequence[float],
               mapped: Sequence[float] = (), power: float = 1.0) -> Callable[[float], float]:
     """Piecewise Chebyshev interpolant of f on [edges[0], edges[-1]], 0 beyond.
@@ -322,18 +363,8 @@ def _tabulate(f: Callable[[float], float], edges: Sequence[float],
     panels = []
     last = f(edges[0])
     scale = abs(last)
-    for a, b in zip(edges, edges[1:]):
-        end = b if b in mapped else None
-        if end is None:
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            inner = [mid - half * c for c in _CHEB_POINTS[1:m_max]]
-        else:  # the points in w = (b - x)^power, read back as x = -w
-            half = 0.5 * (b - a) ** power
-            mid = -half
-            inner = [b - (half + half * c) ** (1.0 / power) for c in _CHEB_POINTS[1:m_max]]
-        # node i of degree m_max; degree m keeps every (m_max // m)-th one
-        xs = [a] + inner + [b]
-        values = {0: last, m_max: f(b)}
+    for end, mid, half, xs in _panel_nodes(edges, mapped, power):
+        values = {0: last, m_max: f(xs[-1])}
         for m in _CHEB_DEGREES:
             ids = range(0, m_max + 1, m_max // m)
             for i in ids:

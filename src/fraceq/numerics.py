@@ -4,7 +4,9 @@ Everything else in the package integrates through this module: a 7/15
 Gauss-Kronrod pair refined by interval bisection in one adaptive pass
 (_refine_pieces) that serves a single interval and every finite piece of
 a split integral alike, a semi-infinite driver that truncates by
-geometric doubling, and two treatments of a power-law weight
+geometric doubling and starts each doubling segment past the first with
+one 10/21 Gauss-Kronrod panel, a sweep that integrates f from each of
+many points to the last one, and two treatments of a power-law weight
 (x - t)^(p-1) at an endpoint: a change of variables that removes it for
 p = 1/k, and for any other p that is not an integer a Clenshaw-Curtis
 panel built on the weight's modified Chebyshev moments, whose Chebyshev
@@ -239,7 +241,7 @@ def geomspace(a: float, b: float, num: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod 7/15 panel
+# Gauss-Kronrod panels
 
 # Positive Kronrod abscissae (x=0 handled separately); every other entry,
 # starting from index 1, is also a Gauss node.
@@ -309,6 +311,11 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
               + w2 * (abs(f3) + abs(f4)) + w3 * (abs(f5) + abs(f6))
               + w4 * (abs(f7) + abs(f8)) + w5 * (abs(f9) + abs(f10))
               + w6 * (abs(f11) + abs(f12)) + w7 * (abs(f13) + abs(f14)))
+    return _estimate(kron, gauss, resabs, half)
+
+
+def _estimate(kron: float, gauss: float, resabs: float, half: float) -> tuple[float, float]:
+    """A Kronrod panel's (integral, error estimate) from its sums on [-1, 1]."""
     value = kron * half
     scale = resabs * abs(half)
     delta = abs(kron - gauss) * abs(half)
@@ -318,6 +325,70 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
         err = delta
     err = max(err, 50.0 * _EPS * scale)
     return value, err
+
+
+# Gauss-Kronrod 10/21 panel, QUADPACK's dqk21 (Piessens et al., 1983):
+# positive Kronrod abscissae, outermost first, every other entry from
+# index 1 a Gauss node; the 10-point Gauss rule has no node at x = 0.
+_XGK21 = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WGK21 = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980059509, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+)
+_WGK21_CENTER = 0.149445554002916905664936468389821
+_WG10 = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+
+def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """One 21-point Kronrod panel on [a, b]: (integral, error estimate).
+
+    Unrolled as _gk15 is, over 10 node pairs, with its error estimate.
+    """
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = _XGK21
+    w1, w2, w3, w4, w5, w6, w7, w8, w9, w10 = _WGK21
+    g2, g4, g6, g8, g10 = _WG10
+    fc = f(center)
+    f1, f2 = f(center - half * x1), f(center + half * x1)
+    f3, f4 = f(center - half * x2), f(center + half * x2)
+    f5, f6 = f(center - half * x3), f(center + half * x3)
+    f7, f8 = f(center - half * x4), f(center + half * x4)
+    f9, f10 = f(center - half * x5), f(center + half * x5)
+    f11, f12 = f(center - half * x6), f(center + half * x6)
+    f13, f14 = f(center - half * x7), f(center + half * x7)
+    f15, f16 = f(center - half * x8), f(center + half * x8)
+    f17, f18 = f(center - half * x9), f(center + half * x9)
+    f19, f20 = f(center - half * x10), f(center + half * x10)
+    s2 = f3 + f4
+    s4 = f7 + f8
+    s6 = f11 + f12
+    s8 = f15 + f16
+    s10 = f19 + f20
+    kron = (_WGK21_CENTER * fc + w1 * (f1 + f2) + w2 * s2 + w3 * (f5 + f6)
+            + w4 * s4 + w5 * (f9 + f10) + w6 * s6 + w7 * (f13 + f14)
+            + w8 * s8 + w9 * (f17 + f18) + w10 * s10)
+    gauss = g2 * s2 + g4 * s4 + g6 * s6 + g8 * s8 + g10 * s10
+    resabs = (_WGK21_CENTER * abs(fc) + w1 * (abs(f1) + abs(f2))
+              + w2 * (abs(f3) + abs(f4)) + w3 * (abs(f5) + abs(f6))
+              + w4 * (abs(f7) + abs(f8)) + w5 * (abs(f9) + abs(f10))
+              + w6 * (abs(f11) + abs(f12)) + w7 * (abs(f13) + abs(f14))
+              + w8 * (abs(f15) + abs(f16)) + w9 * (abs(f17) + abs(f18))
+              + w10 * (abs(f19) + abs(f20)))
+    return _estimate(kron, gauss, resabs, half)
 
 
 _Panel = tuple[float, float, float, float]  # evaluated: (left, right, value, error)
@@ -461,10 +532,42 @@ def _refine_pieces(f: Callable[[float], float], pieces: list[list[_Panel]],
     return IntegralResult(value, err, converged)
 
 
+def _one_panel(kernel: Callable, f: Callable[[float], float], a: float, b: float,
+               cfg: QuadratureConfig) -> IntegralResult:
+    """f over [a, b] from one ``kernel`` panel (_gk15 or _gk21).
+
+    The panel stands when it meets max(abs_tol, rel_tol * |value|);
+    otherwise it is the one panel of a piece refined by _refine_pieces.
+    """
+    value, err = kernel(f, a, b)
+    if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        return IntegralResult(value, err, True)
+    return _refine_pieces(f, [[(a, b, value, err)]], [], cfg)
+
+
+def _tail_sums(f: Callable[[float], float], points: list[float], what: str) -> list[float]:
+    """int_x^points[-1] f for each x of the sorted ``points``, in one sweep.
+
+    Each gap between neighbouring points is one _gk15 panel, refined
+    only when it misses the default tolerance, and the integral from a
+    point is the math.fsum of the gaps to its right.  A gap that does
+    not converge raises DivergenceError, naming ``what``.
+    """
+    gaps: list[float] = []
+    sums = [0.0]
+    for a, b in zip(points[-2::-1], points[:0:-1]):  # right to left
+        gaps.append(_one_panel(_gk15, f, a, b, DEFAULT_CONFIG).require(what))
+        sums.append(math.fsum(gaps))
+    return sums[::-1]
+
+
 def integrate_semi_infinite(f: Callable[[float], float], a: float,
                             cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Integral of f over [a, +inf).
 
+    integrate_interval takes [a, a + 1], where a law's mass and kinks
+    sit; each doubling segment after it starts as one _gk21 panel,
+    refined only when it misses the segment tolerance (see _one_panel).
     Truncates at T found by geometric doubling from T0 = a + 1: doubling
     stops once the last increment falls below _TAIL_EPSILON * |value|, a
     test that means the same at every scale, or once the increment and
@@ -481,7 +584,7 @@ def integrate_semi_infinite(f: Callable[[float], float], a: float,
     t_hi = a + width
     while math.isfinite(t_next := a + 2.0 * (t_hi - a)):
         try:
-            seg = integrate_interval(f, t_hi, t_next, seg_cfg)
+            seg = _one_panel(_gk21, f, t_hi, t_next, seg_cfg)
         except OverflowError:  # f itself overflows this far out
             converged = False
             break
@@ -505,11 +608,12 @@ _CHEB_DEGREES = (6, 12, 24)  # interpolant degrees; degree m takes every (24 // 
 _CHEB_POINTS = tuple(math.cos(math.pi * j / 24) for j in range(25))  # of the second kind
 # Row k of _CHEB_TRANSFORM[m] takes the values at cos(j pi / m), j = 0..m, to
 # the coefficient of T_k in their interpolant (a type-I discrete cosine
-# transform, both ends of either index halved).  It is symmetric but for the
-# last bit of a few entries, where pi * j rounds, so row j dotted with a
-# weight's moments on T_0..T_m is the weight of point j in its degree-m rule.
+# transform, both ends of either index halved).  The argument j k pi / m is
+# reduced mod 2 pi before it rounds, so the matrix is exactly symmetric and
+# row j dotted with a weight's moments on T_0..T_m is the weight of point j
+# in its degree-m rule.
 _CHEB_TRANSFORM = {m: tuple(tuple((1.0 if 0 < j < m else 0.5) * (1.0 if 0 < k < m else 0.5)
-                                  * 2.0 / m * math.cos(math.pi * j * k / m)
+                                  * 2.0 / m * math.cos(math.pi * (j * k % (2 * m)) / m)
                                   for j in range(m + 1)) for k in range(m + 1))
                    for m in _CHEB_DEGREES}
 

@@ -12,9 +12,10 @@ For each workload and seed it runs one pass of the benchmark's case list
 - for each ``eqdist`` case, the same digest of its grid points (t, direct,
   oracle), which moves whenever an oracle value moves, even where the
   report, which keeps only each row's worst gap, does not, and the case's
-  panels split into the direct side and the oracle side (those taken
-  inside ``equilibrium.eq_survival_recursive``);
-- the Gauss-Kronrod panels the pass took, counted at ``numerics._gk15``;
+  Kronrod integrand evaluations split into the direct side and the
+  oracle side (those made inside ``equilibrium.eq_survival_recursive``);
+- the Kronrod integrand evaluations the pass made and its panels of
+  either rule, counted by ``kronrod_panels.counting_panels``;
 - the median accuracy margin over all cases and the smallest one over the
   fixed cases, in decades, as the benchmark computes them.
 
@@ -40,6 +41,7 @@ import io
 import statistics
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,29 +50,26 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import cases  # noqa: E402  (perfbench's case lists)
 import run  # noqa: E402  (perfbench's pass runner)
-from fraceq import cli, equilibrium, numerics  # noqa: E402
+from fraceq import cli, equilibrium  # noqa: E402
+from kronrod_panels import counting_panels, evaluations  # noqa: E402
 
 
-def _counted_pass(cases_list: list) -> tuple[run.PassResult, int, dict, dict]:
-    """One pass, with every _gk15 call counted and every eqdist grid hashed.
+def _counted_pass(cases_list: list) -> tuple[run.PassResult, Counter, dict, dict]:
+    """One pass, with every Kronrod panel counted and every eqdist grid hashed.
 
-    The grids come back as {case index: sha256 of its grid points}, and
-    the eqdist panels as {case index: [direct side, oracle side]}.
+    The panels come back as {points per panel: panels}, the grids as
+    {case index: sha256 of its grid points}, and the eqdist integrand
+    evaluations as {case index: [direct side, oracle side]}.
     """
-    panels = 0
     grids, sides = {}, {}
     side, in_oracle = None, False  # the running eqdist case's [direct, oracle]
-    gk15 = numerics._gk15
     direct_vs_recursive = cli.direct_vs_recursive
     recursive = equilibrium.eq_survival_recursive
     case = types.SimpleNamespace(case_id=None)  # run_pass numbers the cases on it
 
-    def counted(f, a, b):
-        nonlocal panels
-        panels += 1
+    def on_panel(points):
         if side is not None:
-            side[in_oracle] += 1
-        return gk15(f, a, b)
+            side[in_oracle] += points
 
     def oracle_side(*args):
         nonlocal in_oracle
@@ -92,13 +91,12 @@ def _counted_pass(cases_list: list) -> tuple[run.PassResult, int, dict, dict]:
             digest.update(f"{t!r} {direct!r} {oracle!r}\n".encode())
         return row, points
 
-    numerics._gk15 = counted
     cli.direct_vs_recursive = hashed
     equilibrium.eq_survival_recursive = oracle_side
     try:
-        result = run.run_pass(cli, cases_list, tracer=case)
+        with counting_panels(on_panel) as panels:
+            result = run.run_pass(cli, cases_list, tracer=case)
     finally:
-        numerics._gk15 = gk15
         cli.direct_vs_recursive = direct_vs_recursive
         equilibrium.eq_survival_recursive = recursive
     return result, panels, grids, sides
@@ -132,12 +130,13 @@ def main(argv: list | None = None) -> int:
             median = statistics.median(margins) if margins else 0.0
             print(f"{workload} seed {seed}: {result.attempted} cases, "
                   f"{result.failed} failed, digest {result.digest[:16]}, "
-                  f"panels {panels}, margin median {median:.4f}, "
+                  f"evaluations {evaluations(panels)} in {panels[15]} + {panels[21]} "
+                  f"panels of 15 + 21 points, margin median {median:.4f}, "
                   f"fixed min {min(fixed, default=0.0):.4f}")
             for index, digest in grids.items():
                 direct, oracle = sides[index]
                 print(f"  eqdist case {index} grid digest {digest.hexdigest()[:16]}, "
-                      f"panels {direct} direct + {oracle} oracle")
+                      f"evaluations {direct} direct + {oracle} oracle")
             for index, margin in enumerate(result.margins):
                 if margin is None:
                     any_failed = True

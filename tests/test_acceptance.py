@@ -11,7 +11,8 @@ import math
 
 import pytest
 
-from fraceq import numerics, suite
+from fraceq import suite
+from kronrod_panels import counting_panels
 
 CRITERION_TITLES = {
     1: "exponential fixed point, sup gap <= 1e-7",
@@ -43,20 +44,13 @@ def test_criterion(number, criterion_rows):
     assert not failed, f"criterion {number} failed {len(failed)} of {len(rows)} checks"
 
 
-def test_battery_panel_count(monkeypatch):
-    # Gauss-Kronrod panels are an exact count, the same on any machine;
-    # 11,228 is one run_all's count when this guard was set
-    panels = 0
-    gk15 = numerics._gk15
-
-    def counted(f, a, b):
-        nonlocal panels
-        panels += 1
-        return gk15(f, a, b)
-
-    monkeypatch.setattr(numerics, "_gk15", counted)
-    suite.run_all()
-    assert panels <= 11_228
+def test_battery_panel_count():
+    # Gauss-Kronrod panels of either rule are an exact count, the same on
+    # any machine; 8,679 (6,785 of 15 and 1,894 of 21 points) is one
+    # run_all's count when this guard was set
+    with counting_panels() as panels:
+        suite.run_all()
+    assert panels.total() <= 8_679
 
 
 @pytest.mark.parametrize("lhs,rhs,residual", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),

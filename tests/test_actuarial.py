@@ -55,6 +55,11 @@ class TestDeductibleMvt:
         with pytest.raises(InvalidParameterError):
             deductible_mvt([PowerSum.power(-0.5)], exponential(1.0), 0.5, 1.0, 0.5)
 
+    def test_bare_power_sum_is_a_usage_error(self):
+        # gs is a sequence of g's; a PowerSum is a tuple too, of its fields
+        with pytest.raises(InvalidParameterError, match=r"pass \[g\]"):
+            deductible_mvt(PowerSum.power(1.0), exponential(1.0), 0.5, 1.0, 1.0)
+
 
 @pytest.mark.parametrize("r,s,alpha", [(0.5, 1.0, 1.0), (0.3, 0.9, 0.5),
                                        (0.25, 2.0, 0.8)])

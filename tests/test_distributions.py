@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import exp_knots, rel_diff
+from kronrod_panels import counting_panels
 from fraceq import distributions as dist
 from fraceq import numerics, suite
 from fraceq.distributions import (build, fractional_moment, quantile,
@@ -538,26 +539,19 @@ class TestUpperPartialMoment:
         with pytest.raises(InvalidParameterError):
             upper_partial_moment(catalog["exp1"], -1.0, 1.0)
 
-    @pytest.mark.parametrize("s,budget", [(0.5, 183), (1.0, 283)])
-    def test_positive_order_panel_budget_on_a_knot_table(self, monkeypatch, s, budget):
+    @pytest.mark.parametrize("s,budget", [(0.5, {15: 59, 21: 62}), (1.0, {15: 59, 21: 112})],
+                             ids=["0.5", "1.0"])
+    def test_positive_order_panel_budget_on_a_knot_table(self, s, budget):
         # the benchmark's unjittered 5-knot table over its 16-point grid:
         # cut at the knots, every piece is smooth, where integrating across
         # them bisected toward each kink for 630 (s = 0.5) and 708 (s = 1)
-        # Gauss-Kronrod panels
+        # 15-point Gauss-Kronrod panels; budget is {points: panels}
         X = dist.numeric([(0.0, 1.0), (0.5, 0.6065), (1.0, 0.3679),
                           (2.0, 0.1353), (4.0, 0.0183)])
         ts = numerics.linspace(0.0, quantile(X, 0.99), 16)
-        panels = 0
-        gk15 = numerics._gk15
-
-        def counted(f, a, b):
-            nonlocal panels
-            panels += 1
-            return gk15(f, a, b)
-
-        monkeypatch.setattr(numerics, "_gk15", counted)
-        for t in ts:
-            upper_partial_moment(X, t, s)
+        with counting_panels() as panels:
+            for t in ts:
+                upper_partial_moment(X, t, s)
         assert panels == budget
 
 

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from conftest import rel_diff
-from fraceq import equilibrium, numerics, suite
+from kronrod_panels import counting_panels
+from fraceq import equilibrium, suite
 from fraceq.distributions import (deductible, exponential, numeric, quantile, uniform,
                                   weibull)
 from fraceq.equilibrium import (EquilibriumView, characterization_check,
@@ -117,7 +118,7 @@ class TestEqDensity:
     def test_density_fn_evaluates_each_node_once(self, catalog, monkeypatch):
         # criterion 5's oracle for the knot table at alpha=1, n=1: three
         # powers integrated against one density revisit the same nodes
-        # (915 evaluations of 592 distinct nodes without the memo)
+        # (876 evaluations of 555 distinct nodes without the memo)
         model = catalog["numeric"]
         view = EquilibriumView(model, 1.0, 1)
         nodes = []
@@ -136,7 +137,7 @@ class TestEqDensity:
         for r in (0.5, 1.0, 2.0):
             power_expectation(PowerSum.power(r), density,
                               upper=model.support_upper, breakpoints=())
-        assert len(nodes) == len(set(nodes)) == 592
+        assert len(nodes) == len(set(nodes)) == 555
         monkeypatch.undo()
         for t in nodes[::37]:
             assert density(t) == eq_density(view, t)
@@ -292,21 +293,14 @@ class TestEqMoment:
                                  / fractional_moment(model, float(n)))
                     assert eq_moment(view, r) == pytest.approx(classical, abs=0.0)
 
-    def test_moment_criterion_panel_budget(self, monkeypatch):
+    def test_moment_criterion_panel_budget(self):
         # E[Z^0.5] carries the weight z^0.5: the moment-based head panel at
         # 0 integrates it without Gauss-Kronrod bisecting toward the
         # weight's derivative singularity, which took 8,634 panels in all
-        panels = []
-        gk15 = numerics._gk15
-
-        def counted(f, a, b):
-            panels.append(1)
-            return gk15(f, a, b)
-
-        monkeypatch.setattr(numerics, "_gk15", counted)
-        rows = suite.criterion_5_equilibrium_moments()
+        with counting_panels() as panels:
+            rows = suite.criterion_5_equilibrium_moments()
         assert all(row.passed for row in rows)
-        assert len(panels) <= 4_000
+        assert panels.total() <= 2_626
 
 
 class TestFirstOrderCdf:

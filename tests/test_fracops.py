@@ -3,8 +3,9 @@ import math
 import pytest
 
 from conftest import rel_diff
-from fraceq import fracops, numerics, suite
-from fraceq.distributions import (exponential, numeric, uniform,
+from kronrod_panels import counting_panels
+from fraceq import fracops, suite
+from fraceq.distributions import (_survival_point, exponential, numeric, uniform,
                                   upper_partial_moment, weibull)
 from fraceq.errors import DivergenceError, InvalidParameterError
 from fraceq.fracops import (PowerSum, power_caputo_derivative,
@@ -179,20 +180,13 @@ class TestWeylIntegral:
         for t in (math.nextafter(T, math.inf), 1.5 * T, 1e300):
             assert table(t) == 0.0
 
-    def test_semigroup_criterion_panel_budget(self, monkeypatch):
+    def test_semigroup_criterion_panel_budget(self):
         # one table of I^b Fbar per (law, b); nesting a quadrature at every
         # outer node took 71,132 Gauss-Kronrod panels
-        panels = []
-        gk15 = numerics._gk15
-
-        def counted(f, a, b):
-            panels.append(1)
-            return gk15(f, a, b)
-
-        monkeypatch.setattr(numerics, "_gk15", counted)
-        rows = suite.criterion_3_semigroup()
+        with counting_panels() as panels:
+            rows = suite.criterion_3_semigroup()
         assert all(row.passed for row in rows)
-        assert len(panels) <= 3_856
+        assert panels.total() <= 3_187
 
     def test_nested_table_node_budget(self, monkeypatch):
         # two levels of Weibull(2,1) at order 0.5 took 770 node quadratures
@@ -212,12 +206,12 @@ class TestWeylIntegral:
     # c is where the survival falls to 2^-60: 4 + ln(0.0183 2^60) / decay
     # on the table's exponential tail, and sqrt(60 ln 2) for Weibull(2,1).
     # The knot table took 5,010 panels with seven panels graded toward each
-    # kink, and takes 1,044 with the one panel left of each mapped
+    # kink, and takes 1,040 with the one panel left of each mapped
     KNOT_TABLE = [(0.0, 1.0), (0.5, 0.6065), (1.0, 0.3679), (2.0, 0.1353), (4.0, 0.0183)]
     SPENT_CASES = [
         ("knot table", lambda: numeric(TestWeylIntegral.KNOT_TABLE),
-         4.0 + math.log(0.0183 * 2.0 ** 60) / (math.log(0.1353 / 0.0183) / 2.0), 1044),
-        ("Weibull(2,1)", lambda: weibull(2.0, 1.0), math.sqrt(60.0 * math.log(2.0)), 572),
+         4.0 + math.log(0.0183 * 2.0 ** 60) / (math.log(0.1353 / 0.0183) / 2.0), 1040),
+        ("Weibull(2,1)", lambda: weibull(2.0, 1.0), math.sqrt(60.0 * math.log(2.0)), 571),
     ]
 
     @pytest.mark.parametrize("make,cut,budget", [case[1:] for case in SPENT_CASES],
@@ -226,10 +220,6 @@ class TestWeylIntegral:
         # each node integrated out to the truncation point T of I^0.5 Fbar(0),
         # 256 and 64 here, in 9,452 and 1,206 panels; the counts are exact on
         # any machine
-        panels = []
-        gk15 = numerics._gk15
-        monkeypatch.setattr(numerics, "_gk15",
-                            lambda f, a, b: panels.append(1) or gk15(f, a, b))
         nodes = []  # (upper, the largest x its integrand was sampled at)
 
         def traced(f, t, p, cfg=None, *, upper=None, breakpoints=()):
@@ -241,8 +231,9 @@ class TestWeylIntegral:
             return res
 
         monkeypatch.setattr(fracops, "integrate_singular_power", traced)
-        _, T = weyl_table(make(), 0.5)
-        assert len(panels) <= budget
+        with counting_panels() as panels:
+            _, T = weyl_table(make(), 0.5)
+        assert panels.total() <= budget
         c = nodes[0][0]
         assert c < T and rel_diff(c, cut) <= 1e-12
         assert all(upper == c and seen <= c for upper, seen in nodes)
@@ -280,6 +271,44 @@ class TestWeylIntegral:
             weyl_integral(heavy, 0.5, 0.0)
         with pytest.raises(DivergenceError):
             fractional_moment(heavy, 1.0)
+
+
+class TestOrderOneSweep:
+    @pytest.mark.parametrize("scales", [(1.0,), (1.0, 0.7)], ids=["one level", "two levels"])
+    @pytest.mark.parametrize("X", suite._catalog(), ids=lambda X: X.label)
+    def test_matches_per_node_quadrature(self, monkeypatch, X, scales):
+        # at order 1 one sweep gives every node of a level: each must be the
+        # per-node quadrature of the level below, split at X's kinks and
+        # ended where the law is spent
+        swept = fracops._swept
+        levels = []
+
+        def traced(f, nodes, *args):
+            values = swept(f, nodes, *args)
+            levels.append((f, nodes, values))
+            return values
+
+        monkeypatch.setattr(fracops, "_swept", traced)
+        _, T = weyl_table(X, 1.0, scales)
+        cut = X.support_upper
+        if not math.isfinite(cut):
+            cut = min(T, _survival_point(X, fracops._SPENT_LEVEL))
+        assert len(levels) == len(scales)
+        for f, nodes, values in levels:
+            for u in nodes:
+                res = integrate_singular_power(f, u, 1.0, upper=cut, breakpoints=X.breakpoints)
+                assert abs(values[u] - res.value) <= max(1e-14 * abs(res.value), 1e-16), u
+
+    def test_sweep_cuts_at_kinks_and_ends_at_cut(self):
+        # a jump at 1.3 falls inside the gap from node 1 to node 2, and f
+        # does not vanish past cut = 2.5, which no node marks
+        f = lambda x: math.exp(-x) * (2.0 if x < 1.3 else 1.0)
+        nodes = [0.0, 0.5, 1.0, 2.0, 3.0, 4.0]
+        values = fracops._swept(f, nodes, (1.3, 5.0), 2.5, "test")
+        ramp = lambda u: math.exp(-u) - math.exp(-2.5)  # int_u^2.5 e^-x dx
+        for u in nodes:
+            exact = 0.0 if u >= 2.5 else ramp(u) + (ramp(u) - ramp(1.3) if u < 1.3 else 0.0)
+            assert abs(values[u] - exact) <= 1e-14 * exact, u
 
 
 class _Edges(Exception):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from kronrod_panels import counting_panels
 import fraceq
 from fraceq import numerics
 from fraceq.errors import DivergenceError, InvalidParameterError
@@ -127,26 +128,21 @@ class TestChebyshevTransform:
     @pytest.mark.parametrize("m", [6, 12, 24])
     def test_maps_chebyshev_polynomials_to_unit_vectors(self, m):
         # T_k sampled at cos(j pi / m) has the single coefficient 1 at T_k.
-        # Each entry rounds a cosine of an argument up to pi * m, so the
-        # coefficients carry errors of about m * eps
+        # Each entry's cosine argument is reduced below 2 pi before it
+        # rounds, so the coefficients are within a few ulps of exact
         rows = numerics._CHEB_TRANSFORM[m]
         assert len(rows) == m + 1
         for k in range(m + 1):
             tk = [math.cos(math.pi * (k * j % (2 * m)) / m) for j in range(m + 1)]
             for i, row in enumerate(rows):
-                assert abs(numerics._coefficient(row, tk) - (i == k)) <= m * numerics._EPS
+                assert abs(numerics._coefficient(row, tk) - (i == k)) <= 5e-16
 
     @pytest.mark.parametrize("m", [6, 12, 24])
     def test_is_symmetric(self, m):
-        # _head_weights dots rows, not columns, with the moments.  pi * j
-        # rounds before the product with k, so a few entries differ from
-        # their transposes in the last bits, by at most 8 eps (the entries
-        # are up to 2/m); at m = 6 none does
+        # _head_weights dots rows, not columns, with the moments; entry
+        # (j, k) takes the cosine of the same reduced argument as (k, j)
         rows = numerics._CHEB_TRANSFORM[m]
-        worst = max(abs(rows[j][k] - rows[k][j]) for j in range(m + 1) for k in range(m + 1))
-        assert worst <= 8.0 * numerics._EPS
-        if m == 6:
-            assert worst == 0.0
+        assert all(rows[j][k] == rows[k][j] for j in range(m + 1) for k in range(m + 1))
 
 
 class TestSemiInfinite:
@@ -401,25 +397,26 @@ def test_converged_respects_tolerances():
     assert res.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
 
 
-# Reference kernel: a rolled 15-point panel; a refinement loop that finds
-# the worst panel by linear scan and re-sums after every bisection, which
-# integrate_interval must reproduce bit for bit; and a refinement pass
-# over seeded pieces, which every split integral must reproduce.
-def _reference_gk15(f, a, b):
+# Reference kernels: rolled 15- and 21-point panels; a refinement loop
+# that finds the worst panel by linear scan and re-sums after every
+# bisection, which integrate_interval must reproduce bit for bit; a
+# refinement pass over seeded pieces, which every split integral must
+# reproduce; and the semi-infinite driver built on them.
+def _reference_panel(f, a, b, xgk, wgk, wgk_center, wg, wg_center):
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fc = f(center)
-    kron = numerics._WGK_CENTER * fc
-    gauss = numerics._WG_CENTER * fc
-    resabs = numerics._WGK_CENTER * abs(fc)
-    for i in range(7):
-        dx = half * numerics._XGK[i]
+    kron = wgk_center * fc
+    gauss = 0.0 if wg_center is None else wg_center * fc
+    resabs = wgk_center * abs(fc)
+    for i in range(len(xgk)):
+        dx = half * xgk[i]
         f1 = f(center - dx)
         f2 = f(center + dx)
-        kron += numerics._WGK[i] * (f1 + f2)
-        resabs += numerics._WGK[i] * (abs(f1) + abs(f2))
+        kron += wgk[i] * (f1 + f2)
+        resabs += wgk[i] * (abs(f1) + abs(f2))
         if i % 2 == 1:
-            gauss += numerics._WG[i // 2] * (f1 + f2)
+            gauss += wg[i // 2] * (f1 + f2)
     value = kron * half
     scale = resabs * abs(half)
     delta = abs(kron - gauss) * abs(half)
@@ -429,6 +426,16 @@ def _reference_gk15(f, a, b):
         err = delta
     err = max(err, 50.0 * numerics._EPS * scale)
     return value, err
+
+
+def _reference_gk15(f, a, b):
+    return _reference_panel(f, a, b, numerics._XGK, numerics._WGK, numerics._WGK_CENTER,
+                            numerics._WG, numerics._WG_CENTER)
+
+
+def _reference_gk21(f, a, b):  # the 10-point Gauss rule has no center node
+    return _reference_panel(f, a, b, numerics._XGK21, numerics._WGK21,
+                            numerics._WGK21_CENTER, numerics._WG10, None)
 
 
 def _reference_seed(f, a, b):
@@ -524,6 +531,31 @@ def _reference_integrate_interval(f, a, b, cfg):
     return total_value, total_err, converged
 
 
+def _reference_semi_infinite(f, a, cfg):
+    """(value, error, converged, truncation point) of integrate_semi_infinite.
+
+    [a, a + 1] is integrate_interval's; each doubling segment after it is
+    one 21-point panel, refined as a one-panel piece when it misses the
+    segment tolerance.
+    """
+    seg_cfg = QuadratureConfig(cfg.abs_tol / 32.0, cfg.rel_tol / 8.0)
+    value, err, converged = _reference_integrate_interval(f, a, a + 1.0, seg_cfg)
+    lo = a + 1.0
+    while math.isfinite(hi := a + 2.0 * (lo - a)):
+        v, e = _reference_gk21(f, lo, hi)
+        if e > max(seg_cfg.abs_tol, seg_cfg.rel_tol * abs(v)):
+            v, e, ok, _ = _reference_refine(f, [[(lo, hi, v, e)]], [], seg_cfg)
+            converged = converged and ok
+        value += v
+        err += e
+        lo = hi
+        if abs(v) <= numerics._TAIL_EPSILON * abs(value) or v == value == 0.0:
+            break
+    else:
+        converged = False
+    return value, err, converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)), lo
+
+
 def _kernel_battery(count):
     """(label, f, a, b, cfg) cases: ties, steps, singularities, depth limit."""
     rng = random.Random(20161018)
@@ -573,6 +605,54 @@ def test_integrate_interval_matches_reference_loop():
         nonconverged += not res.converged
         labels.add(label)
     assert nonconverged > 0 and len(labels) == 10
+
+
+def test_gk21_matches_reference_loop():
+    for label, f, a, b, _ in _kernel_battery(300):
+        calls, ref_calls = [], []
+        got = numerics._gk21(lambda x: calls.append(x) or f(x), a, b)
+        assert got == _reference_gk21(lambda x: ref_calls.append(x) or f(x), a, b), label
+        assert calls == ref_calls, (label, a, b)
+
+
+@pytest.mark.parametrize("d", range(32))
+def test_gk21_rules_are_exact_on_monomials(d):
+    # the 21-point Kronrod rule integrates x^d exactly for d <= 31 and its
+    # 10-point Gauss rule for d <= 19
+    exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+    kron, _ = numerics._gk21(lambda x: x ** d, -1.0, 1.0)
+    assert abs(kron - exact) <= 1e-15
+    if d <= 19:
+        gauss = math.fsum(w * (x ** d + (-x) ** d)
+                          for x, w in zip(numerics._XGK21[1::2], numerics._WG10))
+        assert abs(gauss - exact) <= 1e-15
+
+
+@pytest.mark.parametrize("f,a", [
+    (lambda x: math.exp(-x), 0.0),
+    (lambda x: x * math.exp(-0.5 * x), 0.3),
+    (lambda x: math.exp(-x) * (1.0 + abs(x - 3.3)), 0.0),
+    (lambda x: math.exp(-0.3 * x) * (1.0 if x < 5.7 else 0.25), -0.5),
+    (lambda x: (1.0 + x) ** -1.1, 0.0),
+    (lambda x: 1.0 / (1.0 + x), 0.0),  # never converges
+])
+def test_semi_infinite_matches_reference_driver(f, a):
+    for cfg in (numerics.DEFAULT_CONFIG, QuadratureConfig(1e-14, 1e-12)):
+        res = integrate_semi_infinite(f, a, cfg)
+        assert (res.value, res.error_estimate, res.converged,
+                res.truncation_point) == _reference_semi_infinite(f, a, cfg)
+
+
+def test_tail_segment_is_refined_only_when_it_misses():
+    # e^-x: [0, 1] in two 15-point halves, then one 21-point panel for
+    # each of the 7 doublings to 128; a kink at 3.3 sends [2, 4] alone on
+    # to 15-point bisection
+    with counting_panels() as smooth:
+        integrate_semi_infinite(lambda x: math.exp(-x), 0.0)
+    assert smooth == {15: 2, 21: 7}
+    with counting_panels() as kinked:
+        integrate_semi_infinite(lambda x: math.exp(-x) * (1.0 + abs(x - 3.3)), 0.0)
+    assert kinked[21] == 7 and kinked[15] > 2
 
 
 def test_bisection_stops_where_floats_run_out():
