@@ -35,6 +35,13 @@ def _require_admissible(g: PowerSum, alpha: float) -> None:
             f"got {g.describe()}")
 
 
+def _require_sequence(gs: Sequence[PowerSum], caller: str) -> None:
+    if isinstance(gs, PowerSum):  # a NamedTuple: the loop would run over its fields
+        raise InvalidParameterError(
+            f"{caller} takes a sequence of g's; pass [g], not the PowerSum "
+            f"{gs.describe()}")
+
+
 def _deductible_reports(gs: Sequence[PowerSum], severity: DistributionModel,
                         r: float, s: float, alpha: float) -> Iterator[MvtReport]:
     """deductible_mvt's reports, lazily, in the order of gs.
@@ -61,10 +68,7 @@ def deductible_mvt(gs: Sequence[PowerSum], severity: DistributionModel, r: float
     ``mvt_verify`` with (X, Y) = (X_s, X_r) and the order required; the
     Z_alpha model is built once for all of gs.
     """
-    if isinstance(gs, PowerSum):  # a NamedTuple: the loop would run over its fields
-        raise InvalidParameterError(
-            f"deductible_mvt takes a sequence of g's; pass [g], not the PowerSum "
-            f"{gs.describe()}")
+    _require_sequence(gs, "deductible_mvt")
     return list(_deductible_reports(gs, severity, r, s, alpha))
 
 
@@ -83,6 +87,7 @@ def exponential_ratio_check(lam: float, r: float, s: float, u: float, v: float,
     Every admissible g must give the same ratio
     (e^(-lam r) - e^(-lam s)) / (e^(-lam u) - e^(-lam v)).
     """
+    _require_sequence(gs, "exponential_ratio_check")
     if not (0.0 < r < s and 0.0 < u < v):
         raise InvalidParameterError("need 0 < r < s and 0 < u < v")
     sev = exponential(lam)  # checks lam > 0

@@ -407,7 +407,8 @@ def power_mean(g: PowerSum, X: DistributionModel) -> float:
 
 def power_expectation(g: PowerSum, density: Callable[[float], float], *,
                       upper: float | None = None,
-                      breakpoints: tuple[float, ...]) -> float:
+                      breakpoints: tuple[float, ...],
+                      kink_power: float | None = None) -> float:
     """E[g(Z)] for Z with the given density.
 
     Integrates term by term with the singular-power rule, so exponents in
@@ -415,7 +416,10 @@ def power_expectation(g: PowerSum, density: Callable[[float], float], *,
     certifies E[|g(Z)|] < inf.  ``upper`` declares where the density
     vanishes, and ``breakpoints`` the sorted kinks of the density, where
     the quadrature cuts; it has no default, so that every caller states
-    whether its density has kinks.
+    whether its density has kinks.  ``kink_power`` q declares that the
+    density behaves like A + B (b - z)^q left of each kink and of a
+    finite ``upper``, and maps the piece there when 1/q is an integer
+    (see integrate_singular_power).
     """
     value = 0.0
     for coef, exp in g.terms:
@@ -423,6 +427,6 @@ def power_expectation(g: PowerSum, density: Callable[[float], float], *,
             raise DivergenceError(
                 f"E[g(Z)] diverges: exponent {exp:g} <= -1 in {g.describe()}")
         res = integrate_singular_power(density, 0.0, exp + 1.0, upper=upper,
-                                       breakpoints=breakpoints)
+                                       breakpoints=breakpoints, kink_power=kink_power)
         value += coef * res.require(f"E[Z^{exp:g}] against numeric density")
     return value

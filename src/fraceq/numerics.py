@@ -9,8 +9,11 @@ one 10/21 Gauss-Kronrod panel, a sweep that integrates f from each of
 many points to the last one, and two treatments of a power-law weight
 (x - t)^(p-1) at an endpoint: a change of variables that removes it for
 p = 1/k, and for any other p that is not an integer a Clenshaw-Curtis
-panel built on the weight's modified Chebyshev moments, whose Chebyshev
-kernel fracops's oracle tables share.  All operations are pure.
+head panel built on the weight's modified Chebyshev moments, whose
+Chebyshev kernel fracops's oracle tables share; past a full head the
+change of variables removes a p < 1 too.  A term (b - x)^(1/k) that a
+caller declares left of a kink b is mapped away the same way.  All
+operations are pure.
 """
 
 from __future__ import annotations
@@ -427,20 +430,20 @@ def integrate_interval(f: Callable[[float], float], a: float, b: float,
     err = math.fsum((le, re))
     if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
         return IntegralResult(value, err, True)
-    return _refine_pieces(f, [seed], [], cfg)
+    return _refine_pieces([(f, seed)], [], cfg)
 
 
-def _bisect(f: Callable[[float], float], heap: list, values: list[float],
-            errs: list[float]) -> tuple[float, float] | None:
+def _bisect(heap: list, values: list[float], errs: list[float]) -> tuple[float, float] | None:
     """Bisect the worst panel of ``heap``: the change in value and in error.
 
-    ``heap`` holds (-error, index, left, right, depth) entries whose index
-    points into ``values`` and ``errs``; the left half keeps the index and
-    the right half takes the next free one.  Returns None, bisecting
-    nothing, when the panel has had _MAX_DEPTH bisections or is at most
-    _MIN_PANEL_ULPS ulps of its midpoint wide.
+    ``heap`` holds (-error, index, left, right, depth, f) entries, f the
+    panel's integrand, whose index points into ``values`` and ``errs``;
+    the left half keeps the index and the right half takes the next free
+    one.  Returns None, bisecting nothing, when the panel has had
+    _MAX_DEPTH bisections or is at most _MIN_PANEL_ULPS ulps of its
+    midpoint wide.
     """
-    _, i, lo, hi, depth = heap[0]
+    _, i, lo, hi, depth, f = heap[0]
     mid = 0.5 * (lo + hi)
     if depth >= _MAX_DEPTH or hi - lo <= _MIN_PANEL_ULPS * math.ulp(mid):
         return None
@@ -449,24 +452,24 @@ def _bisect(f: Callable[[float], float], heap: list, values: list[float],
     change = (lv + rv - values[i], le + re - errs[i])
     values[i] = lv
     errs[i] = le
-    heapq.heapreplace(heap, (-le, i, lo, mid, depth + 1))
-    heapq.heappush(heap, (-re, len(values), mid, hi, depth + 1))
+    heapq.heapreplace(heap, (-le, i, lo, mid, depth + 1, f))
+    heapq.heappush(heap, (-re, len(values), mid, hi, depth + 1, f))
     values.append(rv)
     errs.append(re)
     return change
 
 
-def _refine_pieces(f: Callable[[float], float], pieces: list[list[_Panel]],
+def _refine_pieces(pieces: list[tuple[Callable[[float], float], list[_Panel]]],
                    outside: list[IntegralResult],
                    cfg: QuadratureConfig) -> IntegralResult:
-    """Sum of the integrals of f over ``pieces`` and of the ``outside`` results.
+    """Sum of the integrals over ``pieces`` and of the ``outside`` results.
 
     The one loop that bisects Gauss-Kronrod panels, in QUADPACK dqagp's
-    order (Piessens et al., 1983).  Each piece is a list of panels
-    (left, right, value, error) the caller has already evaluated: one
-    panel, or the two halves of _seed.  First, while a piece misses
-    max(abs_tol, rel_tol * |piece|), its worst panel is bisected; a piece
-    that meets it at its seed is left as it is.  Then the panels and the
+    order (Piessens et al., 1983).  Each piece is its integrand and the
+    panels (left, right, value, error) the caller has already evaluated
+    on it: one panel, or the two halves of _seed.  First, while a piece
+    misses max(abs_tol, rel_tol * |piece|), its worst panel is bisected;
+    a piece that meets it at its seed is left as it is.  Then the panels and the
     ``outside`` results (pieces integrated elsewhere) are summed once,
     and while that sum misses its tolerance the worst panel of any piece
     is bisected, at most once per panel held when this step began, and
@@ -490,17 +493,17 @@ def _refine_pieces(f: Callable[[float], float], pieces: list[list[_Panel]],
     errs: list[float] = []
     done = []  # per piece: where its panels start in values, and its heap (indices within it)
     converged = all([r.converged for r in outside])
-    for piece in pieces:
+    for f, piece in pieces:
         pv, pe, panels = [], [], []
         for a, b, v, e in piece:
-            panels.append((-e, len(pv), a, b, len(piece) - 1))
+            panels.append((-e, len(pv), a, b, len(piece) - 1, f))
             pv.append(v)
             pe.append(e)
         v, e = math.fsum(pv), math.fsum(pe)
         if e > max(abs_tol, rel_tol * abs(v)):
             heapq.heapify(panels)
             while e > max(abs_tol, rel_tol * abs(v)):
-                if _bisect(f, panels, pv, pe) is None:
+                if _bisect(panels, pv, pe) is None:
                     converged = False
                     break
                 v, e = math.fsum(pv), math.fsum(pe)
@@ -515,11 +518,11 @@ def _refine_pieces(f: Callable[[float], float], pieces: list[list[_Panel]],
         # the pass cannot make up for outside pieces that miss the tolerance alone
         out_err = math.fsum(r.error_estimate for r in outside)
         budget = len(values) if out_err < max(abs_tol, rel_tol * abs(value)) else 0
-        heap = [(e, first + i, a, b, depth)
-                for first, panels in done for e, i, a, b, depth in panels]
+        heap = [(e, first + i, a, b, depth, f)
+                for first, panels in done for e, i, a, b, depth, f in panels]
         heapq.heapify(heap)
         while budget and err > max(abs_tol, rel_tol * abs(value)):
-            change = _bisect(f, heap, values, errs)
+            change = _bisect(heap, values, errs)
             if change is None:
                 converged = False
                 break
@@ -542,7 +545,7 @@ def _one_panel(kernel: Callable, f: Callable[[float], float], a: float, b: float
     value, err = kernel(f, a, b)
     if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
         return IntegralResult(value, err, True)
-    return _refine_pieces(f, [[(a, b, value, err)]], [], cfg)
+    return _refine_pieces([(f, [(a, b, value, err)])], [], cfg)
 
 
 def _tail_sums(f: Callable[[float], float], points: list[float], what: str) -> list[float]:
@@ -648,9 +651,9 @@ def _head_weights(p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(tuple(_coefficient(row, ri) for row in _CHEB_TRANSFORM[n]) for n in (24, 12))
 
 
-def _singular_head(f: Callable[[float], float], integrand: Callable[[float], float],
-                   t: float, b: float, p: float, cfg: QuadratureConfig
-                   ) -> tuple[IntegralResult, list[list[_Panel]]] | None:
+def _singular_head(f: Callable[[float], float], t: float, b: float, p: float,
+                   cfg: QuadratureConfig
+                   ) -> tuple[IntegralResult, list[tuple[float, float]]] | None:
     """Head panel of int_t^b (x - t)^(p-1) f(x) dx for p neither k nor 1/k.
 
     The panel at t is the Clenshaw-Curtis rule of degree 24 for the
@@ -662,13 +665,12 @@ def _singular_head(f: Callable[[float], float], integrand: Callable[[float], flo
     [0, 1], with a = k/200 and p from 1.2 to 3.5, |I_24 - I_12| fell
     below the true error by up to 115-fold, the coefficient term never
     below 1.6 times it.  While the estimate misses the tolerance the
-    panel is halved and its right half is split off, seeded by _seed on
-    ``integrand``, the weighted f, for the caller's _refine_pieces; it
-    stops unconverged after _MAX_DEPTH halvings or at a panel at most
-    _MIN_PANEL_ULPS ulps of its midpoint wide.  Returns the head's
-    result and the seeded halves.  f is sampled at t itself; where f(t)
-    is not finite it returns None, and the caller integrates the weight
-    directly.
+    panel is halved and its right half is split off, for the caller to
+    integrate; it stops unconverged after _MAX_DEPTH halvings or at a
+    panel at most _MIN_PANEL_ULPS ulps of its midpoint wide.  Returns
+    the head's result and the halves split off, (left, right) in x,
+    [mid, b] first.  f is sampled at t itself; where f(t) is not finite
+    it returns None, and the caller integrates the weight directly.
     """
     w24, w12 = _head_weights(p)
     mass = 2.0 ** p / p  # int_{-1}^{1} (1+y)^(p-1) dy
@@ -693,15 +695,26 @@ def _singular_head(f: Callable[[float], float], integrand: Callable[[float], flo
         converged = False
         if depth == _MAX_DEPTH or b - t <= _MIN_PANEL_ULPS * math.ulp(mid):
             break
-        halves.append(_seed(integrand, mid, b))
+        halves.append((mid, b))
         b = mid
     return IntegralResult(value, err, converged), halves
+
+
+def _left_of(f: Callable[[float], float], a: float, b: float, k: float
+             ) -> tuple[Callable[[float], float], float, float]:
+    """int_a^b f(x) dx in w = (b - x)^(1/k), as (integrand, 0, (b - a)^(1/k)).
+
+    x = b - w^k, so the integrand is f(b - w^k) k w^(k-1): for an integer
+    k a term (b - x)^(j/k) of f becomes the polynomial w^j.
+    """
+    return (lambda w: f(b - w ** k) * k * w ** (k - 1.0)), 0.0, (b - a) ** (1.0 / k)
 
 
 def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
                              cfg: QuadratureConfig | None = None, *,
                              upper: float | None = None,
-                             breakpoints: tuple[float, ...] = ()) -> IntegralResult:
+                             breakpoints: tuple[float, ...] = (),
+                             kink_power: float | None = None) -> IntegralResult:
     """Integral of (x - t)^(p-1) * f(x) over [t, +inf), p > 0.
 
     For p = 1/k, k an integer above 1, the endpoint singularity is
@@ -710,15 +723,27 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
     weight is a polynomial and is integrated directly.  For any other p
     a head panel [t, t + h], with h = min(1, first breakpoint - t,
     upper - t), is integrated by a Clenshaw-Curtis rule for the weight
-    (see _singular_head), and the weight is integrated directly beyond
-    it: u = (x - t)^p would leave a factor u^(1/p - 1) that is not
-    smooth at u = 0.  That rule samples f at t itself; where f(t) is not
-    finite, the weight is integrated directly from t when p > 1, and
-    removed by u = (x - t)^p when p < 1.  A finite ``upper`` declares
-    that f vanishes beyond it: the integral then ends at max(t, upper),
-    reported as ``truncation_point``.  Each of the sorted
-    ``breakpoints`` (kinks of f) strictly between t and ``upper``
-    becomes a cut, mapped into u when u is the variable.
+    (see _singular_head).  Past a head that is the whole of [t, t + 1],
+    with no halves split off, a p < 1 is removed by v = (x - t)^p as
+    1/k is, as f(t + v^(1/p)) / p: v >= 1 there, where the map is
+    smooth, though it is not at v = 0.  Past any other head the weight
+    is integrated directly: after a head shortened by a breakpoint, v
+    would start below 1, and 1e-3 to 1e-9 left of a knot that cost up to
+    6.5e-12 (relative) at orders 0.3 and 0.7.  The head samples f at t
+    itself; where f(t) is not finite, the weight is integrated directly
+    from t when p > 1, and removed by u = (x - t)^p when p < 1.  A finite
+    ``upper`` declares that f vanishes beyond it: the integral then ends
+    at max(t, upper), reported as ``truncation_point``.  Each of the
+    sorted ``breakpoints`` (kinks of f) strictly between t and ``upper``
+    becomes a cut, mapped into u or v when that is the variable.
+
+    ``kink_power`` q declares that f behaves like A + B (b - x)^q just
+    left of each such breakpoint b and of a finite ``upper``.  When
+    0 < q < 1 and 1/q is an integer, the piece left of each of them is
+    integrated in w = (b - x)^q (see _left_of), where it is as smooth as
+    A + B w: each piece that ends at a cut, the piece that ends at
+    ``upper``, and the first half that a head ending at one of them
+    splits off.  Any other q maps nothing.
 
     An integral with a cut or a head panel is split, and every finite
     piece of it is refined in one pass (see _refine_pieces): the halves
@@ -736,6 +761,9 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
         raise InvalidParameterError(f"singular power requires p > 0, got {p}")
     finite = upper is not None and math.isfinite(upper)
     edges = [x for x in breakpoints if x > t and not (finite and x >= upper)]
+    left_of = lambda g, a, b: (g, a, b)  # a piece left of a kink, as _left_of returns it
+    if kink_power is not None and 0.0 < kink_power < 1.0 and (1.0 / kink_power).is_integer():
+        left_of = lambda g, a, b: _left_of(g, a, b, 1.0 / kink_power)
     start = t
     outside, pieces = [], []
     substitute = p < 1.0 and (1.0 / p).is_integer()
@@ -746,12 +774,19 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
         integrand = lambda x: (x - t) ** q * f(x)
         if p != math.floor(p):
             b = min([t + 1.0] + edges[:1] + ([upper] if finite else []))
-            split = _singular_head(f, integrand, t, b, p, cfg) if b > t else None
+            split = _singular_head(f, t, b, p, cfg) if b > t else None
             if split:
-                head, pieces = split
+                head, halves = split
                 outside = [head]
+                at_kink = b in edges[:1] or (finite and b == upper)
                 start = b
                 edges = [x for x in edges if x > b]
+                for i, (lo, hi) in enumerate(halves):
+                    g, lo, hi = (left_of(integrand, lo, hi) if i == 0 and at_kink
+                                 else (integrand, lo, hi))
+                    pieces.append((g, _seed(g, lo, hi)))
+                # past a full head v >= 1, where x = t + v^(1/p) is smooth
+                substitute = p < 1.0 and not pieces and b == t + 1.0
             else:
                 substitute = p < 1.0
     if substitute:
@@ -763,15 +798,18 @@ def integrate_singular_power(f: Callable[[float], float], t: float, p: float,
     tail = None if finite else integrate_semi_infinite(integrand, lo, cfg)
     trunc = max(lo, to_var(upper)) if finite else tail.truncation_point
     if not (edges or outside):
-        res = integrate_interval(integrand, lo, trunc, cfg) if finite else tail
+        res = integrate_interval(*left_of(integrand, lo, trunc), cfg) if finite else tail
     else:
-        pieces += [[(a, b, *_gk15(integrand, a, b))] for a, b in zip(cuts, cuts[1:])]
+        for a, b in zip(cuts, cuts[1:]):
+            g, a, b = left_of(integrand, a, b)
+            pieces.append((g, [(a, b, *_gk15(g, a, b))]))
         if not finite:
             outside.append(tail)
         elif trunc > lo:
             # seeded with two halves: f decays there, and one panel rarely holds a decay
-            pieces.append(_seed(integrand, lo, trunc))
-        res = _refine_pieces(integrand, pieces, outside, cfg)
+            g, a, b = left_of(integrand, lo, trunc)
+            pieces.append((g, _seed(g, a, b)))
+        res = _refine_pieces(pieces, outside, cfg)
     if substitute:
         try:
             trunc = t + trunc ** inv_p

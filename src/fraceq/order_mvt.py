@@ -289,11 +289,10 @@ def mvt_verify(g: PowerSum, z: ZAlphaModel) -> MvtReport:
         term_c0 = 0.0
     lam_gap = normalized_moment(Y, alpha) - normalized_moment(X, alpha)
     dg = power_rl_derivative(g, 1, alpha)
-    # the Z density has kinks at the breakpoints of X and Y, which this
-    # quadrature does not yet cut at (ROADMAP item 1, step 2)
+    # the Z density has the kinks of both laws
     e_dg = 0.0 if dg.is_zero else power_expectation(
         dg, _z_density_fn(z), upper=max(X.support_upper, Y.support_upper),
-        breakpoints=())
+        breakpoints=tuple(sorted(set(X.breakpoints + Y.breakpoints))))
     term_main = lam_gap * e_dg
     return MvtReport(lhs, term_c0, term_main, lhs - term_c0 - term_main, c0, z)
 

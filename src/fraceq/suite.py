@@ -194,10 +194,12 @@ def criterion_5_equilibrium_moments() -> list[CheckOutcome]:
             worst = 0.0
             for r in (0.5, 1.0, 2.0):
                 closed = equilibrium.eq_moment(view, r)
-                # unsplit at X's kinks until ROADMAP item 1, step 2
+                # left of each kink of X and of a finite support end the
+                # density is A + B (b - z)^(n alpha)
                 brute = fracops.power_expectation(PowerSum.power(r), density,
                                                   upper=X.support_upper,
-                                                  breakpoints=())
+                                                  breakpoints=X.breakpoints,
+                                                  kink_power=view.total)
                 worst = max(worst, _rel(closed, brute))
             rows.append(outcome("equilibrium_moment_vs_quadrature",
                                 {"distribution": X.label, "alpha": alpha, "n": n},

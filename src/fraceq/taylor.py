@@ -65,13 +65,14 @@ def _remainder(h: PowerSum, X: DistributionModel, alpha: float, n: int) -> float
     E[|h(X_a^(n+1))|] < inf hypothesis surfaces as DivergenceError rather
     than a silently wrong residual.  The equilibrium density has kinks
     where the law's survival function has them, so the quadrature cuts
-    at X's breakpoints.
+    at X's breakpoints; left of each of them and of a finite support end
+    it is A + B (b - z)^((n+1)a), as in criterion 5 of the suite.
     """
     if h.is_zero:
         return 0.0
     view = EquilibriumView(X, alpha, n + 1)
     value = power_expectation(h, eq_density_fn(view), upper=X.support_upper,
-                              breakpoints=X.breakpoints)
+                              breakpoints=X.breakpoints, kink_power=view.total)
     return view.norm / gamma(view.total + 1.0) * value
 
 

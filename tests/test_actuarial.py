@@ -131,6 +131,11 @@ class TestRatioCheck:
             exponential_ratio_check(1000.0, 1e-4, 2e-4, 0.72, 0.73,
                                     [PowerSum.power(1.0), PowerSum.power(2.0)], 1.0)
 
+    def test_bare_power_sum_is_a_usage_error(self):
+        # as for deductible_mvt: a PowerSum is a tuple too, of its fields
+        with pytest.raises(InvalidParameterError, match=r"pass \[g\]"):
+            exponential_ratio_check(1.0, 0.3, 0.9, 0.5, 1.5, PowerSum.power(1.0), 0.8)
+
 
 @pytest.mark.parametrize("exp", [-0.4, -1e-6])
 def test_negative_exponents_rejected(exp):

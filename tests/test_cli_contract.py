@@ -3,6 +3,8 @@ import json
 import pytest
 
 from fraceq.cli import EXIT_OK, main
+from fraceq.distributions import weibull
+from fraceq.suite import direct_vs_recursive
 
 
 def _law(kind, params):
@@ -60,3 +62,21 @@ KNOWN_DEFECTS = [
 @pytest.mark.parametrize("argv", KNOWN_DEFECTS)
 def test_valid_law_passes(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == EXIT_OK
+
+
+# The false pass: an exit code cannot see it, so the test reads both sides
+# at t = 0, where the equilibrium law, which has a density, survives with
+# probability 1.
+@_known_defect("items 18 and 20", (
+    "on Weibull(2, 1e-9) no node of either side's unit first panel lies where "
+    "the law's mass is: both sides read 0.0 at every t, agree, and the row "
+    "passes"))
+@pytest.mark.parametrize("n", [1, 2])
+def test_tiny_scale_sides_read_one_at_zero(tmp_path, n):
+    argv = ["eqdist", "--dist", _law("weibull", {"k": 2, "lambda": 1e-9}),
+            "--alpha", "0.5", "--n", str(n), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == EXIT_OK
+    _, [(_, direct, oracle, _)] = direct_vs_recursive(weibull(2.0, 1e-9), 0.5, n, [0.0],
+                                                      1e-5, {})
+    assert direct == pytest.approx(1.0, abs=1e-5)
+    assert oracle == pytest.approx(1.0, abs=1e-5)

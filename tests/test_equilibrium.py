@@ -296,11 +296,13 @@ class TestEqMoment:
     def test_moment_criterion_panel_budget(self):
         # E[Z^0.5] carries the weight z^0.5: the moment-based head panel at
         # 0 integrates it without Gauss-Kronrod bisecting toward the
-        # weight's derivative singularity, which took 8,634 panels in all
+        # weight's derivative singularity, which took 8,634 panels in all;
+        # the density's pieces left of each kink, mapped in w = (b - z)^alpha
+        # at alpha = 1/2, took 2,626 panels uncut and unmapped
         with counting_panels() as panels:
             rows = suite.criterion_5_equilibrium_moments()
         assert all(row.passed for row in rows)
-        assert panels.total() <= 2_626
+        assert panels.total() <= 2_044
 
 
 class TestFirstOrderCdf:

@@ -258,11 +258,29 @@ class TestSingularPower:
             a = k / 40.0
             f = lambda x: math.exp(-x) + max(a - x, 0.0)
             # a tolerance of 1 accepts the first panel, [0, 1] itself
-            head, halves = numerics._singular_head(f, lambda x: math.sqrt(x) * f(x), 0.0,
-                                                   1.0, p, QuadratureConfig(1.0, 1.0))
+            head, halves = numerics._singular_head(f, 0.0, 1.0, p, QuadratureConfig(1.0, 1.0))
             assert halves == []
             exact = lower_gamma + a ** (p + 1.0) / (p * (p + 1.0))
             assert abs(head.value - exact) <= head.error_estimate, a
+
+    @pytest.mark.parametrize("p", [0.5, 0.7, 1.0, 1.5, 2.0, 2.5])
+    def test_pieces_left_of_kinks_map_in_w(self, p):
+        # (1 - x)_+^0.5 + (2 - x)_+^0.5 up to 2, cut at 1: int_0^b x^(p-1)
+        # (b - x)^0.5 dx = b^(p+0.5) B(p, 1.5).  Unmapped, every path took
+        # 50 to 55 panels and missed by 1.6e-11 to 5.9e-11
+        f = lambda x: math.sqrt(max(1.0 - x, 0.0)) + math.sqrt(max(2.0 - x, 0.0))
+        exact = beta(p, 1.5) * (1.0 + 2.0 ** (p + 0.5))
+        with counting_panels() as panels:
+            res = integrate_singular_power(f, 0.0, p, upper=2.0, breakpoints=(1.0,),
+                                           kink_power=0.5)
+        assert res.converged and res.truncation_point == pytest.approx(2.0, abs=1e-15)
+        assert abs(res.value - exact) <= 5e-15 * exact
+        assert panels.total() <= 4
+        # q = 1 or a q whose inverse is not an integer maps nothing
+        for q in (1.0, 0.7):
+            assert (integrate_singular_power(f, 0.0, p, upper=2.0, breakpoints=(1.0,),
+                                             kink_power=q)
+                    == integrate_singular_power(f, 0.0, p, upper=2.0, breakpoints=(1.0,)))
 
     def test_invalid_exponent(self):
         with pytest.raises(InvalidParameterError):
@@ -296,8 +314,8 @@ class TestSingularPower:
                 # unbounded tail integrated directly outside it
                 weighted = lambda x: (x - t) ** (p - 1.0) * f(x)
                 b = t + 1.0 if upper is None else min(t + 1.0, upper)
-                head, pieces = numerics._singular_head(f, weighted, t, b, p,
-                                                       numerics.DEFAULT_CONFIG)
+                head, halves = numerics._singular_head(f, t, b, p, numerics.DEFAULT_CONFIG)
+                pieces = [_reference_seed(weighted, lo, hi) for lo, hi in halves]
                 if upper is None:
                     tail = integrate_semi_infinite(weighted, b)
                     outside, trunc = [head, tail], tail.truncation_point

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import rel_diff
+from kronrod_panels import counting_panels
 from fraceq.distributions import (exponential, fractional_moment,
                                   deductible, uniform, zero_inflated)
 from fraceq.equilibrium import EquilibriumView, eq_density
@@ -285,6 +286,17 @@ class TestMvt:
                     checked += 1
                     assert abs(report.residual) < 1e-5, (g.describe(), alpha)
         assert checked >= 14
+
+    def test_z_density_is_cut_at_the_kinks_of_both_laws(self):
+        # at alpha = 1 the Z density is (F_X - F_Y) / (E[Y] - E[X]), with
+        # kinks at 1 and at 3; g = x^2 / 2 gives term_main = E[Z] = 4/3,
+        # which took 22 panels to 7.3e-10 with the kink at 1 uncut
+        X, Y = uniform(0.0, 1.0), uniform(0.0, 3.0)
+        with counting_panels() as panels:
+            report = mvt_verify(PowerSum.power(2.0, 0.5), z_alpha_model(X, Y, 1.0))
+        assert abs(report.term_main - 4.0 / 3.0) <= 4e-15
+        assert abs(report.residual) <= 4e-15
+        assert panels.total() <= 3
 
     def test_g_below_admissible_range_rejected(self):
         # an exponent below alpha - 1 breaks a hypothesis of the identity

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import rel_diff
+from kronrod_panels import counting_panels
 from fraceq.distributions import exponential, fractional_moment, uniform
 from fraceq.equilibrium import EquilibriumView, eq_density_fn
 from fraceq.errors import DivergenceError, InvalidParameterError
@@ -153,6 +154,16 @@ class TestKinkedUniform:
     def test_caputo(self):
         g = PowerSum.from_terms([(1.0, 1.0), (1.0, 2.0)])
         assert abs(caputo_taylor_expectation(g, self.X, 0.5, 1).residual) <= 1e-12
+
+
+def test_remainder_maps_the_piece_left_of_the_support_end():
+    # at n = 0 and a = 1/2 the remainder's density is A + B (1 - z)^(1/2)
+    # left of 1, so that piece is integrated in w = (1 - z)^(1/2); in z,
+    # x^0.5's residual was 6.4e-12 after 28 panels
+    with counting_panels() as panels:
+        report = rl_taylor_expectation(PowerSum.power(0.5), uniform(0.0, 1.0), 0.5, 0)
+    assert abs(report.residual) <= 1e-14
+    assert panels.total() <= 2
 
 
 class TestCaputoExpectation:

@@ -170,7 +170,8 @@ def test_weyl_table_next_to_kinks(alpha):
 # is singular 1e-9 before it; the piece meets the default tolerance (up to
 # 3.8e-11 off, relative, with an error estimate of 1e-9) but not BOUND
 NEAR_SINGULAR_PIECE = pytest.mark.xfail(strict=True, reason=(
-    "past the head panel the weight (x - t)^(p-1) is integrated as it stands, "
+    "past a head panel that a knot shortens, the weight (x - t)^(p-1) is "
+    "integrated as it stands (v = (x - t)^p is taken only past a full head), "
     "so a piece that starts 1e-9 after t is read only to the default tolerance "
     "at p = 0.3 (ROADMAP item 3)"))
 
